@@ -2,9 +2,11 @@
 smoother and smoothed cross-probabilities.
 
 The regime-conditional Gaussian densities underflow in linear scale once N
-reaches a few hundred, so the filter update mixes log densities with
-log-sum-exp and only stores normalised probabilities. The smoother then
-runs safely in linear arithmetic because every input is O(1).
+reaches a few hundred. The filter therefore shifts each period's log
+densities by their maximum before exponentiating, which leaves the larger
+relative density at exactly 1, and runs the scaled forward recursion
+(Rabiner 1989) on those O(1) values; the shifts return in the log
+likelihood. Every probability the smoother then sees is O(1) too.
 """
 
 from __future__ import annotations
@@ -74,58 +76,60 @@ def hamilton_filter(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Forward recursion for predicted and filtered regime probabilities.
 
-    Starting from xi_{0|0} = ``xi0``, alternates the prediction step
-    xi_{t|t-1} = P' xi_{t-1|t-1} with the Bayes update performed on log
-    densities:
+    With top_t = max_j log eta_{jt} and the relative densities
+    e_{jt} = exp(log eta_{jt} - top_t), of which the larger is exactly 1,
+    it starts from xi_{0|0} = ``xi0`` and alternates the prediction step
+    xi_{t|t-1} = P' xi_{t-1|t-1} with the scaled Bayes update
 
-        log num_j = log eta_{jt} + log xi_{j,t|t-1},
-        xi_{t|t}  = exp(num - logsumexp(num)).
+        num_j = e_{jt} xi_{j,t|t-1},  c_t = num_1 + num_2,  xi_{t|t} = num / c_t.
 
-    Returns (predicted, filtered, loglik) where ``loglik`` accumulates the
-    per-step normalisers logsumexp(num) = log(eta_t' xi_{t|t-1}).
+    Returns (predicted, filtered, loglik) with
+
+        loglik = sum_t top_t + sum_t log c_t = sum_t log(eta_t' xi_{t|t-1}).
     """
     log_eta = np.asarray(log_eta, dtype=float)
     if log_eta.ndim != 2 or log_eta.shape[1] != 2:
         raise DimensionMismatchError(f"log_eta must be T x 2, got {log_eta.shape}")
-    t_len = log_eta.shape[0]
-    # Scalar arithmetic throughout: IEEE addition is commutative, so writing
-    # each two-term sum explicitly makes swapping the regime labels swap the
-    # outputs bitwise, which matrix kernels do not guarantee.
+    top = np.maximum(log_eta[:, 0], log_eta[:, 1])
+    eta = np.exp(log_eta - top[:, None])
+    # Python float arithmetic in the loop: IEEE addition is commutative, so
+    # writing each two-term sum explicitly makes swapping the regime labels
+    # swap the outputs bitwise, which matrix kernels do not guarantee.
     p11, p12 = float(trans.p[0, 0]), float(trans.p[0, 1])
     p21, p22 = float(trans.p[1, 0]), float(trans.p[1, 1])
-    predicted = np.empty((t_len, 2))
-    filtered = np.empty((t_len, 2))
-    loglik = 0.0
+    predicted, filtered, scale = [], [], []
     cur1, cur2 = float(xi0.values[0]), float(xi0.values[1])
-    with np.errstate(divide="ignore"):
-        for t in range(t_len):
-            pred1 = p11 * cur1 + p21 * cur2
-            pred2 = p12 * cur1 + p22 * cur2
-            if pred1 == 0.0 or pred2 == 0.0:
-                dead = 0 if pred1 == 0.0 else 1
-                if log_eta[t, dead] >= log_eta[t, 1 - dead]:
-                    raise DegeneratePredictionError(
-                        f"predicted probability of state {dead + 1} underflowed "
-                        f"to 0 at t={t} while its density dominates"
-                    )
-            num1 = log_eta[t, 0] + np.log(pred1)
-            num2 = log_eta[t, 1] + np.log(pred2)
-            norm = np.logaddexp(num1, num2)
-            cur1 = np.exp(num1 - norm)
-            cur2 = np.exp(num2 - norm)
-            # Adding O(1) log probabilities to log densities of magnitude
-            # |log eta| rounds at |log eta| * eps, so the exponentials may
-            # miss an exact unit sum by ~1e-12 for very wide panels; one
-            # explicit renormalisation removes that residue.
-            total = cur1 + cur2
-            cur1 /= total
-            cur2 /= total
-            predicted[t, 0] = pred1
-            predicted[t, 1] = pred2
-            filtered[t, 0] = cur1
-            filtered[t, 1] = cur2
-            loglik += norm
-    return predicted, filtered, float(loglik)
+    for t, (eta1, eta2) in enumerate(eta.tolist()):
+        pred1 = p11 * cur1 + p21 * cur2
+        pred2 = p12 * cur1 + p22 * cur2
+        if pred1 == 0.0 or pred2 == 0.0:
+            dead = 0 if pred1 == 0.0 else 1
+            if log_eta[t, dead] >= log_eta[t, 1 - dead]:
+                raise DegeneratePredictionError(
+                    f"predicted probability of state {dead + 1} underflowed "
+                    f"to 0 at t={t} while its density dominates"
+                )
+        num1 = eta1 * pred1
+        num2 = eta2 * pred2
+        norm = num1 + num2
+        cur1 = num1 / norm
+        cur2 = num2 / norm
+        predicted.append((pred1, pred2))
+        filtered.append((cur1, cur2))
+        scale.append(norm)
+    loglik = top.sum() + np.log(scale).sum()
+    return np.reshape(predicted, (-1, 2)), np.reshape(filtered, (-1, 2)), float(loglik)
+
+
+def _check_predicted(predicted: np.ndarray, first_row: int) -> None:
+    """Raise :class:`ZeroPredictedError` at the first t >= ``first_row``
+    whose predicted probabilities, which the smoother divides by, fall
+    below 1e-300."""
+    low = np.flatnonzero((predicted[first_row:] < _PRED_GUARD).any(axis=1))
+    if low.size:
+        raise ZeroPredictedError(
+            f"predicted probability below {_PRED_GUARD:g} at t={first_row + int(low[0])}"
+        )
 
 
 def kim_smoother(
@@ -142,22 +146,21 @@ def kim_smoother(
     """
     predicted = np.asarray(predicted, dtype=float)
     filtered = np.asarray(filtered, dtype=float)
-    t_len = predicted.shape[0]
-    smoothed = np.empty_like(filtered)
-    smoothed[-1] = filtered[-1]
-    # scalar arithmetic for bitwise label symmetry, as in hamilton_filter
+    _check_predicted(predicted, 1)
+    # Python float arithmetic for bitwise label symmetry, as in hamilton_filter
     p11, p12 = float(trans.p[0, 0]), float(trans.p[0, 1])
     p21, p22 = float(trans.p[1, 0]), float(trans.p[1, 1])
-    for t in range(t_len - 2, -1, -1):
-        if predicted[t + 1].min() < _PRED_GUARD:
-            raise ZeroPredictedError(
-                f"predicted probability below {_PRED_GUARD:g} at t={t + 1}"
-            )
-        ratio1 = smoothed[t + 1, 0] / predicted[t + 1, 0]
-        ratio2 = smoothed[t + 1, 1] / predicted[t + 1, 1]
-        smoothed[t, 0] = (p11 * ratio1 + p12 * ratio2) * filtered[t, 0]
-        smoothed[t, 1] = (p21 * ratio1 + p22 * ratio2) * filtered[t, 1]
-    return smoothed
+    pred = predicted.tolist()
+    filt = filtered.tolist()
+    s1, s2 = filt[-1]
+    smoothed = [(s1, s2)]
+    for (q1, q2), (f1, f2) in zip(pred[:0:-1], filt[-2::-1]):
+        ratio1 = s1 / q1
+        ratio2 = s2 / q2
+        s1 = (p11 * ratio1 + p12 * ratio2) * f1
+        s2 = (p21 * ratio1 + p22 * ratio2) * f2
+        smoothed.append((s1, s2))
+    return np.array(smoothed[::-1])
 
 
 def smoothed_cross_probs(
@@ -182,11 +185,7 @@ def smoothed_cross_probs(
     filtered = np.asarray(filtered, dtype=float)
     smoothed = np.asarray(smoothed, dtype=float)
     t_len = predicted.shape[0]
-    if predicted.min() < _PRED_GUARD:
-        t_bad = int(np.argwhere(predicted < _PRED_GUARD)[0][0])
-        raise ZeroPredictedError(
-            f"predicted probability below {_PRED_GUARD:g} at t={t_bad}"
-        )
+    _check_predicted(predicted, 0)
     p = trans.p
     ratio = smoothed / predicted
     prev = np.vstack([xi0.values, filtered[:-1]])

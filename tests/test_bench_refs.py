@@ -1,0 +1,42 @@
+"""Smoke check of the benchmark's pinned references.
+
+Runs one Table 1 replication from each of four iteration strata of the
+``mc_table1`` pool and checks it with the benchmark's own rule: p11/p22
+within 1e-6, the final log likelihood within 1e-9 relative, the exact EM
+iteration count, EM ascent and normalised probability rows. A rewrite of
+the E step or M steps that moves convergence shows up here as a failure.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    # leave bench/ exactly as checked out: no bytecode cache beside it
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+def test_table1_replications_match_pinned_references(workloads):
+    refs = workloads.load_refs()["mc_table1"]
+    costs = {key: ref["iterations"] for key, ref in refs.items()}
+    keys = workloads.stratified_round(costs, 4, seed=0)
+    for key in keys:
+        rng_seed, stream = map(int, key.split("/"))
+        res = workloads.montecarlo.run_replication(
+            workloads.TABLE1, workloads.EmConfig(), rng_seed, stream
+        )
+        assert workloads.check_replication(res, refs[key]) == [], key

@@ -49,6 +49,27 @@ def _random_instance(rng, n=3, t=5, k=2):
     return regime_log_densities(panel, g, params), params
 
 
+def _random_trans(rng):
+    stay = rng.uniform(0.05, 0.95, 2)
+    return TransitionMatrix(np.array([[stay[0], 1 - stay[0]], [1 - stay[1], stay[1]]]))
+
+
+def _log_space_filter(log_eta, trans, xi0):
+    """Reference Hamilton filter: Bayes update by log-sum-exp of log densities."""
+    cur = xi0.values
+    predicted, filtered, loglik = [], [], 0.0
+    with np.errstate(divide="ignore"):
+        for row in log_eta:
+            pred = trans.p.T @ cur
+            num = row + np.log(pred)
+            norm = np.logaddexp(num[0], num[1])
+            cur = np.exp(num - norm)
+            predicted.append(pred)
+            filtered.append(cur)
+            loglik += norm
+    return np.array(predicted), np.array(filtered), loglik
+
+
 class TestRegimeLogDensities:
     def test_standard_normal_at_mode(self):
         panel = Panel(data=np.zeros((2, 1)))
@@ -146,19 +167,56 @@ class TestHamiltonFilter:
         steps = np.log((np.exp(log_eta) * predicted).sum(axis=1))
         assert abs(loglik - steps.sum()) < 1e-10
 
-    @given(seed=st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=30, deadline=None)
-    def test_label_symmetry(self, seed):
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        t_len=st.integers(min_value=1, max_value=100),
+        gaps=st.floats(min_value=0.0, max_value=0.5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_log_space_reference(self, seed, t_len, gaps):
+        # moderate magnitudes keep the reference's own rounding below 1e-13;
+        # rows with a gap above 800 drive one relative density to exactly 0
         rng = np.random.default_rng(seed)
-        log_eta, params = _random_instance(rng, n=2, t=6)
-        pred_a, filt_a, ll_a = hamilton_filter(log_eta, params.trans, STATE_1)
-        swapped = StateProbabilities(np.array([0.0, 1.0]))
-        pred_b, filt_b, ll_b = hamilton_filter(
-            log_eta[:, ::-1], params.trans.relabeled(), swapped
-        )
-        assert ll_a == ll_b
-        assert np.array_equal(pred_a, pred_b[:, ::-1])
-        assert np.array_equal(filt_a, filt_b[:, ::-1])
+        level = rng.uniform(0.0, 1000.0)
+        log_eta = rng.normal(-level, 0.1 * level + 1.0, (t_len, 1)) + rng.normal(0, 2, (t_len, 2))
+        gap_rows = rng.random(t_len) < gaps
+        log_eta[gap_rows, rng.integers(0, 2, gap_rows.sum())] -= rng.uniform(800, 1200, gap_rows.sum())
+        trans = _random_trans(rng)
+        xi0 = StateProbabilities(rng.dirichlet([1.0, 1.0]))
+        predicted, filtered, loglik = hamilton_filter(log_eta, trans, xi0)
+        ref_pred, ref_filt, ref_ll = _log_space_filter(log_eta, trans, xi0)
+        assert np.abs(predicted - ref_pred).max() <= 1e-12
+        assert np.abs(filtered - ref_filt).max() <= 1e-12
+        assert abs(loglik - ref_ll) <= 1e-12 * abs(ref_ll)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        # odd lengths and lengths of 64 and more take the vectorised exp
+        # through both its SIMD body and its tail
+        t_len=st.one_of(
+            st.integers(min_value=1, max_value=31).map(lambda k: 2 * k + 1),
+            st.integers(min_value=64, max_value=400),
+        ),
+        scale=st.sampled_from([1.0, 3e4]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_label_symmetry(self, seed, t_len, scale):
+        rng = np.random.default_rng(seed)
+        log_eta, _ = _random_instance(rng, n=2, t=t_len)
+        log_eta *= scale  # scale 3e4 gives log densities of magnitude ~1e5
+        trans = _random_trans(rng)
+        xi0 = StateProbabilities(rng.dirichlet([1.0, 1.0]))
+        swapped = StateProbabilities(xi0.values[::-1].copy())
+        path_a = filter_smoother_pass(log_eta, trans, xi0)
+        path_b = filter_smoother_pass(log_eta[:, ::-1], trans.relabeled(), swapped)
+        assert path_a.loglik == path_b.loglik
+        for rows_a, rows_b in (
+            (path_a.predicted, path_b.predicted),
+            (path_a.filtered, path_b.filtered),
+            (path_a.smoothed, path_b.smoothed),
+            (path_a.cross, path_b.cross),  # (1,1),(2,1),(1,2),(2,2) reverse
+        ):
+            assert np.array_equal(rows_a, rows_b[:, ::-1])
 
 
 class TestKimSmoother:
