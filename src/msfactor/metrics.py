@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .em import _GRAM_COND_LIMIT
 from .exceptions import (
     DimensionMismatchError,
     SingularEigenvaluesError,
@@ -18,8 +19,6 @@ from .exceptions import (
     ZeroSignalError,
 )
 from .types import Panel
-
-_GRAM_COND_LIMIT = 1e12
 
 
 def pca_rotation(

@@ -7,7 +7,6 @@ cross-probabilities at desk scale. Never called by the estimation path.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .exceptions import TooLongError
 from .types import StateProbabilities, TransitionMatrix
@@ -67,7 +66,12 @@ def enumerate_posterior(
     if t_len > 1:
         logw = logw + log_p[paths[:, :-1], paths[:, 1:]].sum(axis=1)
 
-    loglik = float(logsumexp(logw))
+    # max-shifted log-sum-exp; if every path is impossible (top = -inf) the
+    # shift is skipped and loglik is -inf
+    top = logw.max()
+    loglik = float(top)
+    if np.isfinite(top):
+        loglik += float(np.log(np.exp(logw - top).sum()))
     with np.errstate(invalid="ignore"):
         weights = np.exp(logw - loglik)
 

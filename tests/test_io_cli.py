@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import msfactor
 from msfactor.cli import main
 from msfactor.em import EmConfig, run_em
 from msfactor.exceptions import CsvParseError, NonFiniteError, TooSmallError
@@ -219,3 +224,14 @@ class TestCliVerify:
         assert code == 0
         captured = capsys.readouterr()
         assert "PASS" in captured.out
+
+
+def test_cli_import_leaves_scipy_out():
+    src = str(Path(msfactor.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    probe = "import sys, msfactor.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, check=True, capture_output=True, text=True
+    ).stdout
+    assert out.strip() == "[]"

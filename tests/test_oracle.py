@@ -49,6 +49,11 @@ class TestEnumeratePosterior:
         assert np.abs(sm_a - sm_b[:, ::-1]).max() < 1e-12
         assert np.abs(cr_a - cr_b[:, ::-1]).max() < 1e-12
 
+    def test_all_paths_impossible_give_minus_infinite_loglik(self):
+        with np.errstate(all="raise"):
+            loglik, _, _ = enumerate_posterior(np.full((3, 2), -np.inf), P_EXAMPLE, STATE_1)
+        assert loglik == -np.inf
+
     def test_too_long_guard(self):
         with pytest.raises(TooLongError):
             enumerate_posterior(np.zeros((17, 2)), P_EXAMPLE, STATE_1)
