@@ -1,0 +1,76 @@
+"""OpenBLAS thread control.
+
+OpenBLAS results depend on its thread count (gemm, syrk and eigh change in
+the last bits between 1 and 2 threads), and its idle helper threads spin
+for a while after every threaded call, competing with the pure-Python E
+step for the cores. :func:`one_blas_thread` runs a block with every loaded
+OpenBLAS on one thread. The cap is process-global: while it is active, BLAS
+calls from other threads of the same process also run on one thread.
+Without a loaded OpenBLAS (an MKL build, or no ``/proc/self/maps``) it does
+nothing.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
+
+#: (get, set) thread-count symbol pairs across OpenBLAS builds, with or
+#: without the ``scipy_`` prefix and the ``64_`` suffix of ILP64 builds.
+_OPENBLAS_THREAD_SYMBOLS = tuple(
+    (f"{prefix}openblas_get_num_threads{suffix}", f"{prefix}openblas_set_num_threads{suffix}")
+    for prefix in ("", "scipy_")
+    for suffix in ("", "64_")
+)
+
+
+@functools.cache
+def openblas_controls() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
+    """(get, set) thread-count functions of every OpenBLAS mapped into this
+    process, found once from ``/proc/self/maps``.
+
+    numpy's wheels bundle scipy-openblas, which exports
+    ``scipy_openblas_set_num_threads64_``.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted(
+                {
+                    fields[5].strip()
+                    for fields in (line.split(maxsplit=5) for line in maps)
+                    if len(fields) == 6 and "openblas" in fields[5]
+                }
+            )
+    except OSError:
+        return ()
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return tuple(controls)
+
+
+@contextmanager
+def one_blas_thread() -> Iterator[None]:
+    """Run the body with every loaded OpenBLAS on one thread, then restore
+    each library's previous thread count, also when the body raises."""
+    controls = openblas_controls()
+    previous = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), count in zip(controls, previous):
+            set_(count)

@@ -3,27 +3,22 @@ pipeline and aggregate the table columns.
 
 Each replication r draws from stream id r of the shared seed, and every
 replication runs with OpenBLAS on one thread, in the serial loop as in the
-pool workers. OpenBLAS results depend on its thread count (gemm, syrk and
-eigh change in the last bits between 1 and 2 threads), so this is what
-makes serial and parallel reports byte-identical for any ``jobs``; it also
-keeps ``jobs`` worker processes from each starting their own BLAS threads
-and oversubscribing the cores. The cap is process-global: while a serial
-run is active, BLAS calls from other threads of the same process also run
-on one thread. Without a loaded OpenBLAS (an MKL build, or no
-``/proc/self/maps``) the cap does nothing.
+pool workers (see :mod:`msfactor.blas`). OpenBLAS results depend on its
+thread count, so this is what makes serial and parallel reports
+byte-identical for any ``jobs``; it also keeps ``jobs`` worker processes
+from each starting their own BLAS threads and oversubscribing the cores.
+The cap is process-global: while a serial run is active, BLAS calls from
+other threads of the same process also run on one thread.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
-from collections.abc import Callable, Iterator
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .em import EmConfig, run_em
 from .exceptions import MsfactorError
 from .metrics import (
@@ -166,75 +161,16 @@ def run_replication(
     )
 
 
-#: (get, set) thread-count symbol pairs across OpenBLAS builds, with or
-#: without the ``scipy_`` prefix and the ``64_`` suffix of ILP64 builds.
-_OPENBLAS_THREAD_SYMBOLS = tuple(
-    (f"{prefix}openblas_get_num_threads{suffix}", f"{prefix}openblas_set_num_threads{suffix}")
-    for prefix in ("", "scipy_")
-    for suffix in ("", "64_")
-)
-
-
-@functools.cache
-def _openblas_controls() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
-    """(get, set) thread-count functions of every OpenBLAS mapped into this
-    process, found once from ``/proc/self/maps``.
-
-    numpy's wheels bundle scipy-openblas, which exports
-    ``scipy_openblas_set_num_threads64_``.
-    """
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = sorted(
-                {
-                    fields[5].strip()
-                    for fields in (line.split(maxsplit=5) for line in maps)
-                    if len(fields) == 6 and "openblas" in fields[5]
-                }
-            )
-    except OSError:
-        return ()
-    controls = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
-            if hasattr(lib, get_name) and hasattr(lib, set_name):
-                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                controls.append((get, set_))
-                break
-    return tuple(controls)
-
-
-@contextmanager
-def _one_blas_thread() -> Iterator[None]:
-    """Run the body with every loaded OpenBLAS on one thread, then restore
-    each library's previous thread count, also when the body raises."""
-    controls = _openblas_controls()
-    previous = [get() for get, _ in controls]
-    for _, set_ in controls:
-        set_(1)
-    try:
-        yield
-    finally:
-        for (_, set_), count in zip(controls, previous):
-            set_(count)
-
-
 def _worker(args: tuple[SimConfig, EmConfig, int, int]):
     """One replication, or ``(replication, message)`` if it raised.
 
     Serial runs call this in-process and parallel runs in pool workers; in
-    both it runs the replication under :func:`_one_blas_thread`, so both
-    paths do the same arithmetic.
+    both it runs the replication under :func:`one_blas_thread`, so both paths
+    do the same arithmetic.
     """
     sim_cfg, em_cfg, seed, replication = args
     try:
-        with _one_blas_thread():
+        with one_blas_thread():
             return run_replication(sim_cfg, em_cfg, seed, replication)
     except (MsfactorError, np.linalg.LinAlgError) as exc:
         return (replication, f"{type(exc).__name__}: {exc}")

@@ -173,6 +173,26 @@ class TestCliEstimate:
         assert lines[0] == "t,smoothed1,smoothed2,g1,g2,xi1_g1,xi1_g2,xi2_g1,xi2_g2"
         assert len(lines) == 51
 
+    def test_runs_em_on_one_blas_thread(self, tmp_path, monkeypatch):
+        from msfactor import cli
+        from msfactor.blas import openblas_controls
+
+        controls = openblas_controls()
+        seen = []
+
+        def recording_run_em(*args, **kwargs):
+            seen.append([get() for get, _ in controls])
+            return run_em(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_em", recording_run_em)
+        truth = simulate_panel(SimConfig(n=15, t=50, r=1), RngHandle(seed=7))
+        csv_path = tmp_path / "panel.csv"
+        save_panel_csv(csv_path, truth.panel)
+        before = [get() for get, _ in controls]
+        main(["estimate", "--input", str(csv_path), "--k", "2", "--out", str(tmp_path / "est")])
+        assert seen == [[1] * len(controls)]
+        assert [get() for get, _ in controls] == before
+
 
 class TestCliMonteCarlo:
     BASE = [

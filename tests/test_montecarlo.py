@@ -5,7 +5,8 @@ import pytest
 
 from msfactor import montecarlo
 from msfactor.em import EmConfig
-from msfactor.montecarlo import _one_blas_thread, _openblas_controls, run_montecarlo
+from msfactor.blas import one_blas_thread, openblas_controls
+from msfactor.montecarlo import run_montecarlo
 from msfactor.simulate import SimConfig
 
 SMALL = SimConfig(n=20, t=80, r=1)
@@ -20,10 +21,10 @@ class TestOneBlasThread:
     def test_finds_numpy_openblas(self):
         if not _numpy_uses_openblas():
             pytest.skip("numpy is not built against OpenBLAS")
-        assert _openblas_controls()
+        assert openblas_controls()
 
     def test_caps_inside_and_restores_after(self):
-        controls = _openblas_controls()
+        controls = openblas_controls()
 
         def counts():
             return [get() for get, _ in controls]
@@ -32,10 +33,10 @@ class TestOneBlasThread:
         try:
             for _, set_ in controls:
                 set_(2)
-            with _one_blas_thread():
+            with one_blas_thread():
                 assert counts() == [1] * len(controls)
             assert counts() == [2] * len(controls)
-            with pytest.raises(RuntimeError), _one_blas_thread():
+            with pytest.raises(RuntimeError), one_blas_thread():
                 raise RuntimeError("body failed")
             assert counts() == [2] * len(controls)
         finally:
