@@ -8,7 +8,9 @@ Subcommands::
     msfactor verify      [--instances N] [--seed S]
 
 Every flag can also be given in a flat ``key = value`` config file passed
-with ``--config``; explicit flags override file values.
+with ``--config``; explicit flags override file values. An input the
+library rejects (any :class:`~msfactor.exceptions.MsfactorError`) ends the
+command with one line on stderr and exit status 2.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 
 from .blas import one_blas_thread
 from .em import EmConfig, run_em
+from .exceptions import MsfactorError
 from .io import (
     load_panel_csv,
     parse_config_file,
@@ -325,7 +328,11 @@ def main(argv: list[str] | None = None) -> int:
         "montecarlo": _cmd_montecarlo,
         "verify": _cmd_verify,
     }
-    return commands[args.mode](args, file_cfg)
+    try:
+        return commands[args.mode](args, file_cfg)
+    except MsfactorError as exc:
+        print(f"msfactor {args.mode}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -10,6 +10,10 @@ class MsfactorError(ValueError):
     """Base class for all errors raised by msfactor."""
 
 
+class InvalidArgumentError(MsfactorError):
+    """An argument lies outside its valid range."""
+
+
 class NonFiniteError(MsfactorError):
     """A matrix entry is NaN or infinite."""
 
@@ -32,7 +36,8 @@ class NotPositiveDefiniteError(MsfactorError):
 
 
 class RankDeficientError(MsfactorError):
-    """Whitening impossible: fewer observations than factors."""
+    """Fewer independent directions than factors: whitening impossible, or
+    a PCA factor count above the panel's numerical rank."""
 
 
 class DimensionMismatchError(MsfactorError):

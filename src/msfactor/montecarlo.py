@@ -13,14 +13,13 @@ other threads of the same process also run on one thread.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .blas import one_blas_thread
 from .em import EmConfig, run_em
-from .exceptions import MsfactorError
+from .exceptions import InvalidArgumentError, MsfactorError
 from .metrics import (
     blended_loadings,
     common_component_mse,
@@ -189,15 +188,18 @@ def run_montecarlo(
     > 1 fans replications over ``min(jobs, replications)`` worker
     processes; the report is byte-identical to a serial run because every
     replication runs BLAS on one thread and aggregation happens in
-    replication order.
+    replication order. The pool module is imported only when a pool opens,
+    so serial runs and the other CLI commands do not pay for it.
     """
     if replications < 1:
-        raise ValueError("replications must be >= 1")
+        raise InvalidArgumentError(f"replications must be >= 1, got {replications}")
     if jobs < 1:
-        raise ValueError("jobs must be >= 1")
+        raise InvalidArgumentError(f"jobs must be >= 1, got {jobs}")
     tasks = [(sim_cfg, em_cfg, seed, rep) for rep in range(replications)]
     workers = min(jobs, replications)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_worker, tasks))
     else:

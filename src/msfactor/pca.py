@@ -3,14 +3,17 @@ and eigenvalue-ratio selection of the factor count.
 
 The covariance here is the uncentred second-moment matrix with divisor T;
 removing unconditional means is a separate, explicit preprocessing step
-(:func:`demean_panel`), never applied implicitly.
+(:func:`demean_panel`), never applied implicitly. Both estimators read
+the spectrum of the smaller of X'X/T (N x N) and the Gram XX'/T (T x T),
+which share their nonzero eigenvalues, so a panel with N > T costs one
+T x T eigendecomposition.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import KTooLargeError
+from .exceptions import KTooLargeError, RankDeficientError
 from .types import FactorSpace, Panel
 
 #: Eigenvalues below this fraction of the largest one are treated as zero
@@ -32,9 +35,18 @@ def sample_covariance(panel: Panel) -> np.ndarray:
     return (s + s.T) / 2.0
 
 
-def _descending_eigh(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues/vectors sorted descending; exact ties keep ascending-index order."""
-    vals, vecs = np.linalg.eigh(sigma)
+def _spectrum(panel: Panel) -> tuple[np.ndarray, np.ndarray]:
+    """Descending eigenpairs of X'X/T when N <= T, else of the Gram XX'/T.
+
+    An eigenvector u of the Gram maps to the eigenvector X'u of X'X/T with
+    the same eigenvalue. Exact ties keep ascending-index order.
+    """
+    if panel.n_len <= panel.t_len:
+        second_moment = sample_covariance(panel)
+    else:
+        gram = panel.data @ panel.data.T / panel.t_len
+        second_moment = (gram + gram.T) / 2.0
+    vals, vecs = np.linalg.eigh(second_moment)
     order = np.argsort(-vals, kind="stable")
     return vals[order], vecs[:, order]
 
@@ -44,14 +56,26 @@ def estimate_factor_space(panel: Panel, k: int) -> FactorSpace:
 
     Loadings are sqrt(N) times the top-k eigenvectors of the sample
     covariance (so a_hat' a_hat / N = I_k); factors are the projections
-    g_t = a_hat' x_t / N. Each eigenvector's sign is fixed so its
-    largest-magnitude entry is positive.
+    g_t = a_hat' x_t / N. When N > T the eigenvectors come from the T x T
+    Gram: a_hat = sqrt(N) X'u / ||X'u|| for its top-k eigenvectors u. Each
+    eigenvector's sign is fixed so its largest-magnitude entry is positive.
+    Raises :class:`RankDeficientError` when the kth eigenvalue is at most
+    1e-12 times the largest, i.e. k exceeds the panel's numerical rank.
     """
     n, t_len = panel.n_len, panel.t_len
     if not (1 <= k <= min(n, t_len)):
         raise KTooLargeError(f"k={k} outside [1, min(N, T)] = [1, {min(n, t_len)}]")
-    vals, vecs = _descending_eigh(sample_covariance(panel))
-    vecs = vecs[:, :k].copy()
+    vals, vecs = _spectrum(panel)
+    if vals[k - 1] <= EIGENVALUE_FLOOR_RATIO * max(vals[0], 0.0):
+        raise RankDeficientError(
+            f"k={k} exceeds the numerical rank of the panel: eigenvalue {k} "
+            f"is {vals[k - 1]:.3e} against a largest of {vals[0]:.3e}"
+        )
+    if n > t_len:
+        vecs = panel.data.T @ vecs[:, :k]
+        vecs /= np.linalg.norm(vecs, axis=0)
+    else:
+        vecs = vecs[:, :k].copy()
     for col in range(k):
         peak = np.argmax(np.abs(vecs[:, col]))
         if vecs[peak, col] < 0:
@@ -65,16 +89,17 @@ def select_num_factors_er(panel: Panel, k_max: int) -> int:
     """Eigenvalue-ratio choice of the factor count.
 
     Returns the k in 1..k_max maximising mu_k / mu_{k+1} over the
-    descending eigenvalues of the sample covariance, ties broken toward
-    the smallest k. Eigenvalues below 1e-12 of the largest count as zero;
-    a zero denominator under a nonzero numerator wins outright.
+    descending eigenvalues of the sample covariance (read from the T x T
+    Gram when N > T), ties broken toward the smallest k. Eigenvalues below
+    1e-12 of the largest count as zero; a zero denominator under a nonzero
+    numerator wins outright.
     """
     n, t_len = panel.n_len, panel.t_len
     if k_max < 1 or k_max + 1 > min(n, t_len):
         raise KTooLargeError(
             f"k_max={k_max} needs 1 <= k_max <= min(N, T) - 1 = {min(n, t_len) - 1}"
         )
-    vals, _ = _descending_eigh(sample_covariance(panel))
+    vals, _ = _spectrum(panel)
     mu = vals[: k_max + 1].copy()
     floor = EIGENVALUE_FLOOR_RATIO * max(mu[0], 0.0)
     mu[mu < floor] = 0.0

@@ -162,10 +162,9 @@ def _banded_toeplitz(n: int, band_values: np.ndarray) -> np.ndarray:
     """Symmetric Toeplitz matrix with band_values[d] on diagonal offset d."""
     m = np.zeros((n, n))
     for offset, value in enumerate(band_values):
-        if offset == 0:
-            m += value * np.eye(n)
-        else:
-            m += value * (np.eye(n, k=offset) + np.eye(n, k=-offset))
+        rows = np.arange(n - offset)
+        m[rows, rows + offset] = value
+        m[rows + offset, rows] = value
     return m
 
 
@@ -180,8 +179,9 @@ def build_idio_covariances(
     diagonal as k = 1; with tau = 0 both banded parts are identically zero
     so the idiosyncratic covariance is purely diagonal.
 
-    Raises :class:`NotPositiveDefiniteError` when an assembled matrix has
-    an eigenvalue <= 0 (possible for tau near 1).
+    Nothing is checked here: :func:`simulate_idiosyncratic` raises
+    :class:`NotPositiveDefiniteError` when it takes the square root of a
+    matrix with an eigenvalue <= 0 (possible for tau near 1).
     """
     if not (0.0 <= tau < 1.0):
         raise ValueError("tau must lie in [0, 1)")
@@ -193,24 +193,29 @@ def build_idio_covariances(
     else:
         banded1 = _banded_toeplitz(n, np.array([tau, tau**2]))
         banded2 = _banded_toeplitz(n, np.array([1.0, tau, tau**2]))
-    sigmas = (np.diag(diag1) + banded1, np.diag(diag2) + banded2)
-    for j, sigma in enumerate(sigmas, start=1):
-        smallest = np.linalg.eigvalsh(sigma).min()
-        if smallest <= 0.0:
-            raise NotPositiveDefiniteError(
-                f"regime-{j} idiosyncratic covariance has eigenvalue "
-                f"{smallest:.3e} <= 0 (tau={tau})"
-            )
-    return sigmas
+    return np.diag(diag1) + banded1, np.diag(diag2) + banded2
 
 
-def _symmetric_sqrt(sigma: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(sigma)
+def _mix(nu: np.ndarray, sigma: np.ndarray, regime: int) -> np.ndarray:
+    """Rows of ``nu`` times the symmetric PSD square root of ``sigma``.
+
+    A diagonal ``sigma`` has root diag(sqrt(sigma_ii)), so mixing is an
+    elementwise product, bitwise equal to multiplying by the root that
+    ``eigh`` gives; any other ``sigma`` takes one ``eigh`` and the root
+    (v * sqrt(w)) v'. Raises :class:`NotPositiveDefiniteError` naming
+    ``regime`` when an eigenvalue is <= 0.
+    """
+    diag = np.diagonal(sigma)
+    is_diagonal = np.count_nonzero(sigma) == np.count_nonzero(diag)
+    w, v = (diag, None) if is_diagonal else np.linalg.eigh(sigma)
     if w.min() <= 0.0:
         raise NotPositiveDefiniteError(
-            f"covariance has eigenvalue {w.min():.3e} <= 0"
+            f"regime-{regime} idiosyncratic covariance has eigenvalue "
+            f"{w.min():.3e} <= 0"
         )
-    return v @ np.diag(np.sqrt(w)) @ v.T
+    if is_diagonal:
+        return nu * np.sqrt(w)
+    return nu @ ((v * np.sqrt(w)) @ v.T)
 
 
 def simulate_idiosyncratic(
@@ -226,7 +231,10 @@ def simulate_idiosyncratic(
     nu_it = rho_i nu_{i,t-1} + w_it with rho_i ~ U[0, rho_idio_max] (all
     zero when the bound is 0). Every nu column is scaled to unit sample
     variance before mixing, so the covariance matrices alone control the
-    idiosyncratic scale. Mixing uses the symmetric PSD square roots.
+    idiosyncratic scale. Mixing uses the symmetric PSD square roots, each
+    applied only to the periods of its regime (state 1, and every other
+    state value for regime 2); a covariance with an eigenvalue <= 0 raises
+    :class:`NotPositiveDefiniteError` naming its regime.
     """
     states = np.asarray(states)
     t_len = states.shape[0]
@@ -240,9 +248,10 @@ def simulate_idiosyncratic(
     sd = nu.std(axis=0)
     sd[sd == 0.0] = 1.0
     nu /= sd
-    root1 = _symmetric_sqrt(np.asarray(sigma_e1, dtype=float))
-    root2 = _symmetric_sqrt(np.asarray(sigma_e2, dtype=float))
-    e = np.where((states == 1)[:, None], nu @ root1, nu @ root2)
+    in_one = states == 1
+    e = np.empty((t_len, n))
+    e[in_one] = _mix(nu[in_one], np.asarray(sigma_e1, dtype=float), regime=1)
+    e[~in_one] = _mix(nu[~in_one], np.asarray(sigma_e2, dtype=float), regime=2)
     return e
 
 
@@ -259,7 +268,10 @@ def simulate_panel(cfg: SimConfig, rng: RngHandle) -> SimTruth:
     f = simulate_factors(cfg.t, cfg.r, cfg.rho_f, gen)
     lambda1, lambda2 = simulate_loadings(cfg.n, cfg.r, gen)
     sigma_e1, sigma_e2 = build_idio_covariances(cfg.n, cfg.tau, gen)
-    e_raw = simulate_idiosyncratic(sigma_e1, sigma_e2, states, cfg.rho_idio_max, gen)
+    try:
+        e_raw = simulate_idiosyncratic(sigma_e1, sigma_e2, states, cfg.rho_idio_max, gen)
+    except NotPositiveDefiniteError as exc:
+        raise NotPositiveDefiniteError(f"{exc} (tau={cfg.tau})") from exc
 
     chi = np.where((states == 1)[:, None], f @ lambda1.T, f @ lambda2.T)
 

@@ -1,10 +1,12 @@
 """Smoke check of the benchmark's pinned references.
 
-Runs one Table 1 replication from each of four iteration strata of the
-``mc_table1`` pool and checks it with the benchmark's own rule: p11/p22
-within 1e-6, the final log likelihood within 1e-9 relative, the exact EM
-iteration count, EM ascent and normalised probability rows. A rewrite of
-the E step or M steps that moves convergence shows up here as a failure.
+Runs one replication from each of four iteration strata of the
+``mc_table1`` pool (N=100, T=500) and of the ``mc_wide`` pool (design 4 at
+N=600 > T=300, where PCA takes the T x T Gram route) and checks it with the
+benchmark's own rule: p11/p22 within 1e-6, the final log likelihood within
+1e-9 relative, the exact EM iteration count, EM ascent and normalised
+probability rows. A rewrite of PCA, the E step or the M steps that moves
+convergence shows up here as a failure.
 """
 
 import importlib.util
@@ -30,13 +32,21 @@ def workloads():
     return module
 
 
-def test_table1_replications_match_pinned_references(workloads):
-    refs = workloads.load_refs()["mc_table1"]
+def _check_one_per_stratum(workloads, name, design):
+    refs = workloads.load_refs()[name]
     costs = {key: ref["iterations"] for key, ref in refs.items()}
     keys = workloads.stratified_round(costs, 4, seed=0)
     for key in keys:
         rng_seed, stream = map(int, key.split("/"))
         res = workloads.montecarlo.run_replication(
-            workloads.TABLE1, workloads.EmConfig(), rng_seed, stream
+            design, workloads.EmConfig(), rng_seed, stream
         )
         assert workloads.check_replication(res, refs[key]) == [], key
+
+
+def test_table1_replications_match_pinned_references(workloads):
+    _check_one_per_stratum(workloads, "mc_table1", workloads.TABLE1)
+
+
+def test_wide_replications_match_pinned_references(workloads):
+    _check_one_per_stratum(workloads, "mc_wide", workloads.WIDE)

@@ -237,6 +237,14 @@ class TestCliMonteCarlo:
         main(["montecarlo", "--config", str(cfg), "--reps", "3", "--out", str(out_b)])
         assert json.loads((out_b / "report.json").read_text())["replications"] == 3
 
+    @pytest.mark.parametrize(("flag", "name"), [("--jobs", "jobs"), ("--reps", "replications")])
+    def test_rejected_count_is_one_stderr_line(self, tmp_path, capsys, flag, name):
+        # a repeated flag takes its last value, so "--reps 0" overrides BASE
+        assert main(self.BASE + [flag, "0", "--out", str(tmp_path / "mc")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"msfactor montecarlo: error: {name} must be >= 1, got 0\n"
+        assert not (tmp_path / "mc" / "report.json").exists()
+
 
 class TestCliVerify:
     def test_verify_passes(self, capsys):
@@ -246,12 +254,24 @@ class TestCliVerify:
         assert "PASS" in captured.out
 
 
-def test_cli_import_leaves_scipy_out():
+def _modules_after_cli_import() -> list[str]:
+    """Names in ``sys.modules`` of a fresh interpreter after ``import msfactor.cli``."""
     src = str(Path(msfactor.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    probe = "import sys, msfactor.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    probe = "import json, sys, msfactor.cli; print(json.dumps(sorted(sys.modules)))"
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, check=True, capture_output=True, text=True
     ).stdout
-    assert out.strip() == "[]"
+    return json.loads(out)
+
+
+def test_cli_import_leaves_scipy_out():
+    assert [m for m in _modules_after_cli_import() if m.startswith("scipy")] == []
+
+
+def test_cli_import_leaves_process_pool_out():
+    # only a Monte Carlo run with jobs > 1 needs the pool
+    modules = _modules_after_cli_import()
+    assert "concurrent.futures.process" not in modules
+    assert "multiprocessing" not in modules

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 
 import numpy as np
@@ -80,7 +81,8 @@ class TestRunMontecarlo:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
+        # run_montecarlo imports the pool class only when it opens a pool
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         report = run_montecarlo(SMALL, EmConfig(), seed=3, replications=replications, jobs=jobs)
         assert opened == pools
         assert report.replications == replications

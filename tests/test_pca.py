@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from msfactor.exceptions import KTooLargeError
+from msfactor.exceptions import KTooLargeError, RankDeficientError
 from msfactor.pca import (
     demean_panel,
     estimate_factor_space,
@@ -119,6 +119,61 @@ class TestEstimateFactorSpace:
         fitted = g @ coef
         r2 = 1.0 - ((target - fitted) ** 2).sum() / (target**2).sum()
         assert r2 >= 0.95
+
+
+def _covariance_reference(panel, k):
+    """PCA from the N x N covariance, whatever the shape: eigenvalues,
+    loadings and factors of the top k components, largest entry positive."""
+    vals, vecs = np.linalg.eigh(sample_covariance(panel))
+    order = np.argsort(-vals, kind="stable")
+    vals, vecs = vals[order], vecs[:, order][:, :k]
+    vecs = vecs * np.sign(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(k)])
+    a_hat = np.sqrt(panel.n_len) * vecs
+    return vals, a_hat, panel.data @ a_hat / panel.n_len
+
+
+class TestGramRoute:
+    """N > T: the spectrum comes from the T x T Gram XX'/T."""
+
+    @staticmethod
+    def _wide_panel(seed=13, n=60, t_len=25, factors=3):
+        rng = np.random.default_rng(seed)
+        lam = rng.standard_normal((n, factors)) * np.array([4.0, 2.5, 1.5])[:factors]
+        g = rng.standard_normal((t_len, factors))
+        return _panel(g @ lam.T + rng.standard_normal((t_len, n)))
+
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_matches_covariance_reference(self, k):
+        panel = self._wide_panel()
+        fs = estimate_factor_space(panel, k=k)
+        vals, a_hat, g_hat = _covariance_reference(panel, k)
+        for got, want in [(fs.a_hat, a_hat), (fs.g_hat, g_hat), (fs.eigvals, vals[:k])]:
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+        assert (np.sign(fs.a_hat) == np.sign(a_hat)).all()
+
+    def test_eigen_identity_and_normalisation(self):
+        panel = self._wide_panel(seed=14)
+        fs = estimate_factor_space(panel, k=4)
+        n = panel.n_len
+        assert np.abs(fs.a_hat.T @ fs.a_hat / n - np.eye(4)).max() < 1e-10
+        lhs = sample_covariance(panel) @ (fs.a_hat / np.sqrt(n))
+        rhs = (fs.a_hat / np.sqrt(n)) * fs.eigvals
+        assert np.abs(lhs - rhs).max() < 1e-10 * fs.eigvals[0]
+
+    @pytest.mark.parametrize("factors", [1, 2, 3])
+    def test_select_matches_covariance_reference(self, factors):
+        panel = self._wide_panel(seed=15, factors=factors)
+        vals, _, _ = _covariance_reference(panel, 1)
+        mu = vals[:9]
+        assert select_num_factors_er(panel, k_max=8) == int(np.argmax(mu[:-1] / mu[1:])) + 1
+
+    def test_k_above_rank_raises(self):
+        rng = np.random.default_rng(18)
+        panel = _panel(rng.standard_normal((25, 2)) @ rng.standard_normal((2, 60)))
+        fs = estimate_factor_space(panel, k=2)
+        assert np.isfinite(fs.a_hat).all()
+        with pytest.raises(RankDeficientError):
+            estimate_factor_space(panel, k=3)
 
 
 class TestSelectNumFactorsEr:

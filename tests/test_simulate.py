@@ -185,3 +185,77 @@ class TestSimulatePanel:
         truth = simulate_panel(SimConfig(n=30, t=100, r=2), RngHandle(seed=11))
         moment = truth.f.T @ truth.f / truth.panel.t_len
         assert np.abs(moment - np.eye(2)).max() < 1e-10
+
+
+def _reference_panel(cfg: SimConfig, rng: RngHandle):
+    """simulate_panel with dense mixing: np.eye Toeplitz bands, an eigvalsh
+    check, eigh roots built with np.diag and np.where over two full products."""
+    gen = rng.generator()
+    states, _ = simulate_chain(cfg.p11, cfg.p22, cfg.t, gen)
+    f = simulate_factors(cfg.t, cfg.r, cfg.rho_f, gen)
+    lambda1, lambda2 = simulate_loadings(cfg.n, cfg.r, gen)
+    n, tau = cfg.n, cfg.tau
+
+    def toeplitz(bands):
+        m = np.zeros((n, n))
+        for offset, value in enumerate(bands):
+            if offset == 0:
+                m += value * np.eye(n)
+            else:
+                m += value * (np.eye(n, k=offset) + np.eye(n, k=-offset))
+        return m
+
+    diag1 = gen.uniform(0.25, 1.25, size=n)
+    diag2 = gen.uniform(0.75, 1.75, size=n)
+    banded1 = toeplitz([tau, tau**2]) if tau else np.zeros((n, n))
+    banded2 = toeplitz([1.0, tau, tau**2]) if tau else np.zeros((n, n))
+    sigmas = (np.diag(diag1) + banded1, np.diag(diag2) + banded2)
+    assert all(np.linalg.eigvalsh(sigma).min() > 0.0 for sigma in sigmas)
+
+    rho = gen.uniform(0.0, cfg.rho_idio_max, size=n)
+    w = gen.standard_normal((cfg.t, n))
+    nu = np.empty((cfg.t, n))
+    nu[0] = w[0] / np.sqrt(1.0 - rho**2)
+    for s in range(1, cfg.t):
+        nu[s] = rho * nu[s - 1] + w[s]
+    sd = nu.std(axis=0)
+    sd[sd == 0.0] = 1.0
+    nu /= sd
+    roots = []
+    for sigma in sigmas:
+        vals, vecs = np.linalg.eigh(sigma)
+        roots.append(vecs @ np.diag(np.sqrt(vals)) @ vecs.T)
+    e_raw = np.where((states == 1)[:, None], nu @ roots[0], nu @ roots[1])
+
+    chi = np.where((states == 1)[:, None], f @ lambda1.T, f @ lambda2.T)
+    realised = ((e_raw**2).sum(axis=0) / (chi**2).sum(axis=0)).mean()
+    e = e_raw * np.sqrt(cfg.noise_to_signal / realised)
+    return chi + e, e
+
+
+class TestDenseMixingReference:
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SimConfig(n=100, t=500, r=1),
+            SimConfig(n=120, t=60, r=2, rho_f=0.7, tau=0.5, rho_idio_max=0.5),
+        ],
+        ids=["table1-diagonal", "banded-wide"],
+    )
+    def test_panel_bytes_equal_dense_reference(self, cfg):
+        for stream in range(3):
+            truth = simulate_panel(cfg, RngHandle(seed=3, stream=stream))
+            data, e = _reference_panel(cfg, RngHandle(seed=3, stream=stream))
+            assert truth.panel.data.tobytes() == data.tobytes()
+            assert truth.e.tobytes() == e.tobytes()
+
+    def test_not_pd_panel_names_regime_and_tau(self):
+        with pytest.raises(NotPositiveDefiniteError, match=r"regime-1 .*\(tau=0\.9\)"):
+            simulate_panel(SimConfig(n=50, t=40, r=1, tau=0.9), RngHandle(seed=0))
+
+    @pytest.mark.parametrize(
+        "sigma", [np.array([[1.0, 2.0], [2.0, 1.0]]), np.diag([1.0, -1.0])], ids=["dense", "diagonal"]
+    )
+    def test_not_pd_names_regime(self, sigma):
+        with pytest.raises(NotPositiveDefiniteError, match="regime-2"):
+            simulate_idiosyncratic(np.eye(2), sigma, np.array([1, 1]), 0.0, _gen(4))
