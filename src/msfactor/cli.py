@@ -23,7 +23,7 @@ import numpy as np
 
 from .blas import one_blas_thread
 from .em import EmConfig, run_em
-from .exceptions import MsfactorError
+from .exceptions import InvalidArgumentError, MsfactorError
 from .io import (
     load_panel_csv,
     parse_config_file,
@@ -62,7 +62,7 @@ def _parse_bool(value: str) -> bool:
         return True
     if lowered in {"0", "false", "no", "off"}:
         return False
-    raise ValueError(f"cannot interpret {value!r} as a boolean")
+    raise InvalidArgumentError(f"cannot interpret {value!r} as a boolean")
 
 
 def _setting(args, file_cfg: dict[str, str], key: str, cast, default):
@@ -321,7 +321,6 @@ def _cmd_verify(args, file_cfg: dict[str, str]) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    file_cfg = parse_config_file(args.config) if args.config else {}
     commands = {
         "simulate": _cmd_simulate,
         "estimate": _cmd_estimate,
@@ -329,6 +328,7 @@ def main(argv: list[str] | None = None) -> int:
         "verify": _cmd_verify,
     }
     try:
+        file_cfg = parse_config_file(args.config) if args.config else {}
         return commands[args.mode](args, file_cfg)
     except MsfactorError as exc:
         print(f"msfactor {args.mode}: error: {exc}", file=sys.stderr)

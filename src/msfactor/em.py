@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import EmptyRegimeError, SingularGramError
+from .exceptions import EmptyRegimeError, InvalidArgumentError, SingularGramError
 from .filtering import filter_smoother_pass, regime_log_densities
 from .pca import FactorSpace
 from .types import (
@@ -59,11 +59,11 @@ class EmConfig:
 
     def __post_init__(self):
         if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+            raise InvalidArgumentError("max_iter must be >= 1")
         if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+            raise InvalidArgumentError("epsilon must be positive")
         if not (0.0 < self.omega2 < self.omega1 < 0.5):
-            raise ValueError(
+            raise InvalidArgumentError(
                 f"need 0 < omega2 < omega1 < 0.5, got omega1={self.omega1}, "
                 f"omega2={self.omega2}"
             )
@@ -160,8 +160,11 @@ def m_step_variances(
             raise EmptyRegimeError(
                 f"regime {j + 1} has total smoothed weight {total:.3e}"
             )
-        resid2 = (x - g @ b.T) ** 2
-        out.append(np.maximum(w @ resid2 / total, floor))
+        # (x - g b')^2 in one T x N buffer
+        r = g @ b.T
+        np.subtract(x, r, out=r)
+        np.square(r, out=r)
+        out.append(np.maximum(w @ r / total, floor))
     return out[0], out[1]
 
 
@@ -242,12 +245,14 @@ def relabel_states(
         sigma_e2_diag=params.sigma_e1_diag,
         trans=params.trans.relabeled(),
     )
-    swapped_path = ProbabilityPath(
-        predicted=path.predicted[:, ::-1],
-        filtered=path.filtered[:, ::-1],
-        smoothed=path.smoothed[:, ::-1],
-        cross=path.cross[:, ::-1],
-        loglik=path.loglik,
+    # a column permutation of a validated path cannot fail its checks
+    swapped_path = ProbabilityPath._adopt(
+        path.predicted[:, ::-1].copy(),
+        path.filtered[:, ::-1].copy(),
+        path.smoothed[:, ::-1].copy(),
+        path.cross[:, ::-1].copy(),
+        path.loglik,
+        check=False,
     )
     return swapped, swapped_path
 

@@ -7,6 +7,13 @@ densities by their maximum before exponentiating, which leaves the larger
 relative density at exactly 1, and runs the scaled forward recursion
 (Rabiner 1989) on those O(1) values; the shifts return in the log
 likelihood. Every probability the smoother then sees is O(1) too.
+
+One E step is a single private pass: the filter appends Python floats to
+flat lists, the smoother reads those lists directly, each T x 2 array is
+built once from its list, and the cross probabilities follow vectorised.
+:func:`hamilton_filter` and :func:`kim_smoother` are thin wrappers over
+the pass's two list-based stages, and :func:`filter_smoother_pass` over
+the whole pass; each returns the same bits as the stages chained by hand.
 """
 
 from __future__ import annotations
@@ -61,12 +68,65 @@ def regime_log_densities(
     for j, (b, s2) in enumerate(
         [(params.b1, params.sigma_e1_diag), (params.b2, params.sigma_e2_diag)]
     ):
-        resid = x - g @ b.T
-        out[:, j] = const - 0.5 * np.log(s2).sum() - 0.5 * (resid**2 / s2).sum(axis=1)
+        # (x - g b')^2 / s2 in one T x N buffer
+        r = g @ b.T
+        np.subtract(x, r, out=r)
+        np.square(r, out=r)
+        r /= s2
+        out[:, j] = const - 0.5 * np.log(s2).sum() - 0.5 * r.sum(axis=1)
     if not np.isfinite(out).all():
         t, j = np.argwhere(~np.isfinite(out))[0]
         raise NonFiniteError(int(t), int(j), "non-finite regime log density")
     return out
+
+
+def _rows(flat: list[float]) -> np.ndarray:
+    """T x 2 array from a flat list [x_{1,0}, x_{2,0}, x_{1,1}, x_{2,1}, ...]."""
+    return np.array(flat, dtype=float).reshape(-1, 2)
+
+
+def _forward(
+    log_eta: np.ndarray, trans: TransitionMatrix, xi0: StateProbabilities
+) -> tuple[list[float], list[float], float]:
+    """The recursion of :func:`hamilton_filter`, with predicted and filtered
+    probabilities returned as flat lists (see :func:`_rows`)."""
+    log_eta = np.asarray(log_eta, dtype=float)
+    if log_eta.ndim != 2 or log_eta.shape[1] != 2:
+        raise DimensionMismatchError(f"log_eta must be T x 2, got {log_eta.shape}")
+    top = np.maximum(log_eta[:, 0], log_eta[:, 1])
+    eta = np.exp(log_eta - top[:, None])
+    # Python float arithmetic in the loop: IEEE addition is commutative, so
+    # writing each two-term sum explicitly makes swapping the regime labels
+    # swap the outputs bitwise, which matrix kernels do not guarantee.
+    p11, p12 = float(trans.p[0, 0]), float(trans.p[0, 1])
+    p21, p22 = float(trans.p[1, 0]), float(trans.p[1, 1])
+    predicted, filtered, scale = [], [], []
+    add_pred, add_filt, add_scale = predicted.append, filtered.append, scale.append
+    cur1, cur2 = float(xi0.values[0]), float(xi0.values[1])
+    flat = iter(eta.ravel().tolist())
+    for eta1, eta2 in zip(flat, flat):
+        pred1 = p11 * cur1 + p21 * cur2
+        pred2 = p12 * cur1 + p22 * cur2
+        if pred1 == 0.0 or pred2 == 0.0:
+            t = len(scale)
+            dead = 0 if pred1 == 0.0 else 1
+            if log_eta[t, dead] >= log_eta[t, 1 - dead]:
+                raise DegeneratePredictionError(
+                    f"predicted probability of state {dead + 1} underflowed "
+                    f"to 0 at t={t} while its density dominates"
+                )
+        num1 = eta1 * pred1
+        num2 = eta2 * pred2
+        norm = num1 + num2
+        cur1 = num1 / norm
+        cur2 = num2 / norm
+        add_pred(pred1)
+        add_pred(pred2)
+        add_filt(cur1)
+        add_filt(cur2)
+        add_scale(norm)
+    loglik = top.sum() + np.log(scale).sum()
+    return predicted, filtered, float(loglik)
 
 
 def hamilton_filter(
@@ -87,38 +147,8 @@ def hamilton_filter(
 
         loglik = sum_t top_t + sum_t log c_t = sum_t log(eta_t' xi_{t|t-1}).
     """
-    log_eta = np.asarray(log_eta, dtype=float)
-    if log_eta.ndim != 2 or log_eta.shape[1] != 2:
-        raise DimensionMismatchError(f"log_eta must be T x 2, got {log_eta.shape}")
-    top = np.maximum(log_eta[:, 0], log_eta[:, 1])
-    eta = np.exp(log_eta - top[:, None])
-    # Python float arithmetic in the loop: IEEE addition is commutative, so
-    # writing each two-term sum explicitly makes swapping the regime labels
-    # swap the outputs bitwise, which matrix kernels do not guarantee.
-    p11, p12 = float(trans.p[0, 0]), float(trans.p[0, 1])
-    p21, p22 = float(trans.p[1, 0]), float(trans.p[1, 1])
-    predicted, filtered, scale = [], [], []
-    cur1, cur2 = float(xi0.values[0]), float(xi0.values[1])
-    for t, (eta1, eta2) in enumerate(eta.tolist()):
-        pred1 = p11 * cur1 + p21 * cur2
-        pred2 = p12 * cur1 + p22 * cur2
-        if pred1 == 0.0 or pred2 == 0.0:
-            dead = 0 if pred1 == 0.0 else 1
-            if log_eta[t, dead] >= log_eta[t, 1 - dead]:
-                raise DegeneratePredictionError(
-                    f"predicted probability of state {dead + 1} underflowed "
-                    f"to 0 at t={t} while its density dominates"
-                )
-        num1 = eta1 * pred1
-        num2 = eta2 * pred2
-        norm = num1 + num2
-        cur1 = num1 / norm
-        cur2 = num2 / norm
-        predicted.append((pred1, pred2))
-        filtered.append((cur1, cur2))
-        scale.append(norm)
-    loglik = top.sum() + np.log(scale).sum()
-    return np.reshape(predicted, (-1, 2)), np.reshape(filtered, (-1, 2)), float(loglik)
+    predicted, filtered, loglik = _forward(log_eta, trans, xi0)
+    return _rows(predicted), _rows(filtered), loglik
 
 
 def _check_predicted(predicted: np.ndarray, first_row: int) -> None:
@@ -130,6 +160,30 @@ def _check_predicted(predicted: np.ndarray, first_row: int) -> None:
         raise ZeroPredictedError(
             f"predicted probability below {_PRED_GUARD:g} at t={first_row + int(low[0])}"
         )
+
+
+def _backward(
+    predicted: list[float], filtered: list[float], trans: TransitionMatrix
+) -> list[float]:
+    """The recursion of :func:`kim_smoother` on flat lists (see :func:`_rows`);
+    returns the smoothed probabilities as a flat list in time order."""
+    # Python float arithmetic for bitwise label symmetry, as in _forward
+    p11, p12 = float(trans.p[0, 0]), float(trans.p[0, 1])
+    p21, p22 = float(trans.p[1, 0]), float(trans.p[1, 1])
+    s1, s2 = filtered[-2], filtered[-1]
+    smoothed = [s2, s1]  # built backwards, reversed at the end
+    add = smoothed.append
+    pred_back = iter(predicted[:1:-1])  # q2, q1 for t = T-1, ..., 1
+    filt_back = iter(filtered[-3::-1])  # f2, f1 for t = T-2, ..., 0
+    for q2, q1, f2, f1 in zip(pred_back, pred_back, filt_back, filt_back):
+        ratio1 = s1 / q1
+        ratio2 = s2 / q2
+        s1 = (p11 * ratio1 + p12 * ratio2) * f1
+        s2 = (p21 * ratio1 + p22 * ratio2) * f2
+        add(s2)
+        add(s1)
+    smoothed.reverse()
+    return smoothed
 
 
 def kim_smoother(
@@ -147,20 +201,7 @@ def kim_smoother(
     predicted = np.asarray(predicted, dtype=float)
     filtered = np.asarray(filtered, dtype=float)
     _check_predicted(predicted, 1)
-    # Python float arithmetic for bitwise label symmetry, as in hamilton_filter
-    p11, p12 = float(trans.p[0, 0]), float(trans.p[0, 1])
-    p21, p22 = float(trans.p[1, 0]), float(trans.p[1, 1])
-    pred = predicted.tolist()
-    filt = filtered.tolist()
-    s1, s2 = filt[-1]
-    smoothed = [(s1, s2)]
-    for (q1, q2), (f1, f2) in zip(pred[:0:-1], filt[-2::-1]):
-        ratio1 = s1 / q1
-        ratio2 = s2 / q2
-        s1 = (p11 * ratio1 + p12 * ratio2) * f1
-        s2 = (p21 * ratio1 + p22 * ratio2) * f2
-        smoothed.append((s1, s2))
-    return np.array(smoothed[::-1])
+    return _rows(_backward(predicted.ravel().tolist(), filtered.ravel().tolist(), trans))
 
 
 def smoothed_cross_probs(
@@ -198,19 +239,27 @@ def smoothed_cross_probs(
     return cross
 
 
+def _pass(
+    log_eta: np.ndarray, trans: TransitionMatrix, xi0: StateProbabilities
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+    """Filter, smoother and cross probabilities in one go: (predicted,
+    filtered, smoothed, cross, loglik), bitwise equal to the chain
+    :func:`hamilton_filter` -> :func:`kim_smoother` ->
+    :func:`smoothed_cross_probs`, which raises at the same t."""
+    pred, filt, loglik = _forward(log_eta, trans, xi0)
+    predicted = _rows(pred)
+    _check_predicted(predicted, 1)
+    smoothed = _rows(_backward(pred, filt, trans))
+    filtered = _rows(filt)
+    # rows >= 1 passed above, so only row 0 can fail the guard in here
+    cross = smoothed_cross_probs(predicted, filtered, smoothed, trans, xi0)
+    return predicted, filtered, smoothed, cross, loglik
+
+
 def filter_smoother_pass(
     log_eta: np.ndarray,
     trans: TransitionMatrix,
     xi0: StateProbabilities,
 ) -> ProbabilityPath:
     """One full forward-backward pass packaged as a :class:`ProbabilityPath`."""
-    predicted, filtered, loglik = hamilton_filter(log_eta, trans, xi0)
-    smoothed = kim_smoother(predicted, filtered, trans)
-    cross = smoothed_cross_probs(predicted, filtered, smoothed, trans, xi0)
-    return ProbabilityPath(
-        predicted=predicted,
-        filtered=filtered,
-        smoothed=smoothed,
-        cross=cross,
-        loglik=loglik,
-    )
+    return ProbabilityPath._adopt(*_pass(log_eta, trans, xi0))

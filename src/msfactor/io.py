@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .exceptions import CsvParseError
+from .exceptions import CsvParseError, InvalidArgumentError
 from .types import Panel, validate_panel
 
 
@@ -24,6 +24,27 @@ def _is_numeric(cell: str) -> bool:
     except ValueError:
         return False
     return True
+
+
+def _parse_cells(path: Path, rows: list[list[str]], skip: int, width: int) -> np.ndarray:
+    """Cell-by-cell parse of the data rows; raises :class:`CsvParseError` at
+    the first short or long row or unparsable cell, in file order."""
+    data = np.empty((len(rows) - 1, width - skip))
+    for r, row in enumerate(rows[1:], start=2):
+        if len(row) != width:
+            raise CsvParseError(
+                r,
+                min(len(row), width) + 1,
+                f"{path}: row {r} has {len(row)} cells, header has {width}",
+            )
+        for c, cell in enumerate(row[skip:], start=skip + 1):
+            try:
+                data[r - 2, c - 1 - skip] = float(cell)
+            except ValueError:
+                raise CsvParseError(
+                    r, c, f"{path}: cannot parse {cell!r} at row {r}, col {c}"
+                ) from None
+    return data
 
 
 def load_panel_csv(path: str | Path) -> Panel:
@@ -45,21 +66,15 @@ def load_panel_csv(path: str | Path) -> Panel:
         raise CsvParseError(1, 1, f"{path}: empty header row")
     skip = 0 if _is_numeric(header[0]) else 1
     width = len(header)
-    data = np.empty((len(rows) - 1, width - skip))
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != width:
-            raise CsvParseError(
-                r,
-                min(len(row), width) + 1,
-                f"{path}: row {r} has {len(row)} cells, header has {width}",
-            )
-        for c, cell in enumerate(row[skip:], start=skip + 1):
-            try:
-                data[r - 2, c - 1 - skip] = float(cell)
-            except ValueError:
-                raise CsvParseError(
-                    r, c, f"{path}: cannot parse {cell!r} at row {r}, col {c}"
-                ) from None
+    # One numpy call parses the whole block, each cell as float() does. On
+    # a ragged block or a bad cell, the cell loop finds what to report.
+    body = [row[skip:] for row in rows[1:]]
+    try:
+        data = np.array(body, dtype=float)
+    except ValueError:
+        data = None
+    if data is None or data.shape != (len(body), width - skip):
+        data = _parse_cells(path, rows, skip, width)
     return validate_panel(data)
 
 
@@ -97,7 +112,9 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            raise InvalidArgumentError(
+                f"{path}:{lineno}: expected 'key = value', got {raw!r}"
+            )
         key, value = line.split("=", 1)
         settings[key.strip().lower().replace("-", "_")] = value.strip()
     return settings

@@ -29,7 +29,7 @@ from .metrics import (
 )
 from .pca import estimate_factor_space
 from .simulate import SimConfig, simulate_panel
-from .types import RngHandle
+from .types import RngHandle, marginal_deviation, row_sum_deviation
 
 #: Fixed report schema, mirroring the Monte Carlo table layout.
 REPORT_COLUMNS = (
@@ -140,10 +140,9 @@ def run_replication(
     )
     path = result.path
     norm_dev = max(
-        float(np.abs(rows.sum(axis=1) - 1.0).max())
+        row_sum_deviation(rows)
         for rows in (path.predicted, path.filtered, path.smoothed, path.cross)
     )
-    marg_dev = float(np.abs(path.cross[:, :2] + path.cross[:, 2:] - smoothed).max())
     return ReplicationResult(
         replication=replication,
         p11_hat=result.params.trans.p11,
@@ -156,7 +155,7 @@ def run_replication(
         converged=result.converged,
         loglik_trace=result.loglik_trace,
         norm_deviation=norm_dev,
-        marginal_deviation=marg_dev,
+        marginal_deviation=marginal_deviation(path.cross, smoothed),
     )
 
 

@@ -39,16 +39,25 @@ def _spectrum(panel: Panel) -> tuple[np.ndarray, np.ndarray]:
     """Descending eigenpairs of X'X/T when N <= T, else of the Gram XX'/T.
 
     An eigenvector u of the Gram maps to the eigenvector X'u of X'X/T with
-    the same eigenvalue. Exact ties keep ascending-index order.
+    the same eigenvalue. Exact ties keep ascending-index order. Computed
+    once per panel (so ``--k auto`` decomposes once); both arrays are
+    read-only.
     """
-    if panel.n_len <= panel.t_len:
-        second_moment = sample_covariance(panel)
-    else:
-        gram = panel.data @ panel.data.T / panel.t_len
-        second_moment = (gram + gram.T) / 2.0
-    vals, vecs = np.linalg.eigh(second_moment)
-    order = np.argsort(-vals, kind="stable")
-    return vals[order], vecs[:, order]
+
+    def decompose():
+        if panel.n_len <= panel.t_len:
+            second_moment = sample_covariance(panel)
+        else:
+            gram = panel.data @ panel.data.T / panel.t_len
+            second_moment = (gram + gram.T) / 2.0
+        vals, vecs = np.linalg.eigh(second_moment)
+        order = np.argsort(-vals, kind="stable")
+        vals, vecs = vals[order], vecs[:, order]
+        vals.setflags(write=False)
+        vecs.setflags(write=False)
+        return vals, vecs
+
+    return panel.memo("spectrum", decompose)
 
 
 def estimate_factor_space(panel: Panel, k: int) -> FactorSpace:

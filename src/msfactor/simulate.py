@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import (
+    InvalidArgumentError,
     NotPositiveDefiniteError,
     RankDeficientError,
 )
@@ -42,19 +43,19 @@ class SimConfig:
 
     def __post_init__(self):
         if self.r < 1:
-            raise ValueError("r must be >= 1")
+            raise InvalidArgumentError("r must be >= 1")
         if self.n < 2 or self.t < 2:
-            raise ValueError("need N >= 2 and T >= 2")
+            raise InvalidArgumentError("need N >= 2 and T >= 2")
         if not (0.0 < self.p11 < 1.0 and 0.0 < self.p22 < 1.0):
-            raise ValueError("p11 and p22 must lie strictly in (0, 1)")
+            raise InvalidArgumentError("p11 and p22 must lie strictly in (0, 1)")
         if not (0.0 <= self.rho_f < 1.0):
-            raise ValueError("rho_f must lie in [0, 1)")
+            raise InvalidArgumentError("rho_f must lie in [0, 1)")
         if not (0.0 <= self.tau < 1.0):
-            raise ValueError("tau must lie in [0, 1)")
+            raise InvalidArgumentError("tau must lie in [0, 1)")
         if not (0.0 <= self.rho_idio_max < 1.0):
-            raise ValueError("rho_idio_max must lie in [0, 1)")
+            raise InvalidArgumentError("rho_idio_max must lie in [0, 1)")
         if self.noise_to_signal <= 0.0:
-            raise ValueError("noise_to_signal must be positive")
+            raise InvalidArgumentError("noise_to_signal must be positive")
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,9 @@ Conventions fixed here once for the whole package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
@@ -50,6 +52,7 @@ class Panel:
     """
 
     data: np.ndarray
+    _memo: dict[str, Any] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def t_len(self) -> int:
@@ -59,9 +62,23 @@ class Panel:
     def n_len(self) -> int:
         return self.data.shape[1]
 
+    def memo(self, key: str, compute: Callable[[], Any]) -> Any:
+        """``compute()`` on the first call for ``key``, the stored value after.
+
+        For values that depend only on the (read-only) data; array values
+        should be read-only too, since every caller gets the same object.
+        """
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = compute()
+            return value
+
     def variance_floor(self) -> float:
-        """Idiosyncratic variance floor for this panel."""
-        return VARIANCE_FLOOR_RATIO * float(np.var(self.data))
+        """Idiosyncratic variance floor for this panel, computed once."""
+        return self.memo(
+            "variance_floor", lambda: VARIANCE_FLOOR_RATIO * float(np.var(self.data))
+        )
 
 
 def validate_panel(data) -> Panel:
@@ -250,6 +267,41 @@ class FactorSpace:
         return self.a_hat.shape[1]
 
 
+def row_sum_deviation(rows: np.ndarray) -> float:
+    """max_t |sum_j rows[t, j] - 1| of a probability array."""
+    return float(np.abs(rows.sum(axis=1) - 1.0).max())
+
+
+def marginal_deviation(cross: np.ndarray, smoothed: np.ndarray) -> float:
+    """Largest gap between the cross probabilities summed over s_{t-1} and
+    the smoothed probabilities."""
+    return float(np.abs(cross[:, :2] + cross[:, 2:] - smoothed).max())
+
+
+def _check_path(pred, filt, smo, cro) -> None:
+    """The invariants of a :class:`ProbabilityPath`; raises ``ValueError``."""
+    t_len = pred.shape[0]
+    for name, arr, width in (
+        ("predicted", pred, 2),
+        ("filtered", filt, 2),
+        ("smoothed", smo, 2),
+        ("cross", cro, 4),
+    ):
+        if arr.shape != (t_len, width):
+            raise ValueError(f"{name} must be {t_len} x {width}, got {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} has non-finite entries")
+        if arr.min() < -1e-12 or arr.max() > 1.0 + 1e-9:
+            raise ValueError(f"{name} entries leave [0, 1]")
+        if row_sum_deviation(arr) > 1e-10:
+            raise ValueError(f"{name} rows must sum to 1 within 1e-10")
+    # Marginalising the cross over the s_{t-1} index must reproduce the
+    # smoothed probabilities (exact for t >= 2, and by construction of
+    # the t = 1 row here as well).
+    if marginal_deviation(cro, smo) > 1e-10:
+        raise ValueError("cross probabilities do not marginalise to smoothed")
+
+
 @dataclass(frozen=True)
 class ProbabilityPath:
     """Per-period regime probabilities from one filter + smoother pass.
@@ -268,37 +320,39 @@ class ProbabilityPath:
     loglik: float
 
     def __post_init__(self):
-        pred = _frozen_array(self.predicted)
-        filt = _frozen_array(self.filtered)
-        smo = _frozen_array(self.smoothed)
-        cro = _frozen_array(self.cross)
-        t_len = pred.shape[0]
-        for name, arr, width in (
-            ("predicted", pred, 2),
-            ("filtered", filt, 2),
-            ("smoothed", smo, 2),
-            ("cross", cro, 4),
+        arrays = [
+            _frozen_array(a) for a in (self.predicted, self.filtered, self.smoothed, self.cross)
+        ]
+        _check_path(*arrays)
+        self._store(*arrays, self.loglik)
+
+    @classmethod
+    def _adopt(
+        cls,
+        predicted: np.ndarray,
+        filtered: np.ndarray,
+        smoothed: np.ndarray,
+        cross: np.ndarray,
+        loglik: float,
+        check: bool = True,
+    ) -> "ProbabilityPath":
+        """A path over C-contiguous float arrays that the caller has just
+        built and hands over: they are frozen in place instead of copied.
+        ``check=False`` skips validation, for a column permutation of a path
+        that already passed it."""
+        if check:
+            _check_path(predicted, filtered, smoothed, cross)
+        path = object.__new__(cls)
+        path._store(predicted, filtered, smoothed, cross, loglik)
+        return path
+
+    def _store(self, predicted, filtered, smoothed, cross, loglik) -> None:
+        for name, arr in zip(
+            ("predicted", "filtered", "smoothed", "cross"), (predicted, filtered, smoothed, cross)
         ):
-            if arr.shape != (t_len, width):
-                raise ValueError(f"{name} must be {t_len} x {width}, got {arr.shape}")
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} has non-finite entries")
-            if arr.min() < -1e-12 or arr.max() > 1.0 + 1e-9:
-                raise ValueError(f"{name} entries leave [0, 1]")
-            sums = arr.sum(axis=1)
-            if np.abs(sums - 1.0).max() > 1e-10:
-                raise ValueError(f"{name} rows must sum to 1 within 1e-10")
-        # Marginalising the cross over the s_{t-1} index must reproduce the
-        # smoothed probabilities (exact for t >= 2, and by construction of
-        # the t = 1 row here as well).
-        marg = cro[:, :2] + cro[:, 2:]
-        if np.abs(marg - smo).max() > 1e-10:
-            raise ValueError("cross probabilities do not marginalise to smoothed")
-        object.__setattr__(self, "predicted", pred)
-        object.__setattr__(self, "filtered", filt)
-        object.__setattr__(self, "smoothed", smo)
-        object.__setattr__(self, "cross", cro)
-        object.__setattr__(self, "loglik", float(self.loglik))
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "loglik", float(loglik))
 
     @property
     def t_len(self) -> int:

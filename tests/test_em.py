@@ -286,6 +286,23 @@ class TestRelabelStates:
         assert np.array_equal(once.trans.p, twice.trans.p)
         assert np.array_equal(once.b1, twice.b1)
 
+    def test_swapped_path_is_read_only(self):
+        # the swap skips validation but must still hand out frozen,
+        # C-contiguous copies, never views into the caller's path
+        params = self._params(TransitionMatrix(np.array([[0.7, 0.3], [0.1, 0.9]])))
+        rng = np.random.default_rng(3)
+        log_eta = rng.normal(-2.0, 1.0, (9, 2))
+        path = filter_smoother_pass(log_eta, params.trans, STATE_1)
+        _, swapped = relabel_states(params, path)
+        for name in ("predicted", "filtered", "smoothed", "cross"):
+            arr = getattr(swapped, name)
+            assert not arr.flags.writeable
+            assert arr.flags.c_contiguous
+            assert np.array_equal(arr, getattr(path, name)[:, ::-1])
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0.5
+        assert swapped.loglik == path.loglik
+
     def test_cross_columns_reverse(self):
         params = self._params(TransitionMatrix(np.array([[0.7, 0.3], [0.1, 0.9]])))
         t_len = 4

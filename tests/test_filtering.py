@@ -9,6 +9,7 @@ from msfactor.exceptions import (
     ZeroPredictedError,
 )
 from msfactor.filtering import (
+    _pass,
     filter_smoother_pass,
     hamilton_filter,
     kim_smoother,
@@ -295,3 +296,62 @@ class TestFilterSmootherPass:
         path = filter_smoother_pass(log_eta, params.trans, STATE_1)
         marg = path.cross[:, :2] + path.cross[:, 2:]
         assert np.abs(marg - path.smoothed).max() < 1e-10
+
+
+def _public_chain(log_eta, trans, xi0):
+    predicted, filtered, loglik = hamilton_filter(log_eta, trans, xi0)
+    smoothed = kim_smoother(predicted, filtered, trans)
+    cross = smoothed_cross_probs(predicted, filtered, smoothed, trans, xi0)
+    return predicted, filtered, smoothed, cross, loglik
+
+
+# p12 = 1e-305 puts the predicted probability of state 2 below the 1e-300
+# guard whenever the filter is sure of state 1
+NEAR_ABSORBING = TransitionMatrix(np.array([[1.0, 1e-305], [0.5, 0.5]]))
+
+
+class TestSinglePass:
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        t_len=st.one_of(
+            st.sampled_from([1, 2]),
+            st.integers(min_value=1, max_value=31).map(lambda k: 2 * k + 1),
+            st.integers(min_value=64, max_value=400),
+        ),
+        scale=st.sampled_from([1.0, 3e4]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_public_chain_bitwise(self, seed, t_len, scale):
+        rng = np.random.default_rng(seed)
+        log_eta = rng.normal(-5.0, 3.0, (t_len, 2)) * scale
+        trans = _random_trans(rng)
+        xi0 = StateProbabilities(rng.dirichlet([1.0, 1.0]))
+        got = _pass(log_eta, trans, xi0)
+        want = _public_chain(log_eta, trans, xi0)
+        for a, b in zip(got[:4], want[:4]):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert np.array_equal(a, b)
+        assert got[4] == want[4]
+        path = filter_smoother_pass(log_eta, trans, xi0)
+        for a, name in zip(got[:4], ("predicted", "filtered", "smoothed", "cross")):
+            arr = getattr(path, name)
+            assert np.array_equal(arr, a)
+            assert not arr.flags.writeable and arr.flags.c_contiguous
+
+    @pytest.mark.parametrize(
+        ("log_eta", "t"),
+        [
+            # row 0 and rows 2, 3 fall below the guard: the smoother's
+            # check (rows >= 1) fires first, at t = 2
+            ([[0.0, 800.0], [800.0, 0.0], [0.0, 0.0], [0.0, 0.0]], 2),
+            # only row 0: the cross probabilities' check fires, at t = 0
+            ([[0.0, 800.0], [0.0, 0.0], [0.0, 0.0]], 0),
+        ],
+    )
+    def test_zero_predicted_reports_first_t_of_the_chain(self, log_eta, t):
+        log_eta = np.array(log_eta)
+        message = f"predicted probability below 1e-300 at t={t}"
+        with pytest.raises(ZeroPredictedError, match=message):
+            _public_chain(log_eta, NEAR_ABSORBING, STATE_1)
+        with pytest.raises(ZeroPredictedError, match=message):
+            filter_smoother_pass(log_eta, NEAR_ABSORBING, STATE_1)

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -19,7 +20,7 @@ from msfactor.io import (
 )
 from msfactor.pca import estimate_factor_space
 from msfactor.simulate import SimConfig, simulate_panel
-from msfactor.types import RngHandle
+from msfactor.types import RngHandle, validate_panel
 
 
 class TestPanelCsv:
@@ -57,6 +58,43 @@ class TestPanelCsv:
         with pytest.raises(CsvParseError) as err:
             load_panel_csv(path)
         assert err.value.row == 3
+
+    def test_block_parse_matches_cell_parse(self, tmp_path):
+        # magnitudes from 1e-300 to 1e300 exercise every repr form
+        truth = simulate_panel(SimConfig(n=30, t=50, r=1), RngHandle(seed=4))
+        rng = np.random.default_rng(4)
+        data = truth.panel.data * 10.0 ** rng.integers(-300, 300, truth.panel.data.shape)
+        path = tmp_path / "panel.csv"
+        save_panel_csv(path, validate_panel(data))
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        reference = np.array([[float(cell) for cell in row[1:]] for row in rows])
+        loaded = load_panel_csv(path).data
+        assert loaded.dtype == reference.dtype and loaded.shape == reference.shape
+        assert loaded.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize(
+        ("text", "row", "col", "message"),
+        [
+            # the first problem in file order wins: a bad cell before a short row
+            ("t,a,b\n1,1.0,2.0\n2,x,4.0\n3,5.0\n", 3, 2, "cannot parse 'x' at row 3, col 2"),
+            # a short row before a bad cell
+            ("t,a,b\n1,1.0\n2,x,4.0\n", 2, 3, "row 2 has 2 cells, header has 3"),
+            # every row one cell short parses as a block of the wrong width
+            ("t,a,b\n1,1.0\n2,3.0\n", 2, 3, "row 2 has 2 cells, header has 3"),
+            # a long row
+            ("a,b\n1.0,2.0\n3.0,4.0,5.0\n", 3, 3, "row 3 has 3 cells, header has 2"),
+            # an empty cell, no date column
+            ("a,b\n1.0,2.0\n3.0,\n", 3, 2, "cannot parse '' at row 3, col 2"),
+        ],
+    )
+    def test_error_coordinates(self, tmp_path, text, row, col, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(CsvParseError) as err:
+            load_panel_csv(path)
+        assert (err.value.row, err.value.col) == (row, col)
+        assert str(err.value) == f"{path}: {message}"
 
     def test_nan_rejected(self, tmp_path):
         path = tmp_path / "nan.csv"
@@ -244,6 +282,50 @@ class TestCliMonteCarlo:
         captured = capsys.readouterr()
         assert captured.err == f"msfactor montecarlo: error: {name} must be >= 1, got 0\n"
         assert not (tmp_path / "mc" / "report.json").exists()
+
+
+class TestCliRejectsSettings:
+    """A bad setting from any source ends in one stderr line and status 2."""
+
+    @staticmethod
+    def _run(capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.err
+
+    def test_sim_config(self, tmp_path, capsys):
+        code, err = self._run(
+            capsys, ["montecarlo", "--reps", "1", "--tau", "1.5", "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert err == "msfactor montecarlo: error: tau must lie in [0, 1)\n"
+
+    def test_em_config(self, tmp_path, capsys):
+        code, err = self._run(
+            capsys, ["montecarlo", "--reps", "1", "--max-iter", "0", "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert err == "msfactor montecarlo: error: max_iter must be >= 1\n"
+
+    def test_config_file_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n 20\n")
+        code, err = self._run(capsys, ["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        assert err == f"msfactor simulate: error: {cfg}:1: expected 'key = value', got 'n 20'\n"
+
+    def test_config_file_boolean(self, tmp_path, capsys):
+        panel = tmp_path / "panel.csv"
+        save_panel_csv(panel, simulate_panel(SimConfig(n=10, t=40), RngHandle(seed=0)).panel)
+        cfg = tmp_path / "est.cfg"
+        cfg.write_text("demean = maybe\n")
+        code, err = self._run(
+            capsys,
+            ["estimate", "--config", str(cfg), "--input", str(panel), "--out", str(tmp_path / "e")],
+        )
+        assert code == 2
+        assert err == "msfactor estimate: error: cannot interpret 'maybe' as a boolean\n"
+        assert not (tmp_path / "e" / "params.json").exists()
 
 
 class TestCliVerify:

@@ -207,3 +207,26 @@ class TestSelectNumFactorsEr:
         panel = _panel(np.random.default_rng(12).standard_normal((6, 4)))
         with pytest.raises(KTooLargeError):
             select_num_factors_er(panel, k_max=4)
+
+
+class TestOneSpectrumPerPanel:
+    def test_auto_k_decomposes_once(self, monkeypatch):
+        panel = simulate_panel(SimConfig(n=30, t=120, r=1), RngHandle(seed=6)).panel
+        fresh = validate_panel(panel.data)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        k = select_num_factors_er(panel, 5)
+        fs = estimate_factor_space(panel, k)
+        assert calls == [(30, 30)]
+        # the remembered spectrum gives what a fresh decomposition gives
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        ref = estimate_factor_space(fresh, k)
+        assert np.array_equal(fs.a_hat, ref.a_hat)
+        assert np.array_equal(fs.eigvals, ref.eigvals)
+        assert select_num_factors_er(fresh, 5) == k

@@ -9,6 +9,7 @@ from msfactor.exceptions import (
     TooSmallError,
 )
 from msfactor.types import (
+    VARIANCE_FLOOR_RATIO,
     Panel,
     ProbabilityPath,
     RngHandle,
@@ -125,6 +126,22 @@ class TestProbabilityPath:
         cross = np.tile([0.5, 0.3, 0.1, 0.1], (3, 1))
         with pytest.raises(ValueError):
             ProbabilityPath(predicted=half, filtered=half, smoothed=half, cross=cross, loglik=0.0)
+
+
+class TestVarianceFloor:
+    def test_computed_once_per_panel(self, monkeypatch):
+        data = np.random.default_rng(2).standard_normal((30, 5))
+        panel = validate_panel(data)
+        calls = []
+        var = np.var
+        monkeypatch.setattr(np, "var", lambda a: calls.append(1) or var(a))
+        first = panel.variance_floor()
+        assert panel.variance_floor() == first
+        assert first == VARIANCE_FLOOR_RATIO * float(var(data))
+        assert len(calls) == 1
+        # a new panel over the same data computes its own
+        validate_panel(data).variance_floor()
+        assert len(calls) == 2
 
 
 class TestRngHandle:
