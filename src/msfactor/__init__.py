@@ -8,30 +8,17 @@ reproduces the simulation study at desk scale.
 
 from .em import EmConfig, EmResult, run_em
 from .exceptions import MsfactorError
-from .filtering import (
-    filter_smoother_pass,
-    hamilton_filter,
-    kim_smoother,
-    regime_log_densities,
-    smoothed_cross_probs,
-)
+from .filtering import filter_smoother_pass, regime_log_densities
 from .metrics import (
     blended_loadings,
     common_component_mse,
     fitted_common_component,
-    pca_rotation,
     regime_blend_matrix,
-    regime_factors,
     trace_r2,
 )
 from .montecarlo import MonteCarloReport, run_montecarlo, run_replication
 from .oracle import enumerate_posterior, equivalence_suite
-from .pca import (
-    demean_panel,
-    estimate_factor_space,
-    sample_covariance,
-    select_num_factors_er,
-)
+from .pca import demean_panel, estimate_factor_space, select_num_factors_er
 from .simulate import SimConfig, SimTruth, simulate_panel
 from .types import (
     FactorSpace,
@@ -69,19 +56,13 @@ __all__ = [
     "estimate_factor_space",
     "filter_smoother_pass",
     "fitted_common_component",
-    "hamilton_filter",
-    "kim_smoother",
-    "pca_rotation",
     "regime_blend_matrix",
-    "regime_factors",
     "regime_log_densities",
     "run_em",
     "run_montecarlo",
     "run_replication",
-    "sample_covariance",
     "select_num_factors_er",
     "simulate_panel",
-    "smoothed_cross_probs",
     "trace_r2",
     "unconditional_probs",
     "validate_panel",

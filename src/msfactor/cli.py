@@ -65,15 +65,25 @@ def _parse_bool(value: str) -> bool:
     raise InvalidArgumentError(f"cannot interpret {value!r} as a boolean")
 
 
+def _cast(key: str, value: str, cast):
+    """``cast(value)``; a value it cannot read is rejected with its key."""
+    if cast is bool:
+        return _parse_bool(value)
+    try:
+        return cast(value)
+    except ValueError:
+        raise InvalidArgumentError(
+            f"{key} = {value!r} is not a valid {cast.__name__}"
+        ) from None
+
+
 def _setting(args, file_cfg: dict[str, str], key: str, cast, default):
     """CLI flag > config file > default."""
     cli_value = getattr(args, key, None)
     if cli_value is not None:
         return cli_value
     if key in file_cfg:
-        if cast is bool:
-            return _parse_bool(file_cfg[key])
-        return cast(file_cfg[key])
+        return _cast(key, file_cfg[key], cast)
     return default
 
 
@@ -235,7 +245,7 @@ def _cmd_estimate(args, file_cfg: dict[str, str]) -> int:
             )
             k = select_num_factors_er(panel, k_max)
         else:
-            k = int(k_setting)
+            k = _cast("k", k_setting, int)
         fs = estimate_factor_space(panel, k)
         result = run_em(panel, fs, em_cfg)
 

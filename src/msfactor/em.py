@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import EmptyRegimeError, InvalidArgumentError, SingularGramError
+from .exceptions import EmptyRegimeError, InvalidArgumentError
 from .filtering import filter_smoother_pass, regime_log_densities
 from .pca import FactorSpace
 from .types import (
@@ -23,13 +23,13 @@ from .types import (
     ProbabilityPath,
     StateProbabilities,
     TransitionMatrix,
+    check_gram,
     unconditional_probs,
 )
 
 __all__ = [
     "EmConfig",
     "EmResult",
-    "expected_loglik",
     "init_params",
     "m_step_loadings",
     "m_step_transition",
@@ -37,9 +37,6 @@ __all__ = [
     "relabel_states",
     "run_em",
 ]
-
-_GRAM_COND_LIMIT = 1e12
-
 
 @dataclass(frozen=True)
 class EmConfig:
@@ -126,9 +123,7 @@ def m_step_loadings(
     for j in range(2):
         w = smoothed[:, j]
         gram = (g * w[:, None]).T @ g
-        cond = np.linalg.cond(gram)
-        if not np.isfinite(cond) or cond > _GRAM_COND_LIMIT:
-            raise SingularGramError(regime=j + 1, cond=float(cond))
+        check_gram(gram, regime=j + 1)
         cross_moment = (x * w[:, None]).T @ g
         out.append(np.linalg.solve(gram.T, cross_moment.T).T)
     return out[0], out[1]
@@ -198,33 +193,6 @@ def m_step_transition(cross: np.ndarray, smoothed: np.ndarray) -> TransitionMatr
     return TransitionMatrix(np.clip(p, 0.0, 1.0))
 
 
-def expected_loglik(
-    log_eta: np.ndarray,
-    smoothed: np.ndarray,
-    cross: np.ndarray,
-    trans: TransitionMatrix,
-) -> float:
-    """Expected complete-data log-likelihood under the given posteriors.
-
-        sum_t sum_j w_jt log eta_jt
-        + sum_{t>=2} sum_{i,j} cross[(j,i), t] log p_ij,
-
-    with the convention that zero-weight terms contribute zero even when
-    the corresponding log probability is -inf.
-    """
-    log_eta = np.asarray(log_eta, dtype=float)
-    smoothed = np.asarray(smoothed, dtype=float)
-    cross = np.asarray(cross, dtype=float)
-    if smoothed.shape != log_eta.shape or cross.shape[0] != log_eta.shape[0]:
-        raise ValueError("log_eta, smoothed and cross must cover the same periods")
-    density_part = float((smoothed * log_eta).sum())
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_rho = np.log(trans.p.reshape(-1))  # (p11, p12, p21, p22)
-        weights = cross[1:]
-        terms = np.where(weights > 0.0, weights * log_rho[None, :], 0.0)
-    return density_part + float(terms.sum())
-
-
 def relabel_states(
     params: ModelParams, path: ProbabilityPath
 ) -> tuple[ModelParams, ProbabilityPath]:
@@ -245,14 +213,12 @@ def relabel_states(
         sigma_e2_diag=params.sigma_e1_diag,
         trans=params.trans.relabeled(),
     )
-    # a column permutation of a validated path cannot fail its checks
-    swapped_path = ProbabilityPath._adopt(
-        path.predicted[:, ::-1].copy(),
-        path.filtered[:, ::-1].copy(),
-        path.smoothed[:, ::-1].copy(),
-        path.cross[:, ::-1].copy(),
-        path.loglik,
-        check=False,
+    swapped_path = ProbabilityPath(
+        predicted=path.predicted[:, ::-1],
+        filtered=path.filtered[:, ::-1],
+        smoothed=path.smoothed[:, ::-1],
+        cross=path.cross[:, ::-1],
+        loglik=path.loglik,
     )
     return swapped, swapped_path
 

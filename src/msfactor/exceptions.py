@@ -87,9 +87,5 @@ class CsvParseError(MsfactorError):
         super().__init__(message or f"cannot parse CSV cell at row {row}, col {col}")
 
 
-class SingularEigenvaluesError(MsfactorError):
-    """Eigenvalue matrix of the factor space is singular."""
-
-
 class ZeroSignalError(MsfactorError):
     """The reference common component is identically zero."""

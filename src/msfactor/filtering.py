@@ -8,12 +8,13 @@ relative density at exactly 1, and runs the scaled forward recursion
 (Rabiner 1989) on those O(1) values; the shifts return in the log
 likelihood. Every probability the smoother then sees is O(1) too.
 
-One E step is a single private pass: the filter appends Python floats to
-flat lists, the smoother reads those lists directly, each T x 2 array is
-built once from its list, and the cross probabilities follow vectorised.
-:func:`hamilton_filter` and :func:`kim_smoother` are thin wrappers over
-the pass's two list-based stages, and :func:`filter_smoother_pass` over
-the whole pass; each returns the same bits as the stages chained by hand.
+One E step is one call of :func:`filter_smoother_pass`: the filter
+appends Python floats to flat lists, the smoother reads those lists
+directly, each T x 2 array is built once from its list, and the cross
+probabilities follow vectorised. :func:`hamilton_filter` and
+:func:`kim_smoother` wrap the two list-based stages for callers that want
+one stage alone; chained with :func:`smoothed_cross_probs` they give the
+same bits as the pass.
 """
 
 from __future__ import annotations
@@ -239,13 +240,17 @@ def smoothed_cross_probs(
     return cross
 
 
-def _pass(
-    log_eta: np.ndarray, trans: TransitionMatrix, xi0: StateProbabilities
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
-    """Filter, smoother and cross probabilities in one go: (predicted,
-    filtered, smoothed, cross, loglik), bitwise equal to the chain
-    :func:`hamilton_filter` -> :func:`kim_smoother` ->
-    :func:`smoothed_cross_probs`, which raises at the same t."""
+def filter_smoother_pass(
+    log_eta: np.ndarray,
+    trans: TransitionMatrix,
+    xi0: StateProbabilities,
+) -> ProbabilityPath:
+    """One full forward-backward pass packaged as a :class:`ProbabilityPath`.
+
+    Bitwise equal to the chain :func:`hamilton_filter` ->
+    :func:`kim_smoother` -> :func:`smoothed_cross_probs`, and raises at the
+    same t.
+    """
     pred, filt, loglik = _forward(log_eta, trans, xi0)
     predicted = _rows(pred)
     _check_predicted(predicted, 1)
@@ -253,13 +258,4 @@ def _pass(
     filtered = _rows(filt)
     # rows >= 1 passed above, so only row 0 can fail the guard in here
     cross = smoothed_cross_probs(predicted, filtered, smoothed, trans, xi0)
-    return predicted, filtered, smoothed, cross, loglik
-
-
-def filter_smoother_pass(
-    log_eta: np.ndarray,
-    trans: TransitionMatrix,
-    xi0: StateProbabilities,
-) -> ProbabilityPath:
-    """One full forward-backward pass packaged as a :class:`ProbabilityPath`."""
-    return ProbabilityPath._adopt(*_pass(log_eta, trans, xi0))
+    return ProbabilityPath._adopt(predicted, filtered, smoothed, cross, loglik)

@@ -1,51 +1,17 @@
-"""Simulation-only evaluation quantities.
+"""Simulation-only evaluation quantities behind the Monte Carlo tables.
 
-These compare estimates against the generating truth: the finite-sample
-rotation linking PCA estimates to the true factor space, the blend matrix
+These compare estimates against the generating truth: the blend matrix
 induced by imperfect state recovery, the bias-adjusted loading target and
-its trace-R-squared, the relative MSE of the common component, and
-regime-factor projections.
+its trace-R-squared, the probability-weighted fitted common component and
+its relative MSE.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .em import _GRAM_COND_LIMIT
-from .exceptions import (
-    DimensionMismatchError,
-    SingularEigenvaluesError,
-    SingularGramError,
-    ZeroSignalError,
-)
-from .types import Panel
-
-
-def pca_rotation(
-    g_true: np.ndarray,
-    a_true: np.ndarray,
-    a_hat: np.ndarray,
-    eigvals: np.ndarray,
-) -> np.ndarray:
-    """Finite-sample k x k rotation from true to estimated factor space.
-
-        (G'G / T) (A' A_hat / N) V^-1,
-
-    where V holds the top-k eigenvalues of the doubly normalised second
-    moment (NT)^-1 sum_t x_t x_t'; ``eigvals`` comes from
-    :class:`~msfactor.types.FactorSpace` (divisor T), so it is divided by
-    N here. In the noiseless full-rank case the estimated factors satisfy
-    g_hat_t = rotation^-1 g_t exactly.
-    """
-    g = np.asarray(g_true, dtype=float)
-    a = np.asarray(a_true, dtype=float)
-    ah = np.asarray(a_hat, dtype=float)
-    v = np.asarray(eigvals, dtype=float) / a.shape[0]
-    if (v <= 0.0).any():
-        raise SingularEigenvaluesError(f"eigenvalues must be positive, got {v}")
-    t_len = g.shape[0]
-    n = a.shape[0]
-    return (g.T @ g / t_len) @ (a.T @ ah / n) / v[None, :]
+from .exceptions import DimensionMismatchError, ZeroSignalError
+from .types import check_gram
 
 
 def regime_blend_matrix(
@@ -68,9 +34,7 @@ def regime_blend_matrix(
     if w.shape[0] != g.shape[0] or ind.shape[0] != g.shape[0]:
         raise DimensionMismatchError("weights, indicator and factors must share T")
     denom = (g * w[:, None]).T @ g
-    cond = np.linalg.cond(denom)
-    if not np.isfinite(cond) or cond > _GRAM_COND_LIMIT:
-        raise SingularGramError(regime=0, cond=float(cond))
+    check_gram(denom, regime=0)
     numer = (g * (w * ind)[:, None]).T @ g
     return np.linalg.solve(denom.T, numer.T).T
 
@@ -103,9 +67,7 @@ def trace_r2(b_hat: np.ndarray, b_target: np.ndarray) -> float:
     if b.shape != bs.shape:
         raise DimensionMismatchError(f"shape mismatch: {b.shape} vs {bs.shape}")
     gram = b.T @ b
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > _GRAM_COND_LIMIT:
-        raise SingularGramError(regime=0, cond=float(cond))
+    check_gram(gram, regime=0)
     proj = bs.T @ b @ np.linalg.solve(gram, b.T @ bs)
     return float(np.trace(proj) / np.trace(bs.T @ bs))
 
@@ -134,42 +96,3 @@ def fitted_common_component(
     return w[:, [0]] * (g @ np.asarray(b1, float).T) + w[:, [1]] * (
         g @ np.asarray(b2, float).T
     )
-
-
-def regime_factors(
-    panel: Panel, lambda_hat: np.ndarray, smoothed_col: np.ndarray
-) -> np.ndarray:
-    """Probability-weighted projection of the data on one regime's loadings.
-
-        f_jt = (1/N) w_jt lambda_j' x_t,
-
-    where ``lambda_hat`` is the regime's N x r loading block (under
-    r1 = r2 = r: the first r columns of b1 for regime 1, the last r of b2
-    for regime 2).
-    """
-    lam = np.asarray(lambda_hat, dtype=float)
-    w = np.asarray(smoothed_col, dtype=float).reshape(-1)
-    if lam.shape[0] != panel.n_len or w.shape[0] != panel.t_len:
-        raise DimensionMismatchError(
-            f"loadings must be N x r and weights length T; got {lam.shape}, {w.shape}"
-        )
-    return (panel.data @ lam / panel.n_len) * w[:, None]
-
-
-def regime_loading_block(b: np.ndarray, regime: int, r: int) -> np.ndarray:
-    """Column block of a stacked loading matrix belonging to one regime.
-
-    Under r1 = r2 = r the first half belongs to regime 1 and the second
-    half to regime 2; either is a valid loading estimate up to an
-    invertible transformation, so the convention is fixed here once.
-    """
-    b = np.asarray(b, dtype=float)
-    if b.shape[1] != 2 * r:
-        raise DimensionMismatchError(
-            f"stacked loadings have {b.shape[1]} columns, expected {2 * r}"
-        )
-    if regime == 1:
-        return b[:, :r]
-    if regime == 2:
-        return b[:, r:]
-    raise ValueError(f"regime must be 1 or 2, got {regime}")

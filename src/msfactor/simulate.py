@@ -4,6 +4,9 @@ Generates a two-state latent chain, AR(1) factors whitened to an exact
 identity second moment, N(1,1) loadings rotated to diagonal Gram matrices,
 and AR(1) idiosyncratic noise mixed through per-regime covariance square
 roots, then rescales the noise to a target noise-to-signal ratio.
+
+:class:`SimConfig` validates every knob once; the helpers below trust the
+values it passes them.
 """
 
 from __future__ import annotations
@@ -46,6 +49,8 @@ class SimConfig:
             raise InvalidArgumentError("r must be >= 1")
         if self.n < 2 or self.t < 2:
             raise InvalidArgumentError("need N >= 2 and T >= 2")
+        if self.n < self.r:
+            raise InvalidArgumentError(f"need n >= r, got n={self.n}, r={self.r}")
         if not (0.0 < self.p11 < 1.0 and 0.0 < self.p22 < 1.0):
             raise InvalidArgumentError("p11 and p22 must lie strictly in (0, 1)")
         if not (0.0 <= self.rho_f < 1.0):
@@ -97,10 +102,6 @@ def simulate_chain(
     row of the current state. Returns ``(states, xi)`` with states in
     {1, 2} and xi the one-hot T x 2 indicator matrix.
     """
-    if not (0.0 < p11 < 1.0 and 0.0 < p22 < 1.0):
-        raise ValueError("p11 and p22 must lie strictly in (0, 1)")
-    if t < 1:
-        raise ValueError("t must be >= 1")
     trans = TransitionMatrix(np.array([[p11, 1.0 - p11], [1.0 - p22, p22]]))
     stat1 = unconditional_probs(trans).values[0]
     p21 = 1.0 - p22
@@ -124,8 +125,6 @@ def simulate_factors(
     innovations and a stationary start, then the whole T x r matrix is
     post-multiplied by the symmetric inverse square root of F'F / T.
     """
-    if not (0.0 <= rho_f < 1.0):
-        raise ValueError("rho_f must lie in [0, 1)")
     if t < r:
         raise RankDeficientError(f"cannot whiten {r} factors from T={t} observations")
     z = rng.standard_normal((t, r))
@@ -149,8 +148,6 @@ def simulate_loadings(
     Entries are drawn i.i.d. N(1, 1); each matrix is then rotated by the
     eigenvectors of its own Gram matrix so that lambda' lambda is diagonal.
     """
-    if n < r:
-        raise ValueError(f"need n >= r, got n={n}, r={r}")
     out = []
     for _ in range(2):
         raw = rng.normal(1.0, 1.0, size=(n, r))
@@ -184,8 +181,6 @@ def build_idio_covariances(
     :class:`NotPositiveDefiniteError` when it takes the square root of a
     matrix with an eigenvalue <= 0 (possible for tau near 1).
     """
-    if not (0.0 <= tau < 1.0):
-        raise ValueError("tau must lie in [0, 1)")
     diag1 = rng.uniform(0.25, 1.25, size=n)
     diag2 = rng.uniform(0.75, 1.75, size=n)
     if tau == 0.0:

@@ -24,6 +24,7 @@ import numpy as np
 from .exceptions import (
     DegenerateChainError,
     NonFiniteError,
+    SingularGramError,
     TooSmallError,
 )
 
@@ -32,8 +33,8 @@ from .exceptions import (
 #: densities when a regime collapses onto few observations.
 VARIANCE_FLOOR_RATIO = 1e-10
 
-# Ordering of the cross-probability components: (s_t, s_{t-1}) pairs.
-CROSS_ORDER = ((1, 1), (2, 1), (1, 2), (2, 2))
+#: Condition number above which a Gram matrix counts as singular.
+_GRAM_COND_LIMIT = 1e12
 
 
 def _frozen_array(x, dtype=float) -> np.ndarray:
@@ -132,10 +133,6 @@ class TransitionMatrix:
     def p22(self) -> float:
         return float(self.p[1, 1])
 
-    def is_irreducible(self) -> bool:
-        """True when both states can be left (p11 < 1 and p22 < 1)."""
-        return self.p11 < 1.0 and self.p22 < 1.0
-
     def relabeled(self) -> "TransitionMatrix":
         """The same chain with the two state labels swapped."""
         q = self.p
@@ -163,9 +160,8 @@ class StateProbabilities:
         object.__setattr__(self, "values", arr)
 
 
-#: Deterministic filter initialisations xi_{0|0}.
+#: Deterministic filter initialisation xi_{0|0}: the chain starts in state 1.
 STATE_1 = StateProbabilities(np.array([1.0, 0.0]))
-STATE_2 = StateProbabilities(np.array([0.0, 1.0]))
 
 
 def unconditional_probs(trans: TransitionMatrix) -> StateProbabilities:
@@ -267,6 +263,14 @@ class FactorSpace:
         return self.a_hat.shape[1]
 
 
+def check_gram(gram: np.ndarray, regime: int) -> None:
+    """Raise :class:`SingularGramError` for ``regime`` when the condition
+    number of ``gram`` is not finite or exceeds 1e12."""
+    cond = np.linalg.cond(gram)
+    if not np.isfinite(cond) or cond > _GRAM_COND_LIMIT:
+        raise SingularGramError(regime=regime, cond=float(cond))
+
+
 def row_sum_deviation(rows: np.ndarray) -> float:
     """max_t |sum_j rows[t, j] - 1| of a probability array."""
     return float(np.abs(rows.sum(axis=1) - 1.0).max())
@@ -307,7 +311,7 @@ class ProbabilityPath:
     """Per-period regime probabilities from one filter + smoother pass.
 
     ``predicted``, ``filtered`` and ``smoothed`` are T x 2; ``cross`` is
-    T x 4 ordered per :data:`CROSS_ORDER`, where row t holds the joint
+    T x 4 in the (s_t, s_{t-1}) order of this module, where row t holds the joint
     posterior of (s_t, s_{t-1}) and row 0 pairs s_1 with the filter prior
     state s_0. ``loglik`` is the accumulated log of the per-step
     normalisation constants.
@@ -334,14 +338,10 @@ class ProbabilityPath:
         smoothed: np.ndarray,
         cross: np.ndarray,
         loglik: float,
-        check: bool = True,
     ) -> "ProbabilityPath":
         """A path over C-contiguous float arrays that the caller has just
-        built and hands over: they are frozen in place instead of copied.
-        ``check=False`` skips validation, for a column permutation of a path
-        that already passed it."""
-        if check:
-            _check_path(predicted, filtered, smoothed, cross)
+        built and hands over: they are frozen in place instead of copied."""
+        _check_path(predicted, filtered, smoothed, cross)
         path = object.__new__(cls)
         path._store(predicted, filtered, smoothed, cross, loglik)
         return path
@@ -381,6 +381,3 @@ class RngHandle:
         """A fresh generator positioned at the start of this stream."""
         seq = np.random.SeedSequence(entropy=int(self.seed), spawn_key=(int(self.stream),))
         return np.random.default_rng(seq)
-
-    def substream(self, stream: int) -> "RngHandle":
-        return RngHandle(seed=self.seed, stream=stream)

@@ -7,6 +7,9 @@ benchmark's own rule: p11/p22 within 1e-6, the final log likelihood within
 1e-9 relative, the exact EM iteration count, EM ascent and normalised
 probability rows. A rewrite of PCA, the E step or the M steps that moves
 convergence shows up here as a failure.
+
+Also checks that every function the benchmark's tracer wraps, and every
+name the package exports, still exists.
 """
 
 import importlib.util
@@ -18,9 +21,8 @@ import pytest
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-@pytest.fixture(scope="module")
-def workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+def _load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up
     # leave bench/ exactly as checked out: no bytecode cache beside it
@@ -30,6 +32,22 @@ def workloads():
     finally:
         sys.dont_write_bytecode = saved
     return module
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _load_bench("workloads")
+
+
+def test_traced_targets_resolve():
+    for module, attr, _ in _load_bench("tracing").TARGETS:
+        assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+
+
+@pytest.mark.parametrize("module", ["msfactor", "msfactor.em"])
+def test_exported_names_exist(module):
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
 def _check_one_per_stratum(workloads, name, design):

@@ -3,7 +3,6 @@ import pytest
 
 from msfactor.em import (
     EmConfig,
-    expected_loglik,
     init_params,
     m_step_loadings,
     m_step_transition,
@@ -18,8 +17,8 @@ from msfactor.pca import estimate_factor_space
 from msfactor.simulate import SimConfig, simulate_panel
 from msfactor.types import (
     STATE_1,
-    STATE_2,
     ModelParams,
+    StateProbabilities,
     Panel,
     ProbabilityPath,
     RngHandle,
@@ -29,6 +28,25 @@ from msfactor.types import (
 )
 
 P_EXAMPLE = TransitionMatrix(np.array([[0.9, 0.1], [0.3, 0.7]]))
+STATE_2 = StateProbabilities(np.array([0.0, 1.0]))
+
+
+def expected_loglik(log_eta, smoothed, cross, trans):
+    """Expected complete-data log-likelihood under the given posteriors,
+    the function the M step maximises:
+
+        sum_t sum_j w_jt log eta_jt
+        + sum_{t>=2} sum_{i,j} cross[(j,i), t] log p_ij,
+
+    where zero-weight terms contribute zero even when the log probability
+    is -inf.
+    """
+    density_part = float((smoothed * log_eta).sum())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_rho = np.log(trans.p.reshape(-1))  # (p11, p12, p21, p22)
+        weights = cross[1:]
+        terms = np.where(weights > 0.0, weights * log_rho[None, :], 0.0)
+    return density_part + float(terms.sum())
 
 
 def _uniform_path(t_len=4):

@@ -9,7 +9,6 @@ from msfactor.exceptions import (
     ZeroPredictedError,
 )
 from msfactor.filtering import (
-    _pass,
     filter_smoother_pass,
     hamilton_filter,
     kim_smoother,
@@ -326,17 +325,14 @@ class TestSinglePass:
         log_eta = rng.normal(-5.0, 3.0, (t_len, 2)) * scale
         trans = _random_trans(rng)
         xi0 = StateProbabilities(rng.dirichlet([1.0, 1.0]))
-        got = _pass(log_eta, trans, xi0)
-        want = _public_chain(log_eta, trans, xi0)
-        for a, b in zip(got[:4], want[:4]):
-            assert a.shape == b.shape and a.dtype == b.dtype
-            assert np.array_equal(a, b)
-        assert got[4] == want[4]
         path = filter_smoother_pass(log_eta, trans, xi0)
-        for a, name in zip(got[:4], ("predicted", "filtered", "smoothed", "cross")):
+        want = _public_chain(log_eta, trans, xi0)
+        for name, b in zip(("predicted", "filtered", "smoothed", "cross"), want[:4]):
             arr = getattr(path, name)
-            assert np.array_equal(arr, a)
+            assert arr.shape == b.shape and arr.dtype == b.dtype
+            assert np.array_equal(arr, b)
             assert not arr.flags.writeable and arr.flags.c_contiguous
+        assert path.loglik == want[4]
 
     @pytest.mark.parametrize(
         ("log_eta", "t"),

@@ -327,6 +327,34 @@ class TestCliRejectsSettings:
         assert err == "msfactor estimate: error: cannot interpret 'maybe' as a boolean\n"
         assert not (tmp_path / "e" / "params.json").exists()
 
+    @pytest.mark.parametrize(
+        ("line", "message"),
+        [("n = abc", "n = 'abc' is not a valid int"), ("p11 = high", "p11 = 'high' is not a valid float")],
+        ids=["int", "float"],
+    )
+    def test_config_file_value(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        code, err = self._run(capsys, ["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        assert err == f"msfactor simulate: error: {message}\n"
+
+    def test_factor_count(self, tmp_path, capsys):
+        panel = tmp_path / "panel.csv"
+        save_panel_csv(panel, simulate_panel(SimConfig(n=10, t=40), RngHandle(seed=0)).panel)
+        code, err = self._run(
+            capsys, ["estimate", "--input", str(panel), "--k", "two", "--out", str(tmp_path / "e")]
+        )
+        assert code == 2
+        assert err == "msfactor estimate: error: k = 'two' is not a valid int\n"
+
+    def test_fewer_series_than_factors(self, tmp_path, capsys):
+        code, err = self._run(
+            capsys, ["simulate", "--n", "2", "--r", "3", "--t", "20", "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert err == "msfactor simulate: error: need n >= r, got n=2, r=3\n"
+
 
 class TestCliVerify:
     def test_verify_passes(self, capsys):

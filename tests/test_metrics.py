@@ -12,15 +12,31 @@ from msfactor.metrics import (
     blended_loadings,
     common_component_mse,
     fitted_common_component,
-    pca_rotation,
     regime_blend_matrix,
-    regime_factors,
-    regime_loading_block,
     trace_r2,
 )
 from msfactor.pca import estimate_factor_space
 from msfactor.simulate import SimConfig, simulate_panel
 from msfactor.types import RngHandle, validate_panel
+
+
+def pca_rotation(g, a, a_hat, eigvals):
+    """Finite-sample k x k rotation from true to estimated factor space,
+
+        (G'G / T) (A' A_hat / N) V^-1,
+
+    with V the top-k eigenvalues of (NT)^-1 sum_t x_t x_t' (``eigvals``,
+    from the divisor-T covariance, divided by N). In the noiseless
+    full-rank case g_hat_t = rotation^-1 g_t exactly.
+    """
+    t_len, n = g.shape[0], a.shape[0]
+    return (g.T @ g / t_len) @ (a.T @ a_hat / n) / (eigvals / n)[None, :]
+
+
+def regime_factors(panel, lam, w):
+    """Probability-weighted projection f_jt = (1/N) w_jt lambda_j' x_t of
+    the data on one regime's N x r loadings."""
+    return (panel.data @ lam / panel.n_len) * w[:, None]
 
 
 class TestPcaRotation:
@@ -186,24 +202,12 @@ class TestRegimeFactors:
         truth = simulate_panel(SimConfig(n=100, t=500, r=1), RngHandle(seed=2))
         fs = estimate_factor_space(truth.panel, k=2)
         result = run_em(truth.panel, fs, EmConfig())
-        lam1 = regime_loading_block(result.params.b1, regime=1, r=1)
+        lam1 = result.params.b1[:, :1]  # under r1 = r2 = 1, regime 1's column
         f1 = regime_factors(truth.panel, lam1, result.path.smoothed[:, 0])[:, 0]
         target = truth.xi[:, 0] * truth.f[:, 0]
         in_regime = truth.states == 1
         corr = abs(np.corrcoef(f1[in_regime], target[in_regime])[0, 1])
         assert corr >= 0.9
-
-
-class TestRegimeLoadingBlock:
-    def test_blocks_partition_columns(self):
-        b = np.arange(12, dtype=float).reshape(3, 4)
-        first = regime_loading_block(b, regime=1, r=2)
-        second = regime_loading_block(b, regime=2, r=2)
-        assert np.array_equal(np.hstack([first, second]), b)
-
-    def test_wrong_width_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            regime_loading_block(np.ones((3, 3)), regime=1, r=2)
 
 
 class TestFittedCommonComponent:

@@ -154,7 +154,3 @@ class TestRngHandle:
         a = RngHandle(seed=11, stream=0).generator().standard_normal(16)
         b = RngHandle(seed=11, stream=1).generator().standard_normal(16)
         assert not np.array_equal(a, b)
-
-    def test_substream(self):
-        handle = RngHandle(seed=5)
-        assert handle.substream(9) == RngHandle(seed=5, stream=9)
