@@ -10,7 +10,8 @@ Subcommands::
 Every flag can also be given in a flat ``key = value`` config file passed
 with ``--config``; explicit flags override file values. An input the
 library rejects (any :class:`~msfactor.exceptions.MsfactorError`) ends the
-command with one line on stderr and exit status 2.
+command with one line on stderr and exit status 2, as does a file that
+cannot be read or written (any ``OSError``).
 """
 
 from __future__ import annotations
@@ -183,7 +184,7 @@ def _em_config(args, file_cfg: dict[str, str]) -> EmConfig:
 def _out_dir(args, file_cfg: dict[str, str]) -> Path:
     out = _setting(args, file_cfg, "out", str, None)
     if out is None:
-        raise SystemExit("an output directory is required (--out or out= in the config)")
+        raise InvalidArgumentError("an output directory is required (--out or out= in the config)")
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
@@ -225,7 +226,7 @@ def _cmd_simulate(args, file_cfg: dict[str, str]) -> int:
 def _cmd_estimate(args, file_cfg: dict[str, str]) -> int:
     input_path = _setting(args, file_cfg, "input", str, None)
     if input_path is None:
-        raise SystemExit("estimate mode needs --input (or input= in the config)")
+        raise InvalidArgumentError("estimate mode needs --input (or input= in the config)")
     seed = _setting(args, file_cfg, "seed", int, 0)
     demean = _setting(args, file_cfg, "demean", bool, False)
     k_setting = _setting(args, file_cfg, "k", str, "auto")
@@ -292,7 +293,7 @@ def _cmd_montecarlo(args, file_cfg: dict[str, str]) -> int:
     seed = _setting(args, file_cfg, "seed", int, 0)
     reps = _setting(args, file_cfg, "reps", int, None)
     if reps is None:
-        raise SystemExit("montecarlo mode needs --reps (or reps= in the config)")
+        raise InvalidArgumentError("montecarlo mode needs --reps (or reps= in the config)")
     jobs = _setting(args, file_cfg, "jobs", int, 1)
     sim_cfg = _sim_config(args, file_cfg, seed)
     em_cfg = _em_config(args, file_cfg)
@@ -340,7 +341,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         file_cfg = parse_config_file(args.config) if args.config else {}
         return commands[args.mode](args, file_cfg)
-    except MsfactorError as exc:
+    except (MsfactorError, OSError) as exc:
         print(f"msfactor {args.mode}: error: {exc}", file=sys.stderr)
         return 2
 

@@ -258,4 +258,4 @@ def filter_smoother_pass(
     filtered = _rows(filt)
     # rows >= 1 passed above, so only row 0 can fail the guard in here
     cross = smoothed_cross_probs(predicted, filtered, smoothed, trans, xi0)
-    return ProbabilityPath._adopt(predicted, filtered, smoothed, cross, loglik)
+    return ProbabilityPath(predicted, filtered, smoothed, cross, loglik)

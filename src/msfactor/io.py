@@ -78,26 +78,20 @@ def load_panel_csv(path: str | Path) -> Panel:
     return validate_panel(data)
 
 
-def save_matrix_csv(
-    path: str | Path,
-    matrix: np.ndarray,
-    headers: list[str],
-    index_name: str = "t",
-) -> None:
-    """Write a T x N matrix with a leading 1-based integer index column."""
+def save_matrix_csv(path: str | Path, matrix: np.ndarray, headers: list[str]) -> None:
+    """Write a T x N matrix with a leading 1-based integer index column ``t``."""
     matrix = np.asarray(matrix, dtype=float)
     path = Path(path)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([index_name, *headers])
+        writer.writerow(["t", *headers])
         for t, row in enumerate(matrix, start=1):
             writer.writerow([t, *[repr(float(v)) for v in row]])
 
 
-def save_panel_csv(path: str | Path, panel: Panel, headers: list[str] | None = None) -> None:
-    if headers is None:
-        headers = [f"x{i + 1}" for i in range(panel.n_len)]
-    save_matrix_csv(path, panel.data, headers)
+def save_panel_csv(path: str | Path, panel: Panel) -> None:
+    """Write a panel with series headers ``x1`` ... ``xN``."""
+    save_matrix_csv(path, panel.data, [f"x{i + 1}" for i in range(panel.n_len)])
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:

@@ -194,6 +194,7 @@ def run_montecarlo(
         raise InvalidArgumentError(f"replications must be >= 1, got {replications}")
     if jobs < 1:
         raise InvalidArgumentError(f"jobs must be >= 1, got {jobs}")
+    RngHandle(seed=seed)  # a bad seed fails the run, not each replication
     tasks = [(sim_cfg, em_cfg, seed, rep) for rep in range(replications)]
     workers = min(jobs, replications)
     if workers > 1:

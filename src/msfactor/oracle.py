@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import TooLongError
-from .types import StateProbabilities, TransitionMatrix
+from .exceptions import DimensionMismatchError, InvalidArgumentError, TooLongError
+from .types import RngHandle, StateProbabilities, TransitionMatrix
 
 MAX_ENUM_T = 16
 EQUIVALENCE_TOLERANCE = 1e-9
@@ -50,7 +50,7 @@ def enumerate_posterior(
     log_eta = np.asarray(log_eta, dtype=float)
     t_len = log_eta.shape[0]
     if log_eta.ndim != 2 or log_eta.shape[1] != 2:
-        raise ValueError(f"log_eta must be T x 2, got {log_eta.shape}")
+        raise DimensionMismatchError(f"log_eta must be T x 2, got {log_eta.shape}")
     if t_len > MAX_ENUM_T:
         raise TooLongError(f"T={t_len} > {MAX_ENUM_T}: enumeration would need 2^T paths")
 
@@ -141,12 +141,15 @@ def random_instance(rng: np.random.Generator):
 def equivalence_suite(instances: int = 200, seed: int = 0) -> dict[str, float]:
     """Max absolute deviations between the recursions and the enumerator.
 
-    Runs ``instances`` random problems and compares filter log-likelihood,
-    smoothed marginals and cross-probabilities against
+    Runs ``instances`` (>= 1) random problems and compares filter
+    log-likelihood, smoothed marginals and cross-probabilities against
     :func:`enumerate_posterior`.
     """
     from .filtering import filter_smoother_pass
 
+    if instances < 1:
+        raise InvalidArgumentError(f"instances must be >= 1, got {instances}")
+    RngHandle(seed=seed)  # one seed range for the package: unsigned 64-bit
     rng = np.random.default_rng(seed)
     dev = {"loglik": 0.0, "smoothed": 0.0, "cross": 0.0}
     for _ in range(instances):

@@ -19,6 +19,7 @@ from .exceptions import (
     InvalidArgumentError,
     NotPositiveDefiniteError,
     RankDeficientError,
+    ZeroSignalError,
 )
 from .types import Panel, RngHandle, TransitionMatrix, unconditional_probs, validate_panel
 
@@ -273,7 +274,7 @@ def simulate_panel(cfg: SimConfig, rng: RngHandle) -> SimTruth:
 
     chi_ss = (chi**2).sum(axis=0)
     if (chi_ss == 0.0).any():
-        raise ZeroDivisionError("a series has an identically zero common component")
+        raise ZeroSignalError("a series has an identically zero common component")
     realised = ((e_raw**2).sum(axis=0) / chi_ss).mean()
     e = e_raw * np.sqrt(cfg.noise_to_signal / realised)
 

@@ -11,6 +11,13 @@ Conventions fixed here once for the whole package:
   ravel (p11, p12, p21, p22) of the transition matrix;
 * all containers are immutable after construction and safe to share
   across workers.
+
+Every constructor copies its arrays read-only and validates them: a wrong
+shape raises :class:`DimensionMismatchError`, any other bad value
+:class:`InvalidArgumentError`. Probability arrays share one check: chain
+types lie in [0, 1] with rows summing to 1 within 1e-12; the four
+:class:`ProbabilityPath` arrays lie in [-1e-12, 1 + 1e-9] with rows summing
+to 1 within 1e-10, and its cross marginalises to smoothed within 1e-10.
 """
 
 from __future__ import annotations
@@ -23,6 +30,8 @@ import numpy as np
 
 from .exceptions import (
     DegenerateChainError,
+    DimensionMismatchError,
+    InvalidArgumentError,
     NonFiniteError,
     SingularGramError,
     TooSmallError,
@@ -37,11 +46,29 @@ VARIANCE_FLOOR_RATIO = 1e-10
 _GRAM_COND_LIMIT = 1e12
 
 
-def _frozen_array(x, dtype=float) -> np.ndarray:
+def _frozen_array(x) -> np.ndarray:
     """Copy to a C-contiguous read-only float array."""
-    out = np.array(x, dtype=dtype, order="C")
+    out = np.array(x, dtype=float, order="C")
     out.setflags(write=False)
     return out
+
+
+def row_sum_deviation(rows: np.ndarray) -> float:
+    """max_t |sum_j rows[t, j] - 1| of a probability array."""
+    return float(np.abs(rows.sum(axis=1) - 1.0).max())
+
+
+def _check_probabilities(name, arr, shape, low, high, tol) -> None:
+    """Reject ``arr`` unless it has ``shape``, is finite, lies in [``low``,
+    ``high``] and its rows (or, if 1-D, its entries) sum to 1 within ``tol``."""
+    if arr.shape != shape:
+        raise DimensionMismatchError(f"{name} must have shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise InvalidArgumentError(f"{name} has non-finite entries")
+    if arr.min() < low or arr.max() > high:
+        raise InvalidArgumentError(f"{name} entries leave [0, 1]")
+    if row_sum_deviation(arr.reshape(-1, shape[-1])) > tol:
+        raise InvalidArgumentError(f"{name} rows must sum to 1 within {tol:g}")
 
 
 @dataclass(frozen=True)
@@ -114,15 +141,7 @@ class TransitionMatrix:
 
     def __post_init__(self):
         arr = _frozen_array(self.p)
-        if arr.shape != (2, 2):
-            raise ValueError(f"transition matrix must be 2x2, got {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("transition matrix has non-finite entries")
-        if (arr < 0).any() or (arr > 1).any():
-            raise ValueError(f"transition probabilities outside [0, 1]: {arr}")
-        rows = arr.sum(axis=1)
-        if np.abs(rows - 1.0).max() > 1e-12:
-            raise ValueError(f"transition matrix rows must sum to 1, got sums {rows}")
+        _check_probabilities("transition matrix", arr, (2, 2), 0.0, 1.0, 1e-12)
         object.__setattr__(self, "p", arr)
 
     @property
@@ -149,14 +168,7 @@ class StateProbabilities:
 
     def __post_init__(self):
         arr = _frozen_array(self.values).reshape(-1)
-        if arr.shape != (2,):
-            raise ValueError(f"state probabilities must have length 2, got {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("state probabilities have non-finite entries")
-        if (arr < 0).any() or (arr > 1).any():
-            raise ValueError(f"state probabilities outside [0, 1]: {arr}")
-        if abs(arr.sum() - 1.0) > 1e-12:
-            raise ValueError(f"state probabilities must sum to 1, got {arr.sum()!r}")
+        _check_probabilities("state probabilities", arr, (2,), 0.0, 1.0, 1e-12)
         object.__setattr__(self, "values", arr)
 
 
@@ -206,16 +218,16 @@ class ModelParams:
         s1 = _frozen_array(self.sigma_e1_diag).reshape(-1)
         s2 = _frozen_array(self.sigma_e2_diag).reshape(-1)
         if b1.ndim != 2 or b1.shape != b2.shape:
-            raise ValueError(
+            raise DimensionMismatchError(
                 f"loading matrices must share an N x k shape, got {b1.shape} vs {b2.shape}"
             )
         if not (np.isfinite(b1).all() and np.isfinite(b2).all()):
-            raise ValueError("loading matrices have non-finite entries")
+            raise InvalidArgumentError("loading matrices have non-finite entries")
         n = b1.shape[0]
         if s1.shape != (n,) or s2.shape != (n,):
-            raise ValueError("variance vectors must have length N")
+            raise DimensionMismatchError("variance vectors must have length N")
         if (s1 <= 0).any() or (s2 <= 0).any():
-            raise ValueError("idiosyncratic variances must be strictly positive")
+            raise InvalidArgumentError("idiosyncratic variances must be strictly positive")
         object.__setattr__(self, "b1", b1)
         object.__setattr__(self, "b2", b2)
         object.__setattr__(self, "sigma_e1_diag", s1)
@@ -249,11 +261,11 @@ class FactorSpace:
         g = _frozen_array(self.g_hat)
         v = _frozen_array(self.eigvals).reshape(-1)
         if a.ndim != 2 or g.ndim != 2 or a.shape[1] != g.shape[1]:
-            raise ValueError("loadings and factors must share the factor dimension")
+            raise DimensionMismatchError("loadings and factors must share the factor dimension")
         if v.shape != (a.shape[1],):
-            raise ValueError("eigenvalue vector length must equal the factor count")
+            raise DimensionMismatchError("eigenvalue vector length must equal the factor count")
         if (np.diff(v) > 0).any():
-            raise ValueError("eigenvalues must be in descending order")
+            raise InvalidArgumentError("eigenvalues must be in descending order")
         object.__setattr__(self, "a_hat", a)
         object.__setattr__(self, "g_hat", g)
         object.__setattr__(self, "eigvals", v)
@@ -271,39 +283,10 @@ def check_gram(gram: np.ndarray, regime: int) -> None:
         raise SingularGramError(regime=regime, cond=float(cond))
 
 
-def row_sum_deviation(rows: np.ndarray) -> float:
-    """max_t |sum_j rows[t, j] - 1| of a probability array."""
-    return float(np.abs(rows.sum(axis=1) - 1.0).max())
-
-
 def marginal_deviation(cross: np.ndarray, smoothed: np.ndarray) -> float:
     """Largest gap between the cross probabilities summed over s_{t-1} and
     the smoothed probabilities."""
     return float(np.abs(cross[:, :2] + cross[:, 2:] - smoothed).max())
-
-
-def _check_path(pred, filt, smo, cro) -> None:
-    """The invariants of a :class:`ProbabilityPath`; raises ``ValueError``."""
-    t_len = pred.shape[0]
-    for name, arr, width in (
-        ("predicted", pred, 2),
-        ("filtered", filt, 2),
-        ("smoothed", smo, 2),
-        ("cross", cro, 4),
-    ):
-        if arr.shape != (t_len, width):
-            raise ValueError(f"{name} must be {t_len} x {width}, got {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError(f"{name} has non-finite entries")
-        if arr.min() < -1e-12 or arr.max() > 1.0 + 1e-9:
-            raise ValueError(f"{name} entries leave [0, 1]")
-        if row_sum_deviation(arr) > 1e-10:
-            raise ValueError(f"{name} rows must sum to 1 within 1e-10")
-    # Marginalising the cross over the s_{t-1} index must reproduce the
-    # smoothed probabilities (exact for t >= 2, and by construction of
-    # the t = 1 row here as well).
-    if marginal_deviation(cro, smo) > 1e-10:
-        raise ValueError("cross probabilities do not marginalise to smoothed")
 
 
 @dataclass(frozen=True)
@@ -324,35 +307,15 @@ class ProbabilityPath:
     loglik: float
 
     def __post_init__(self):
-        arrays = [
-            _frozen_array(a) for a in (self.predicted, self.filtered, self.smoothed, self.cross)
-        ]
-        _check_path(*arrays)
-        self._store(*arrays, self.loglik)
-
-    @classmethod
-    def _adopt(
-        cls,
-        predicted: np.ndarray,
-        filtered: np.ndarray,
-        smoothed: np.ndarray,
-        cross: np.ndarray,
-        loglik: float,
-    ) -> "ProbabilityPath":
-        """A path over C-contiguous float arrays that the caller has just
-        built and hands over: they are frozen in place instead of copied."""
-        _check_path(predicted, filtered, smoothed, cross)
-        path = object.__new__(cls)
-        path._store(predicted, filtered, smoothed, cross, loglik)
-        return path
-
-    def _store(self, predicted, filtered, smoothed, cross, loglik) -> None:
-        for name, arr in zip(
-            ("predicted", "filtered", "smoothed", "cross"), (predicted, filtered, smoothed, cross)
-        ):
-            arr.setflags(write=False)
+        rows = np.shape(self.predicted)[:1]  # () for a 0-d input: a shape error
+        for name, width in (("predicted", 2), ("filtered", 2), ("smoothed", 2), ("cross", 4)):
+            arr = _frozen_array(getattr(self, name))
+            _check_probabilities(name, arr, (*rows, width), -1e-12, 1.0 + 1e-9, 1e-10)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "loglik", float(loglik))
+        # summing the cross over s_{t-1} gives the smoothed row, t = 1 included
+        if marginal_deviation(self.cross, self.smoothed) > 1e-10:
+            raise InvalidArgumentError("cross probabilities do not marginalise to smoothed")
+        object.__setattr__(self, "loglik", float(self.loglik))
 
     @property
     def t_len(self) -> int:
@@ -372,10 +335,9 @@ class RngHandle:
     stream: int = 0
 
     def __post_init__(self):
-        if not (0 <= int(self.seed) < 2**64):
-            raise ValueError("seed must fit an unsigned 64-bit integer")
-        if not (0 <= int(self.stream) < 2**64):
-            raise ValueError("stream must fit an unsigned 64-bit integer")
+        for name in ("seed", "stream"):
+            if not (0 <= int(getattr(self, name)) < 2**64):
+                raise InvalidArgumentError(f"{name} must fit an unsigned 64-bit integer")
 
     def generator(self) -> np.random.Generator:
         """A fresh generator positioned at the start of this stream."""

@@ -355,6 +355,38 @@ class TestCliRejectsSettings:
         assert code == 2
         assert err == "msfactor simulate: error: need n >= r, got n=2, r=3\n"
 
+    @pytest.mark.parametrize("mode", ["simulate", "montecarlo", "verify"])
+    def test_negative_seed(self, tmp_path, capsys, mode):
+        out = ["--out", str(tmp_path / "o")]
+        extra = {"simulate": out, "montecarlo": ["--reps", "1", *out], "verify": []}[mode]
+        code, err = self._run(capsys, [mode, "--seed", "-1", *extra])
+        assert code == 2
+        assert err == f"msfactor {mode}: error: seed must fit an unsigned 64-bit integer\n"
+        assert not (tmp_path / "o" / "report.json").exists()
+
+    def test_simulate_without_out(self, capsys):
+        code, err = self._run(capsys, ["simulate", "--n", "10", "--t", "40"])
+        assert code == 2
+        assert err == (
+            "msfactor simulate: error: an output directory is required "
+            "(--out or out= in the config)\n"
+        )
+
+    @pytest.mark.parametrize("name", ["missing.csv", "."], ids=["missing", "directory"])
+    def test_unreadable_input(self, tmp_path, capsys, name):
+        path = str(tmp_path / name)
+        code, err = self._run(capsys, ["estimate", "--input", path, "--out", str(tmp_path / "e")])
+        assert code == 2
+        assert err.startswith("msfactor estimate: error: ") and err.count("\n") == 1
+        assert path in err
+
+    def test_missing_config(self, tmp_path, capsys):
+        cfg = str(tmp_path / "missing.cfg")
+        code, err = self._run(capsys, ["simulate", "--config", cfg, "--out", str(tmp_path)])
+        assert code == 2
+        assert err.startswith("msfactor simulate: error: ") and err.count("\n") == 1
+        assert cfg in err
+
 
 class TestCliVerify:
     def test_verify_passes(self, capsys):
@@ -362,6 +394,14 @@ class TestCliVerify:
         assert code == 0
         captured = capsys.readouterr()
         assert "PASS" in captured.out
+
+    @pytest.mark.parametrize("instances", ["0", "-1"])
+    def test_no_instances_rejected(self, capsys, instances):
+        code = main(["verify", "--instances", instances])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"msfactor verify: error: instances must be >= 1, got {instances}\n"
+        assert "PASS" not in captured.out
 
 
 def _modules_after_cli_import() -> list[str]:

@@ -5,11 +5,15 @@ from hypothesis import strategies as st
 
 from msfactor.exceptions import (
     DegenerateChainError,
+    DimensionMismatchError,
+    MsfactorError,
     NonFiniteError,
     TooSmallError,
 )
 from msfactor.types import (
     VARIANCE_FLOOR_RATIO,
+    FactorSpace,
+    ModelParams,
     Panel,
     ProbabilityPath,
     RngHandle,
@@ -154,3 +158,61 @@ class TestRngHandle:
         a = RngHandle(seed=11, stream=0).generator().standard_normal(16)
         b = RngHandle(seed=11, stream=1).generator().standard_normal(16)
         assert not np.array_equal(a, b)
+
+
+def _path(**bad):
+    half = np.full((3, 2), 0.5)
+    arrays = {"predicted": half, "filtered": half, "smoothed": half}
+    return ProbabilityPath(**{**arrays, "cross": np.full((3, 4), 0.25), **bad}, loglik=0.0)
+
+
+def _params(**bad):
+    fields = {
+        "b1": np.ones((3, 2)),
+        "b2": np.ones((3, 2)),
+        "sigma_e1_diag": np.ones(3),
+        "sigma_e2_diag": np.ones(3),
+        "trans": TransitionMatrix(np.full((2, 2), 0.5)),
+    }
+    return ModelParams(**{**fields, **bad})
+
+
+def _space(**bad):
+    fields = {"a_hat": np.ones((4, 2)), "g_hat": np.ones((5, 2)), "eigvals": np.array([2.0, 1.0])}
+    return FactorSpace(**{**fields, **bad})
+
+
+#: constructor call that must be rejected -> whether it is a shape error
+_REJECTED = {
+    "trans-shape": (lambda: TransitionMatrix(np.full((2, 3), 1 / 3)), True),
+    "trans-nonfinite": (lambda: TransitionMatrix(np.array([[np.nan, 0.5], [0.5, 0.5]])), False),
+    "trans-range": (lambda: TransitionMatrix(np.array([[1.2, -0.2], [0.3, 0.7]])), False),
+    "trans-row-sum": (lambda: TransitionMatrix(np.array([[0.9, 0.2], [0.3, 0.7]])), False),
+    "state-shape": (lambda: StateProbabilities(np.full(3, 1 / 3)), True),
+    "state-nonfinite": (lambda: StateProbabilities(np.array([np.inf, 0.0])), False),
+    "state-range": (lambda: StateProbabilities(np.array([1.5, -0.5])), False),
+    "state-sum": (lambda: StateProbabilities(np.array([0.6, 0.5])), False),
+    "path-length": (lambda: _path(filtered=np.full((4, 2), 0.5)), True),
+    "path-width": (lambda: _path(cross=np.full((3, 2), 0.5)), True),
+    "path-scalar": (lambda: _path(predicted=np.float64(0.5)), True),
+    "path-nonfinite": (lambda: _path(smoothed=np.full((3, 2), np.nan)), False),
+    "path-range": (lambda: _path(predicted=np.tile([1.5, -0.5], (3, 1))), False),
+    "path-row-sum": (lambda: _path(cross=np.full((3, 4), 0.3)), False),
+    "path-marginal": (lambda: _path(cross=np.tile([0.5, 0.3, 0.1, 0.1], (3, 1))), False),
+    "params-loadings-shape": (lambda: _params(b2=np.ones((3, 1))), True),
+    "params-variance-shape": (lambda: _params(sigma_e1_diag=np.ones(4)), True),
+    "params-nonfinite": (lambda: _params(b1=np.full((3, 2), np.nan)), False),
+    "params-variance-zero": (lambda: _params(sigma_e2_diag=np.zeros(3)), False),
+    "space-factor-dim": (lambda: _space(g_hat=np.ones((5, 3))), True),
+    "space-eigvals-length": (lambda: _space(eigvals=np.ones(3)), True),
+    "space-eigvals-order": (lambda: _space(eigvals=np.array([1.0, 2.0])), False),
+    "rng-negative-stream": (lambda: RngHandle(seed=0, stream=-1), False),
+}
+
+
+@pytest.mark.parametrize("case", list(_REJECTED))
+def test_rejections_are_msfactor_errors(case):
+    build, shape_error = _REJECTED[case]
+    with pytest.raises(MsfactorError) as err:
+        build()
+    assert isinstance(err.value, DimensionMismatchError) == shape_error
