@@ -8,6 +8,12 @@ OpenBLAS on one thread. The cap is process-global: while it is active, BLAS
 calls from other threads of the same process also run on one thread.
 Without a loaded OpenBLAS (an MKL build, or no ``/proc/self/maps``) it does
 nothing.
+
+After a fork, make no set call in the child. OpenBLAS's fork handler tears
+down its thread pool, and any ``openblas_set_num_threads`` call in the child,
+even to one thread, builds it again; the new helper thread then spins for
+~0.1 s beside the child's own work. A child forked while the parent holds
+the cap inherits one thread, so its own :func:`one_blas_thread` is a no-op.
 """
 
 from __future__ import annotations
@@ -64,13 +70,15 @@ def openblas_controls() -> tuple[tuple[Callable[[], int], Callable[[int], None]]
 @contextmanager
 def one_blas_thread() -> Iterator[None]:
     """Run the body with every loaded OpenBLAS on one thread, then restore
-    each library's previous thread count, also when the body raises."""
-    controls = openblas_controls()
-    previous = [get() for get, _ in controls]
-    for _, set_ in controls:
+    each library's previous thread count, also when the body raises.
+
+    A library already on one thread gets no set call, on entry or on exit:
+    in a forked child that call would rebuild its thread pool."""
+    changed = [(set_, count) for get, set_ in openblas_controls() if (count := get()) != 1]
+    for set_, _ in changed:
         set_(1)
     try:
         yield
     finally:
-        for (_, set_), count in zip(controls, previous):
+        for set_, count in changed:
             set_(count)

@@ -7,8 +7,10 @@ pool workers (see :mod:`msfactor.blas`). OpenBLAS results depend on its
 thread count, so this is what makes serial and parallel reports
 byte-identical for any ``jobs``; it also keeps ``jobs`` worker processes
 from each starting their own BLAS threads and oversubscribing the cores.
-The cap is process-global: while a serial run is active, BLAS calls from
-other threads of the same process also run on one thread.
+:func:`run_montecarlo` holds the cap for the whole run, so forked workers
+inherit one thread and make no OpenBLAS call of their own that would start
+a helper thread. The cap is process-global: while a run is active, BLAS
+calls from other threads of the same process also run on one thread.
 """
 
 from __future__ import annotations
@@ -164,7 +166,9 @@ def _worker(args: tuple[SimConfig, EmConfig, int, int]):
 
     Serial runs call this in-process and parallel runs in pool workers; in
     both it runs the replication under :func:`one_blas_thread`, so both paths
-    do the same arithmetic.
+    do the same arithmetic. Under :func:`run_montecarlo`'s cap, in-process
+    and in forked workers, this cap is a no-op; spawned workers start fresh
+    and need it.
     """
     sim_cfg, em_cfg, seed, replication = args
     try:
@@ -188,7 +192,9 @@ def run_montecarlo(
     processes; the report is byte-identical to a serial run because every
     replication runs BLAS on one thread and aggregation happens in
     replication order. The pool module is imported only when a pool opens,
-    so serial runs and the other CLI commands do not pay for it.
+    so serial runs and the other CLI commands do not pay for it. Before the
+    pool forks, ``numpy.random`` (which numpy 2 loads lazily) is loaded once
+    here rather than in every worker.
     """
     if replications < 1:
         raise InvalidArgumentError(f"replications must be >= 1, got {replications}")
@@ -197,13 +203,16 @@ def run_montecarlo(
     RngHandle(seed=seed)  # a bad seed fails the run, not each replication
     tasks = [(sim_cfg, em_cfg, seed, rep) for rep in range(replications)]
     workers = min(jobs, replications)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    with one_blas_thread():
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_worker, tasks))
-    else:
-        outcomes = [_worker(task) for task in tasks]
+            import numpy.random  # noqa: F401
+
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                outcomes = list(pool.map(_worker, tasks))
+        else:
+            outcomes = [_worker(task) for task in tasks]
 
     results = tuple(o for o in outcomes if isinstance(o, ReplicationResult))
     errors = tuple(o for o in outcomes if not isinstance(o, ReplicationResult))

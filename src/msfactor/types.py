@@ -59,10 +59,13 @@ def row_sum_deviation(rows: np.ndarray) -> float:
 
 
 def _check_probabilities(name, arr, shape, low, high, tol) -> None:
-    """Reject ``arr`` unless it has ``shape``, is finite, lies in [``low``,
-    ``high``] and its rows (or, if 1-D, its entries) sum to 1 within ``tol``."""
+    """Reject ``arr`` unless it has ``shape`` with at least one row, is
+    finite, lies in [``low``, ``high``] and its rows (or, if 1-D, its
+    entries) sum to 1 within ``tol``."""
     if arr.shape != shape:
         raise DimensionMismatchError(f"{name} must have shape {shape}, got {arr.shape}")
+    if arr.size == 0:
+        raise DimensionMismatchError(f"{name} must have at least one row, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise InvalidArgumentError(f"{name} has non-finite entries")
     if arr.min() < low or arr.max() > high:

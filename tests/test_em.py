@@ -317,7 +317,7 @@ class TestRelabelStates:
             assert not arr.flags.writeable
             assert arr.flags.c_contiguous
             assert np.array_equal(arr, getattr(path, name)[:, ::-1])
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="read-only"):
                 arr[0, 0] = 0.5
         assert swapped.loglik == path.loglik
 

@@ -11,7 +11,12 @@ import pytest
 import msfactor
 from msfactor.cli import main
 from msfactor.em import EmConfig, run_em
-from msfactor.exceptions import CsvParseError, NonFiniteError, TooSmallError
+from msfactor.exceptions import (
+    CsvParseError,
+    InvalidArgumentError,
+    NonFiniteError,
+    TooSmallError,
+)
 from msfactor.io import (
     load_panel_csv,
     parse_config_file,
@@ -125,7 +130,7 @@ class TestConfigFile:
     def test_bad_line(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("this is not a setting\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgumentError):
             parse_config_file(path)
 
 
@@ -421,7 +426,9 @@ def test_cli_import_leaves_scipy_out():
 
 
 def test_cli_import_leaves_process_pool_out():
-    # only a Monte Carlo run with jobs > 1 needs the pool
+    # only a Monte Carlo run with jobs > 1 needs the pool, and it alone
+    # preloads numpy.random for its workers
     modules = _modules_after_cli_import()
     assert "concurrent.futures.process" not in modules
     assert "multiprocessing" not in modules
+    assert "numpy.random" not in modules

@@ -1,5 +1,8 @@
 import concurrent.futures
 import json
+import multiprocessing
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ import pytest
 from msfactor import montecarlo
 from msfactor.em import EmConfig
 from msfactor.blas import one_blas_thread, openblas_controls
+from msfactor.exceptions import InvalidArgumentError
 from msfactor.montecarlo import run_montecarlo
 from msfactor.simulate import SimConfig
 
@@ -18,31 +22,86 @@ def _numpy_uses_openblas() -> bool:
     return "openblas" in str(blas.get("name", "")).lower()
 
 
+needs_forked_openblas = pytest.mark.skipif(
+    not (
+        sys.platform.startswith("linux")
+        and _numpy_uses_openblas()
+        and multiprocessing.get_start_method() == "fork"
+    ),
+    reason="needs Linux, numpy on OpenBLAS and pool workers started by fork",
+)
+
+
+def _blas_counts() -> list[int]:
+    return [get() for get, _ in openblas_controls()]
+
+
+@pytest.fixture
+def caller_on_two_threads():
+    """Every loaded OpenBLAS on two threads, as numpy starts on a 2-core
+    host; the counts the test found come back afterwards."""
+    original = _blas_counts()
+    for _, set_ in openblas_controls():
+        set_(2)
+    yield
+    for (_, set_), count in zip(openblas_controls(), original):
+        set_(count)
+
+
+def _in_process_pool(opened: list):
+    """A ``ProcessPoolExecutor`` stand-in that runs the tasks in-process and
+    appends ``(max_workers, OpenBLAS thread counts)`` to ``opened`` as each
+    pool opens, which is when a real pool forks its workers."""
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            opened.append((max_workers, _blas_counts()))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    return InProcessPool
+
+
+def _report_worker_threads(sim_cfg, em_cfg, seed, replication):
+    """Stands in for ``run_replication`` inside a pool worker: fails with the
+    worker's thread count and every OpenBLAS thread count it runs on."""
+    tasks = len(os.listdir("/proc/self/task"))
+    raise InvalidArgumentError(f"tasks={tasks} blas={_blas_counts()}")
+
+
 class TestOneBlasThread:
     def test_finds_numpy_openblas(self):
         if not _numpy_uses_openblas():
             pytest.skip("numpy is not built against OpenBLAS")
         assert openblas_controls()
 
-    def test_caps_inside_and_restores_after(self):
-        controls = openblas_controls()
+    def test_caps_inside_and_restores_after(self, caller_on_two_threads):
+        ones, twos = ([n] * len(openblas_controls()) for n in (1, 2))
+        with one_blas_thread():
+            assert _blas_counts() == ones
+        assert _blas_counts() == twos
+        with pytest.raises(RuntimeError), one_blas_thread():
+            raise RuntimeError("body failed")
+        assert _blas_counts() == twos
 
-        def counts():
-            return [get() for get, _ in controls]
+    def test_sets_only_libraries_not_on_one_thread(self, monkeypatch):
+        calls = []
 
-        original = counts()
-        try:
-            for _, set_ in controls:
-                set_(2)
-            with one_blas_thread():
-                assert counts() == [1] * len(controls)
-            assert counts() == [2] * len(controls)
-            with pytest.raises(RuntimeError), one_blas_thread():
-                raise RuntimeError("body failed")
-            assert counts() == [2] * len(controls)
-        finally:
-            for (_, set_), count in zip(controls, original):
-                set_(count)
+        def fake(name, count):
+            return (lambda: count, lambda n: calls.append((name, n)))
+
+        fakes = (fake("one", 1), fake("two", 2))
+        monkeypatch.setattr("msfactor.blas.openblas_controls", lambda: fakes)
+        with one_blas_thread():
+            assert calls == [("two", 1)]
+        assert calls == [("two", 1), ("two", 2)]
 
 
 class TestRunMontecarlo:
@@ -59,7 +118,7 @@ class TestRunMontecarlo:
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_rejects_jobs_below_one(self, jobs):
-        with pytest.raises(ValueError, match="jobs"):
+        with pytest.raises(InvalidArgumentError, match="jobs"):
             run_montecarlo(SMALL, EmConfig(), seed=0, replications=2, jobs=jobs)
 
     @pytest.mark.parametrize(
@@ -67,22 +126,32 @@ class TestRunMontecarlo:
     )
     def test_pool_never_exceeds_replications(self, monkeypatch, jobs, replications, pools):
         opened = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                opened.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
         # run_montecarlo imports the pool class only when it opens a pool
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _in_process_pool(opened))
         report = run_montecarlo(SMALL, EmConfig(), seed=3, replications=replications, jobs=jobs)
-        assert opened == pools
+        assert [workers for workers, _ in opened] == pools
         assert report.replications == replications
+
+
+@needs_forked_openblas
+class TestForkedWorkers:
+    def test_pool_forks_on_one_thread_and_restores_the_caller(
+        self, monkeypatch, caller_on_two_threads
+    ):
+        opened = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _in_process_pool(opened))
+        run_montecarlo(SMALL, EmConfig(), seed=3, replications=2, jobs=2)
+        ones, twos = ([n] * len(openblas_controls()) for n in (1, 2))
+        assert opened == [(2, ones)]
+        assert _blas_counts() == twos
+
+    def test_worker_runs_replications_without_a_helper_thread(
+        self, monkeypatch, caller_on_two_threads
+    ):
+        # fork carries the stand-in into the workers; its errors come back
+        # in the report
+        monkeypatch.setattr(montecarlo, "run_replication", _report_worker_threads)
+        report = run_montecarlo(SMALL, EmConfig(), seed=3, replications=2, jobs=2)
+        inside = f"InvalidArgumentError: tasks=1 blas={[1] * len(openblas_controls())}"
+        assert report.errors == ((0, inside), (1, inside))
+        assert _blas_counts() == [2] * len(openblas_controls())

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from msfactor.exceptions import (
     DegenerateChainError,
     DimensionMismatchError,
+    InvalidArgumentError,
     MsfactorError,
     NonFiniteError,
     TooSmallError,
@@ -52,17 +53,17 @@ class TestValidatePanel:
 
     def test_data_is_read_only(self):
         panel = validate_panel(np.zeros((2, 2)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="read-only"):
             panel.data[0, 0] = 1.0
 
 
 class TestTransitionMatrix:
     def test_rows_must_sum_to_one(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgumentError):
             TransitionMatrix(np.array([[0.9, 0.2], [0.3, 0.7]]))
 
     def test_entries_must_be_probabilities(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgumentError):
             TransitionMatrix(np.array([[1.2, -0.2], [0.3, 0.7]]))
 
     def test_relabeled_swaps_states(self):
@@ -98,11 +99,11 @@ class TestUnconditionalProbs:
 
 class TestStateProbabilities:
     def test_sum_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgumentError):
             StateProbabilities(np.array([0.6, 0.5]))
 
     def test_range_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgumentError):
             StateProbabilities(np.array([1.5, -0.5]))
 
 
@@ -122,13 +123,13 @@ class TestProbabilityPath:
     def test_row_sum_violation(self):
         half = np.full((3, 2), 0.5)
         bad = np.full((3, 4), 0.3)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgumentError):
             ProbabilityPath(predicted=half, filtered=half, smoothed=half, cross=bad, loglik=0.0)
 
     def test_marginalisation_violation(self):
         half = np.full((3, 2), 0.5)
         cross = np.tile([0.5, 0.3, 0.1, 0.1], (3, 1))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidArgumentError):
             ProbabilityPath(predicted=half, filtered=half, smoothed=half, cross=cross, loglik=0.0)
 
 
@@ -195,6 +196,13 @@ _REJECTED = {
     "path-length": (lambda: _path(filtered=np.full((4, 2), 0.5)), True),
     "path-width": (lambda: _path(cross=np.full((3, 2), 0.5)), True),
     "path-scalar": (lambda: _path(predicted=np.float64(0.5)), True),
+    "path-empty": (
+        lambda: ProbabilityPath(
+            predicted=np.empty((0, 2)), filtered=np.empty((0, 2)),
+            smoothed=np.empty((0, 2)), cross=np.empty((0, 4)), loglik=0.0,
+        ),
+        True,
+    ),
     "path-nonfinite": (lambda: _path(smoothed=np.full((3, 2), np.nan)), False),
     "path-range": (lambda: _path(predicted=np.tile([1.5, -0.5], (3, 1))), False),
     "path-row-sum": (lambda: _path(cross=np.full((3, 4), 0.3)), False),
