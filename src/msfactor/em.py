@@ -3,7 +3,10 @@
 The E step is the filter/smoother pass of :mod:`msfactor.filtering`; the
 M step has closed forms: weighted least squares for the loadings, weighted
 mean squared residuals for the variances, and normalised smoothed
-transition counts for the chain. States are relabeled every iteration so
+transition counts for the chain. The factors stay fixed, so the densities
+and the variances come from moments of the least-squares fit of the panel
+on them (:func:`~msfactor.filtering.anchor_fit`, computed once per panel
+and factor matrix), and no iteration builds a T x N residual. States are relabeled every iteration so
 that state 1 is the one with the highest unconditional probability.
 """
 
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import EmptyRegimeError, InvalidArgumentError
-from .filtering import filter_smoother_pass, regime_log_densities
+from .filtering import anchor_fit, filter_smoother_pass, regime_log_densities
 from .pca import FactorSpace
 from .types import (
     STATE_1,
@@ -113,20 +116,27 @@ def m_step_loadings(
 
         b_j = (sum_t w_jt x_t g_t') (sum_t w_jt g_t g_t')^-1,
 
-    with w_jt the smoothed probability of regime j at t. Raises
+    with w_jt the smoothed probability of regime j at t. The cross moment
+    is x' (w_j g), both regimes from one product. Raises
     :class:`SingularGramError` when a weighted Gram matrix is (near)
     singular, which signals that the regime received no weight.
     """
-    x = panel.data
     g = np.asarray(g_hat, dtype=float)
+    k = g.shape[1]
+    wg = _weighted_factors(g, smoothed)
+    cross_moment = panel.data.T @ wg
     out = []
     for j in range(2):
-        w = smoothed[:, j]
-        gram = (g * w[:, None]).T @ g
+        cols = slice(j * k, (j + 1) * k)
+        gram = wg[:, cols].T @ g
         check_gram(gram, regime=j + 1)
-        cross_moment = (x * w[:, None]).T @ g
-        out.append(np.linalg.solve(gram.T, cross_moment.T).T)
+        out.append(np.linalg.solve(gram.T, cross_moment[:, cols].T).T)
     return out[0], out[1]
+
+
+def _weighted_factors(g: np.ndarray, smoothed: np.ndarray) -> np.ndarray:
+    """[w_1 g, w_2 g]: the factors times each regime's smoothed weights, T x 2k."""
+    return np.hstack([g * smoothed[:, :1], g * smoothed[:, 1:2]])
 
 
 def m_step_variances(
@@ -140,26 +150,43 @@ def m_step_variances(
 
         sigma2_ji = sum_t w_jt (x_it - b_ji' g_t)^2 / sum_t w_jt.
 
-    Off-diagonal covariances are identically zero under the exact-factor
-    quasi-likelihood, so only the diagonal is returned.
+    The numerator is expanded around the least-squares fit of
+    :func:`~msfactor.filtering.anchor_fit` (residual z, loadings a0) with
+    d_j = b_j - a0 and G_j = sum_t w_jt g_t g_t':
+
+        sum_t w_jt (z_it - d_ji' g_t)^2
+        = (w_j' (z*z))_i - 2 d_ji' (z' (w_j g))_i + d_ji' G_j d_ji,
+
+    so no T x N residual is built per call; anchoring at z keeps every
+    term on the scale of the residuals. Off-diagonal covariances are
+    identically zero under the exact-factor quasi-likelihood, so only the
+    diagonal is returned.
     """
-    x = panel.data
     g = np.asarray(g_hat, dtype=float)
-    t_len = x.shape[0]
+    t_len, k = g.shape[0], g.shape[1]
     floor = panel.variance_floor()
-    out = []
-    for j, b in enumerate([b1, b2]):
-        w = smoothed[:, j]
-        total = w.sum()
+    totals = (smoothed[:, 0].sum(), smoothed[:, 1].sum())
+    for j, total in enumerate(totals):
         if total < 1e-8 * t_len:
             raise EmptyRegimeError(
                 f"regime {j + 1} has total smoothed weight {total:.3e}"
             )
-        # (x - g b')^2 in one T x N buffer
-        r = g @ b.T
-        np.subtract(x, r, out=r)
-        np.square(r, out=r)
-        out.append(np.maximum(w @ r / total, floor))
+    a0, z, zz = anchor_fit(panel, g)
+    wg = _weighted_factors(g, smoothed)
+    # both regimes in one pass over z*z and one over z
+    wzz = zz.T @ smoothed
+    zwg = z.T @ wg
+    out = []
+    for j, b in enumerate([b1, b2]):
+        d = b - a0
+        cols = slice(j * k, (j + 1) * k)
+        gram = wg[:, cols].T @ g
+        ssr = (
+            wzz[:, j]
+            - 2.0 * np.einsum("ik,ik->i", d, zwg[:, cols])
+            + np.einsum("ik,ik->i", d @ gram, d)
+        )
+        out.append(np.maximum(ssr / totals[j], floor))
     return out[0], out[1]
 
 

@@ -8,6 +8,10 @@ relative density at exactly 1, and runs the scaled forward recursion
 (Rabiner 1989) on those O(1) values; the shifts return in the log
 likelihood. Every probability the smoother then sees is O(1) too.
 
+:func:`regime_log_densities` reads the panel only through the
+least-squares fit of :func:`anchor_fit`, computed once per panel and
+factor matrix, and builds no T x N residual per call.
+
 One E step is one call of :func:`filter_smoother_pass`: the filter
 appends Python floats to flat lists, the smoother reads those lists
 directly, each T x 2 array is built once from its list, and the cross
@@ -39,6 +43,32 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 _PRED_GUARD = 1e-300
 
 
+def anchor_fit(panel: Panel, g_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least-squares fit of the panel on fixed factors, the anchor of the
+    expanded EM kernels.
+
+    Returns the N x k loadings a0 of the regression of x on g, the T x N
+    residual z = x - g a0' and its elementwise square z*z. The
+    pseudo-inverse of g gives the minimum-norm a0, so a rank-deficient g
+    (an all-zero column, say) is fine; for PCA factors a0 equals a_hat.
+    Computed once per (panel, g) and remembered on the panel under g's
+    shape and bytes, read-only, so each distinct g adds 2 T N floats to
+    the panel.
+    """
+    g = np.asarray(g_hat, dtype=float)
+
+    def fit():
+        x = panel.data
+        a0 = x.T @ np.linalg.pinv(g).T
+        z = x - g @ a0.T
+        zz = z * z
+        for arr in (a0, z, zz):
+            arr.setflags(write=False)
+        return a0, z, zz
+
+    return panel.memo(("anchor_fit", g.shape, g.tobytes()), fit)
+
+
 def regime_log_densities(
     panel: Panel, g_hat: np.ndarray, params: ModelParams
 ) -> np.ndarray:
@@ -51,6 +81,17 @@ def regime_log_densities(
 
     The (2 pi)^(-N/2) constant cancels in the filter but keeps log
     likelihoods comparable across panel widths.
+
+    The quadratic form is expanded around the least-squares fit of
+    :func:`anchor_fit` (residual z, loadings a0) with d_j = b_j - a0:
+
+        sum_i (z_it - d_ji' g_t)^2 / s2_ji
+        = (z*z)(1/s2_j) - 2 g_t' z_t' (d_j / s2_j) + g_t' d_j' diag(1/s2_j) d_j g_t,
+
+    so no T x N residual is built per call. Anchoring at z rather than at x
+    keeps every term on the scale of the residuals: expanded around x, the
+    terms grow with the column means and the signal and cancel
+    catastrophically.
     """
     x = panel.data
     g = np.asarray(g_hat, dtype=float)
@@ -64,17 +105,24 @@ def regime_log_densities(
             f"params are for N={params.n_series}, k={params.n_factors}; "
             f"got panel N={n}, factors k={g.shape[1]}"
         )
+    a0, z, zz = anchor_fit(panel, g)
+    s2 = (params.sigma_e1_diag, params.sigma_e2_diag)
+    inv_s2 = np.column_stack([1.0 / s2[0], 1.0 / s2[1]])
+    d = (params.b1 - a0, params.b2 - a0)
+    scaled = (d[0] * inv_s2[:, :1], d[1] * inv_s2[:, 1:])
+    # both regimes in one pass over z*z and one over z
+    squares = zz @ inv_s2
+    products = z @ np.hstack(scaled)
+    k = g.shape[1]
     out = np.empty((t_len, 2))
     const = -0.5 * n * _LOG_2PI
-    for j, (b, s2) in enumerate(
-        [(params.b1, params.sigma_e1_diag), (params.b2, params.sigma_e2_diag)]
-    ):
-        # (x - g b')^2 / s2 in one T x N buffer
-        r = g @ b.T
-        np.subtract(x, r, out=r)
-        np.square(r, out=r)
-        r /= s2
-        out[:, j] = const - 0.5 * np.log(s2).sum() - 0.5 * r.sum(axis=1)
+    for j in range(2):
+        q = (
+            squares[:, j]
+            - 2.0 * np.einsum("tk,tk->t", g, products[:, j * k : (j + 1) * k])
+            + np.einsum("tk,tk->t", g @ (d[j].T @ scaled[j]), g)
+        )
+        out[:, j] = const - 0.5 * np.log(s2[j]).sum() - 0.5 * q
     if not np.isfinite(out).all():
         t, j = np.argwhere(~np.isfinite(out))[0]
         raise NonFiniteError(int(t), int(j), "non-finite regime log density")

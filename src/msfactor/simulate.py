@@ -11,6 +11,7 @@ values it passes them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,12 +107,15 @@ def simulate_chain(
     trans = TransitionMatrix(np.array([[p11, 1.0 - p11], [1.0 - p22, p22]]))
     stat1 = unconditional_probs(trans).values[0]
     p21 = 1.0 - p22
-    u = rng.uniform(0.0, 1.0, size=t)
-    states = np.empty(t, dtype=np.int64)
-    states[0] = 1 if u[0] <= stat1 else 2
-    for s in range(1, t):
-        stay_threshold = p11 if states[s - 1] == 1 else p21
-        states[s] = 1 if u[s] <= stay_threshold else 2
+    u = rng.uniform(0.0, 1.0, size=t).tolist()
+    # Python scalars in the loop: a numpy element access per period costs
+    # more than the comparison it feeds
+    state = 1 if u[0] <= stat1 else 2
+    path = [state]
+    for draw in u[1:]:
+        state = 1 if draw <= (p11 if state == 1 else p21) else 2
+        path.append(state)
+    states = np.array(path, dtype=np.int64)
     xi = np.zeros((t, 2))
     xi[np.arange(t), states - 1] = 1.0
     return states, xi
@@ -129,10 +133,18 @@ def simulate_factors(
     if t < r:
         raise RankDeficientError(f"cannot whiten {r} factors from T={t} observations")
     z = rng.standard_normal((t, r))
-    f = np.empty((t, r))
-    f[0] = z[0] / np.sqrt(1.0 - rho_f**2)
-    for s in range(1, t):
-        f[s] = rho_f * f[s - 1] + z[s]
+    # one column at a time on Python floats: the same IEEE operations as a
+    # row loop over numpy vectors, at a fraction of the per-period overhead
+    stationary = math.sqrt(1.0 - rho_f**2)
+    columns = []
+    for innovations in z.T.tolist():
+        prev = innovations[0] / stationary
+        column = [prev]
+        for shock in innovations[1:]:
+            prev = rho_f * prev + shock
+            column.append(prev)
+        columns.append(column)
+    f = np.column_stack(columns)
     second_moment = f.T @ f / t
     w, v = np.linalg.eigh(second_moment)
     if w.min() <= 0.0:
@@ -236,12 +248,15 @@ def simulate_idiosyncratic(
     states = np.asarray(states)
     t_len = states.shape[0]
     n = sigma_e1.shape[0]
-    rho = rng.uniform(0.0, rho_idio_max, size=n)
+    rho = rng.uniform(0.0, rho_idio_max, size=n)  # drawn either way: keeps the stream
     w = rng.standard_normal((t_len, n))
-    nu = np.empty((t_len, n))
-    nu[0] = w[0] / np.sqrt(1.0 - rho**2)
-    for s in range(1, t_len):
-        nu[s] = rho * nu[s - 1] + w[s]
+    if rho_idio_max == 0.0:
+        nu = w  # rho = 0: the recursion returns w unchanged
+    else:
+        nu = np.empty((t_len, n))
+        nu[0] = w[0] / np.sqrt(1.0 - rho**2)
+        for s in range(1, t_len):
+            nu[s] = rho * nu[s - 1] + w[s]
     sd = nu.std(axis=0)
     sd[sd == 0.0] = 1.0
     nu /= sd

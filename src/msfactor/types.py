@@ -22,7 +22,7 @@ to 1 within 1e-10, and its cross marginalises to smoothed within 1e-10.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Hashable
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -54,8 +54,18 @@ def _frozen_array(x) -> np.ndarray:
 
 
 def row_sum_deviation(rows: np.ndarray) -> float:
-    """max_t |sum_j rows[t, j] - 1| of a probability array."""
-    return float(np.abs(rows.sum(axis=1) - 1.0).max())
+    """max_t |sum_j rows[t, j] - 1| of a probability array with at least
+    two columns.
+
+    The columns are added left to right, the order ``rows.sum(axis=1)``
+    uses on rows this narrow, so the result is the same to the bit at a
+    fraction of the reduction's overhead.
+    """
+    total = rows[:, 0] + rows[:, 1]
+    for j in range(2, rows.shape[1]):
+        total += rows[:, j]
+    total -= 1.0
+    return float(np.abs(total, out=total).max())
 
 
 def _check_probabilities(name, arr, shape, low, high, tol) -> None:
@@ -83,7 +93,7 @@ class Panel:
     """
 
     data: np.ndarray
-    _memo: dict[str, Any] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: dict[Hashable, Any] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def t_len(self) -> int:
@@ -93,11 +103,12 @@ class Panel:
     def n_len(self) -> int:
         return self.data.shape[1]
 
-    def memo(self, key: str, compute: Callable[[], Any]) -> Any:
+    def memo(self, key: Hashable, compute: Callable[[], Any]) -> Any:
         """``compute()`` on the first call for ``key``, the stored value after.
 
-        For values that depend only on the (read-only) data; array values
-        should be read-only too, since every caller gets the same object.
+        For values that depend only on the (read-only) data and on what the
+        key encodes; array values should be read-only too, since every
+        caller gets the same object. Entries live as long as the panel.
         """
         try:
             return self._memo[key]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msfactor.em import (
     EmConfig,
@@ -11,7 +13,7 @@ from msfactor.em import (
     run_em,
 )
 from msfactor.exceptions import EmptyRegimeError, SingularGramError
-from msfactor.filtering import filter_smoother_pass, regime_log_densities
+from msfactor.filtering import anchor_fit, filter_smoother_pass, regime_log_densities
 from msfactor.oracle import enumerate_posterior
 from msfactor.pca import estimate_factor_space
 from msfactor.simulate import SimConfig, simulate_panel
@@ -394,3 +396,129 @@ class TestRunEm:
         trace = np.array(result.loglik_trace)
         assert result.converged is True
         assert (np.diff(trace) >= -1e-9).all()
+
+
+def _direct_log_densities(x, g, params):
+    """regime_log_densities as a T x N residual per regime, and the size of
+    the three terms each entry sums (the entry itself can pass through 0)."""
+    out, scale = [], []
+    for b, s2 in [(params.b1, params.sigma_e1_diag), (params.b2, params.sigma_e2_diag)]:
+        const = 0.5 * x.shape[1] * np.log(2.0 * np.pi)
+        quad = 0.5 * ((x - g @ b.T) ** 2 / s2).sum(axis=1)
+        out.append(-const - 0.5 * np.log(s2).sum() - quad)
+        scale.append(const + 0.5 * np.abs(np.log(s2)).sum() + quad)
+    return np.column_stack(out), np.column_stack(scale)
+
+
+def _direct_variances(x, g, bs, weights, floor):
+    """m_step_variances as a T x N residual per regime."""
+    return [
+        np.maximum(w @ (x - g @ b.T) ** 2 / w.sum(), floor)
+        for b, w in zip(bs, weights.T)
+    ]
+
+
+def _weighted_fit(x, g, w):
+    """Minimum-norm weighted least-squares loadings, N x k."""
+    root = np.sqrt(w)[:, None]
+    return np.linalg.lstsq(g * root, x * root, rcond=None)[0].T
+
+
+def _offset_panel(cfg, seed, offset_sd):
+    """A simulated panel with ``offset_sd`` standard deviations added to
+    every column."""
+    data = simulate_panel(cfg, RngHandle(seed=seed)).panel.data
+    return validate_panel(data + offset_sd * data.std(axis=0))
+
+
+class TestExpandedKernels:
+    """The kernels expand the residual around the least-squares fit of the
+    panel on g; they must agree with the T x N residual they avoid building
+    where that expansion is most exposed: large column means, a nearly
+    noise-free panel, variances at the floor and a factor column of zeros."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        offset_sd=st.sampled_from([0.0, 1.0, 1e2, 1e4]),
+        noise_to_signal=st.sampled_from([0.5, 1e-6, 1e-12]),
+        hard_weights=st.booleans(),
+        at_floor=st.booleans(),
+        zero_column=st.booleans(),
+    )
+    def test_match_direct_residual_formula(
+        self, seed, offset_sd, noise_to_signal, hard_weights, at_floor, zero_column
+    ):
+        cfg = SimConfig(n=12, t=60, r=1, noise_to_signal=noise_to_signal)
+        panel = _offset_panel(cfg, seed, offset_sd)
+        x = panel.data
+        g = estimate_factor_space(panel, k=2).g_hat.copy()
+        if zero_column:
+            g[:, 1] = 0.0
+        rng = np.random.default_rng(seed)
+        w1 = (rng.uniform(size=60) < 0.7).astype(float) if hard_weights else rng.uniform(size=60)
+        w1[:2] = [0.0, 1.0]  # both regimes keep some weight
+        weights = np.column_stack([w1, 1.0 - w1])
+        # per-regime fits: the terms of the expansion cancel the most here
+        bs = [_weighted_fit(x, g, w) for w in weights.T]
+        floor = panel.variance_floor()
+        variances = _direct_variances(x, g, bs, weights, floor)
+        got = m_step_variances(panel, g, bs[0], bs[1], weights)
+        for observed, expected in zip(got, variances):
+            np.testing.assert_allclose(observed, expected, rtol=1e-9, atol=0.0)
+
+        params = ModelParams(
+            b1=bs[0],
+            b2=bs[1],
+            sigma_e1_diag=variances[0],
+            sigma_e2_diag=np.full(12, floor) if at_floor else variances[1],
+            trans=P_EXAMPLE,
+        )
+        expected, scale = _direct_log_densities(x, g, params)
+        gap = np.abs(regime_log_densities(panel, g, params) - expected) / scale
+        assert gap.max() <= 1e-9
+
+    @pytest.mark.parametrize(
+        "cfg, offset_sd",
+        [
+            (SimConfig(n=100, t=500, r=1), 1e4),
+            (SimConfig(n=100, t=500, r=1, noise_to_signal=1e-12), 0.0),
+        ],
+        ids=["column-offsets", "near-noise-free"],
+    )
+    def test_em_ascends(self, cfg, offset_sd):
+        # expanded around x instead of the fit, these runs step down by ~1e-2
+        panel = _offset_panel(cfg, 1, offset_sd)
+        result = run_em(panel, estimate_factor_space(panel, k=2), EmConfig(max_iter=60))
+        steps = np.diff(result.loglik_trace)
+        assert (steps < -1e-6).sum() == 0, steps.min()
+
+
+class TestAnchorFitMemo:
+    def test_one_read_only_entry_per_panel_and_factors(self, monkeypatch):
+        truth = simulate_panel(SimConfig(n=30, t=120, r=1), RngHandle(seed=6))
+        panel = validate_panel(truth.panel.data)
+        fs = estimate_factor_space(panel, k=2)
+        calls = []
+        pinv = np.linalg.pinv
+
+        def counting_pinv(a, *args, **kwargs):
+            calls.append(a.shape)
+            return pinv(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "pinv", counting_pinv)
+        first = run_em(panel, fs, EmConfig())
+        second = run_em(panel, fs, EmConfig())
+        assert calls == [(120, 2)]
+        assert first.loglik_trace == second.loglik_trace
+        entries = [key for key in panel._memo if key[0] == "anchor_fit"]
+        assert len(entries) == 1
+        a0, z, zz = panel._memo[entries[0]]
+        assert not (a0.flags.writeable or z.flags.writeable or zz.flags.writeable)
+        assert anchor_fit(panel, fs.g_hat)[1] is z
+        # PCA factors: the least-squares loadings are the PCA loadings
+        assert np.abs(a0 - fs.a_hat).max() < 1e-10
+        assert np.array_equal(z * z, zz)
+        # another g is another entry
+        anchor_fit(panel, fs.g_hat[:, :1])
+        assert len([key for key in panel._memo if key[0] == "anchor_fit"]) == 2

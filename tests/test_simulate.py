@@ -188,11 +188,27 @@ class TestSimulatePanel:
 
 
 def _reference_panel(cfg: SimConfig, rng: RngHandle):
-    """simulate_panel with dense mixing: np.eye Toeplitz bands, an eigvalsh
-    check, eigh roots built with np.diag and np.where over two full products."""
+    """simulate_panel written out with numpy row loops for the chain, the
+    factor AR(1) and the idiosyncratic AR(1), and dense mixing: np.eye
+    Toeplitz bands, an eigvalsh check, eigh roots built with np.diag and
+    np.where over two full products."""
     gen = rng.generator()
-    states, _ = simulate_chain(cfg.p11, cfg.p22, cfg.t, gen)
-    f = simulate_factors(cfg.t, cfg.r, cfg.rho_f, gen)
+    u = gen.uniform(0.0, 1.0, size=cfg.t)
+    stat1 = (1.0 - cfg.p22) / ((1.0 - cfg.p11) + (1.0 - cfg.p22))
+    states = np.empty(cfg.t, dtype=np.int64)
+    states[0] = 1 if u[0] <= stat1 else 2
+    for s in range(1, cfg.t):
+        stay_threshold = cfg.p11 if states[s - 1] == 1 else 1.0 - cfg.p22
+        states[s] = 1 if u[s] <= stay_threshold else 2
+
+    z = gen.standard_normal((cfg.t, cfg.r))
+    f = np.empty((cfg.t, cfg.r))
+    f[0] = z[0] / np.sqrt(1.0 - cfg.rho_f**2)
+    for s in range(1, cfg.t):
+        f[s] = cfg.rho_f * f[s - 1] + z[s]
+    vals, vecs = np.linalg.eigh(f.T @ f / cfg.t)
+    f = f @ (vecs @ np.diag(1.0 / np.sqrt(vals)) @ vecs.T)
+
     lambda1, lambda2 = simulate_loadings(cfg.n, cfg.r, gen)
     n, tau = cfg.n, cfg.tau
 

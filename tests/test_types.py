@@ -20,6 +20,7 @@ from msfactor.types import (
     RngHandle,
     StateProbabilities,
     TransitionMatrix,
+    row_sum_deviation,
     unconditional_probs,
     validate_panel,
 )
@@ -131,6 +132,52 @@ class TestProbabilityPath:
         cross = np.tile([0.5, 0.3, 0.1, 0.1], (3, 1))
         with pytest.raises(InvalidArgumentError):
             ProbabilityPath(predicted=half, filtered=half, smoothed=half, cross=cross, loglik=0.0)
+
+
+def _reference_row_sum_deviation(rows):
+    return float(np.abs(rows.sum(axis=1) - 1.0).max())
+
+
+class TestRowSumDeviation:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        width=st.sampled_from([2, 4]),
+        rows=st.integers(1, 12),
+        data=st.data(),
+    )
+    def test_bit_equal_to_row_sums(self, width, rows, data):
+        values = data.draw(
+            st.lists(
+                st.floats(-1e-12, 1.0 + 1e-9) | st.floats(-3.0, 3.0),
+                min_size=rows * width,
+                max_size=rows * width,
+            )
+        )
+        arr = np.array(values).reshape(rows, width)
+        assert row_sum_deviation(arr) == _reference_row_sum_deviation(arr)
+        assert row_sum_deviation(arr[:, ::-1]) == _reference_row_sum_deviation(arr[:, ::-1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        predicted=st.floats(-4e-10, 4e-10),
+        cross=st.lists(st.floats(-2e-10, 2e-10), min_size=4, max_size=4),
+    )
+    def test_path_rejections_unchanged(self, predicted, cross):
+        # row-sum errors around the 1e-10 tolerance, on a width-2 and a width-4 array
+        half = np.full((3, 2), 0.5)
+        pred = half.copy()
+        pred[1, 0] += predicted
+        quarter = np.full((3, 4), 0.25)
+        quarter[2] += cross
+        too_far = max(
+            _reference_row_sum_deviation(pred), _reference_row_sum_deviation(quarter)
+        ) > 1e-10
+        try:
+            ProbabilityPath(predicted=pred, filtered=half, smoothed=half, cross=quarter, loglik=0.0)
+        except InvalidArgumentError as err:
+            assert ("must sum to 1" in str(err)) == too_far
+        else:
+            assert not too_far
 
 
 class TestVarianceFloor:
