@@ -1,12 +1,14 @@
 """EM estimation of the switching factor model.
 
-The E step is the filter/smoother pass of :mod:`msfactor.filtering`; the
+The E step is the forward-backward pass of :mod:`msfactor.filtering`; the
 M step has closed forms: weighted least squares for the loadings, weighted
 mean squared residuals for the variances, and normalised smoothed
 transition counts for the chain. The factors stay fixed, so the densities
 and the variances come from moments of the least-squares fit of the panel
 on them (:func:`~msfactor.filtering.anchor_fit`, computed once per panel
-and factor matrix), and no iteration builds a T x N residual. States are relabeled every iteration so
+and factor matrix), and no iteration builds a T x N residual. The M steps
+take the pass's plain arrays; only the closing pass is validated as a
+:class:`ProbabilityPath`. The parameters are relabeled every iteration so
 that state 1 is the one with the highest unconditional probability.
 """
 
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import EmptyRegimeError, InvalidArgumentError
-from .filtering import anchor_fit, filter_smoother_pass, regime_log_densities
+from .filtering import _forward_backward, anchor_fit, filter_smoother_pass, regime_log_densities
 from .pca import FactorSpace
 from .types import (
     STATE_1,
@@ -55,7 +57,6 @@ class EmConfig:
     epsilon: float = 1e-6
     omega1: float = 0.2
     omega2: float = 0.1
-    xi0: StateProbabilities = STATE_1
 
     def __post_init__(self):
         if self.max_iter < 1:
@@ -74,9 +75,9 @@ class EmResult:
     """Final estimates of one EM run.
 
     ``params`` come from the last M step; ``path`` from one extra
-    filter/smoother pass under those final parameters. ``loglik_trace``
-    holds one log-likelihood per M step: entry k is the filter
-    log-likelihood attained by the parameters the (k+1)-th M step
+    filter/smoother pass under those final parameters, the run's only
+    validated pass. ``loglik_trace`` holds one log-likelihood per M step:
+    entry k is the filter log-likelihood attained by the parameters the (k+1)-th M step
     produced, with the last entry coming from the closing pass. The EM
     ascent property makes the trace non-decreasing. Non-convergence
     within ``max_iter`` is reported through ``converged``, not raised.
@@ -220,34 +221,23 @@ def m_step_transition(cross: np.ndarray, smoothed: np.ndarray) -> TransitionMatr
     return TransitionMatrix(np.clip(p, 0.0, 1.0))
 
 
-def relabel_states(
-    params: ModelParams, path: ProbabilityPath
-) -> tuple[ModelParams, ProbabilityPath]:
+def relabel_states(params: ModelParams) -> ModelParams:
     """Give label 1 to the state with the highest unconditional probability.
 
-    When a swap is needed, loadings, variances and the transition matrix
-    are permuted together with every probability column of ``path`` (cross
-    columns reverse, consistent with the (s_t, s_{t-1}) ordering). Applying
-    the function twice equals applying it once.
+    Returns ``params`` itself when state 1 already has it (ties included);
+    otherwise a copy with loadings, variances and the transition matrix
+    permuted together. Applying the function twice equals applying it once.
     """
     stationary = unconditional_probs(params.trans).values
     if stationary[0] >= stationary[1]:
-        return params, path
-    swapped = ModelParams(
+        return params
+    return ModelParams(
         b1=params.b2,
         b2=params.b1,
         sigma_e1_diag=params.sigma_e2_diag,
         sigma_e2_diag=params.sigma_e1_diag,
         trans=params.trans.relabeled(),
     )
-    swapped_path = ProbabilityPath(
-        predicted=path.predicted[:, ::-1],
-        filtered=path.filtered[:, ::-1],
-        smoothed=path.smoothed[:, ::-1],
-        cross=path.cross[:, ::-1],
-        loglik=path.loglik,
-    )
-    return swapped, swapped_path
 
 
 def _relative_change(current: float, previous: float) -> float:
@@ -265,25 +255,25 @@ def run_em(panel: Panel, fs: FactorSpace, cfg: EmConfig) -> EmResult:
     two successive log-likelihoods drops below ``cfg.epsilon``, or at
     ``cfg.max_iter``. On convergence one more M step is taken and the
     final probability path comes from one extra E step under those
-    parameters, whose log-likelihood closes the trace.
+    parameters, whose log-likelihood closes the trace. The filter starts
+    from ``STATE_1``. Every M step is relabeled, so the final parameters
+    need no further relabeling.
     """
     g_hat = fs.g_hat
     params = init_params(panel, fs, cfg)
-    # The pre-sample state prior follows the relabeling: swapping the
-    # parameter labels without swapping xi0 would change the likelihood,
-    # and for panels with near-balanced regimes that turns per-iteration
-    # relabeling into a limit cycle. Swapped jointly, every relabel is an
-    # exact invariance and the ascent property survives untouched.
-    xi0 = cfg.xi0
+    # The pre-sample prior xi0 swaps with the labels, so every relabel is an
+    # exact invariance of the likelihood; swapping the labels alone sends
+    # near-balanced regimes into a relabeling limit cycle.
+    xi0 = STATE_1
     trace: list[float] = []
     converged = False
     iterations = 0
     for k in range(cfg.max_iter):
         log_eta = regime_log_densities(panel, g_hat, params)
-        path = filter_smoother_pass(log_eta, params.trans, xi0)
+        _, _, smoothed, cross, loglik = _forward_backward(log_eta, params.trans, xi0)
         if k >= 1:
-            # path.loglik is the value attained by the previous M step.
-            trace.append(path.loglik)
+            # loglik is the value attained by the previous M step.
+            trace.append(loglik)
             # The symmetric starting point (b1 = b2) is an exact EM fixed
             # point, and the escape from it begins with tiny likelihood
             # steps that then grow by orders of magnitude. Declaring
@@ -296,13 +286,13 @@ def run_em(panel: Panel, fs: FactorSpace, cfg: EmConfig) -> EmResult:
                 and abs(trace[-1] - trace[-2]) <= abs(trace[-2] - trace[-3])
             ):
                 converged = True
-        b1, b2 = m_step_loadings(panel, g_hat, path.smoothed)
-        s1, s2 = m_step_variances(panel, g_hat, b1, b2, path.smoothed)
-        trans = m_step_transition(path.cross, path.smoothed)
+        b1, b2 = m_step_loadings(panel, g_hat, smoothed)
+        s1, s2 = m_step_variances(panel, g_hat, b1, b2, smoothed)
+        trans = m_step_transition(cross, smoothed)
         new_params = ModelParams(
             b1=b1, b2=b2, sigma_e1_diag=s1, sigma_e2_diag=s2, trans=trans
         )
-        params, path = relabel_states(new_params, path)
+        params = relabel_states(new_params)
         if params is not new_params:
             xi0 = StateProbabilities(xi0.values[::-1])
         iterations = k + 1
@@ -311,7 +301,6 @@ def run_em(panel: Panel, fs: FactorSpace, cfg: EmConfig) -> EmResult:
     final_path = filter_smoother_pass(
         regime_log_densities(panel, g_hat, params), params.trans, xi0
     )
-    params, final_path = relabel_states(params, final_path)
     trace.append(final_path.loglik)
     return EmResult(
         params=params,

@@ -12,10 +12,11 @@ likelihood. Every probability the smoother then sees is O(1) too.
 least-squares fit of :func:`anchor_fit`, computed once per panel and
 factor matrix, and builds no T x N residual per call.
 
-One E step is one call of :func:`filter_smoother_pass`: the filter
-appends Python floats to flat lists, the smoother reads those lists
-directly, each T x 2 array is built once from its list, and the cross
-probabilities follow vectorised. :func:`hamilton_filter` and
+One E step is one forward-backward pass: the filter appends Python floats
+to flat lists, the smoother reads those lists directly, each T x 2 array
+is built once from its list, and the cross probabilities follow
+vectorised. The EM loop takes its plain arrays; :func:`filter_smoother_pass`
+validates them as a :class:`ProbabilityPath`. :func:`hamilton_filter` and
 :func:`kim_smoother` wrap the two list-based stages for callers that want
 one stage alone; chained with :func:`smoothed_cross_probs` they give the
 same bits as the pass.
@@ -91,7 +92,9 @@ def regime_log_densities(
     so no T x N residual is built per call. Anchoring at z rather than at x
     keeps every term on the scale of the residuals: expanded around x, the
     terms grow with the column means and the signal and cancel
-    catastrophically.
+    catastrophically. They still cancel where a regime fits far better than
+    the anchor, its variances near the floor: rows whose (z*z)(1/s2_j) tops
+    1e6, so that rounding passes ~1e-10, are summed from z_t - d_j g_t.
     """
     x = panel.data
     g = np.asarray(g_hat, dtype=float)
@@ -122,6 +125,10 @@ def regime_log_densities(
             - 2.0 * np.einsum("tk,tk->t", g, products[:, j * k : (j + 1) * k])
             + np.einsum("tk,tk->t", g @ (d[j].T @ scaled[j]), g)
         )
+        exposed = np.flatnonzero(squares[:, j] > 1e6)
+        if exposed.size:
+            resid = z[exposed] - g[exposed] @ d[j].T
+            q[exposed] = (resid * resid) @ inv_s2[:, j]
         out[:, j] = const - 0.5 * np.log(s2[j]).sum() - 0.5 * q
     if not np.isfinite(out).all():
         t, j = np.argwhere(~np.isfinite(out))[0]
@@ -288,12 +295,11 @@ def smoothed_cross_probs(
     return cross
 
 
-def filter_smoother_pass(
-    log_eta: np.ndarray,
-    trans: TransitionMatrix,
-    xi0: StateProbabilities,
-) -> ProbabilityPath:
-    """One full forward-backward pass packaged as a :class:`ProbabilityPath`.
+def _forward_backward(
+    log_eta: np.ndarray, trans: TransitionMatrix, xi0: StateProbabilities
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+    """One full forward-backward pass as plain, unvalidated arrays:
+    (predicted, filtered, smoothed, cross, loglik).
 
     Bitwise equal to the chain :func:`hamilton_filter` ->
     :func:`kim_smoother` -> :func:`smoothed_cross_probs`, and raises at the
@@ -306,4 +312,11 @@ def filter_smoother_pass(
     filtered = _rows(filt)
     # rows >= 1 passed above, so only row 0 can fail the guard in here
     cross = smoothed_cross_probs(predicted, filtered, smoothed, trans, xi0)
-    return ProbabilityPath(predicted, filtered, smoothed, cross, loglik)
+    return predicted, filtered, smoothed, cross, loglik
+
+
+def filter_smoother_pass(
+    log_eta: np.ndarray, trans: TransitionMatrix, xi0: StateProbabilities
+) -> ProbabilityPath:
+    """One full forward-backward pass as a validated :class:`ProbabilityPath`."""
+    return ProbabilityPath(*_forward_backward(log_eta, trans, xi0))

@@ -37,8 +37,8 @@ from .exceptions import (
     TooSmallError,
 )
 
-#: Relative factor applied to the grand sample variance of a panel to
-#: obtain the idiosyncratic variance floor. Prevents degenerate Gaussian
+#: Idiosyncratic variance floor relative to the panel's uncentred mean square
+#: (positive for a constant panel too). Prevents degenerate Gaussian
 #: densities when a regime collapses onto few observations.
 VARIANCE_FLOOR_RATIO = 1e-10
 
@@ -119,7 +119,8 @@ class Panel:
     def variance_floor(self) -> float:
         """Idiosyncratic variance floor for this panel, computed once."""
         return self.memo(
-            "variance_floor", lambda: VARIANCE_FLOOR_RATIO * float(np.var(self.data))
+            "variance_floor",
+            lambda: VARIANCE_FLOOR_RATIO * float(np.mean(self.data * self.data)),
         )
 
 
@@ -330,10 +331,6 @@ class ProbabilityPath:
         if marginal_deviation(self.cross, self.smoothed) > 1e-10:
             raise InvalidArgumentError("cross probabilities do not marginalise to smoothed")
         object.__setattr__(self, "loglik", float(self.loglik))
-
-    @property
-    def t_len(self) -> int:
-        return self.predicted.shape[0]
 
 
 @dataclass(frozen=True)

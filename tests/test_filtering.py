@@ -105,6 +105,29 @@ class TestRegimeLogDensities:
         le = regime_log_densities(panel, g, params)
         assert np.allclose(le[0], -np.log(2 * np.pi) - 0.5)
 
+    def test_exact_fit_at_the_floor(self):
+        # Regime 1 fits its rows exactly, with variances at 1e-10 of the
+        # data's mean square; the pooled anchor fit leaves O(1) residuals
+        # there, so the expanded terms are ~1e10 and cancel to ~0.
+        rng = np.random.default_rng(4)
+        t_len, n = 40, 3
+        g = rng.standard_normal((t_len, 1))
+        b1, b2 = rng.standard_normal((n, 1)), rng.standard_normal((n, 1))
+        x = g @ b2.T + rng.standard_normal((t_len, n))
+        x[:10] = g[:10] @ b1.T
+        panel = validate_panel(x)
+        floor = panel.variance_floor()
+        params = ModelParams(
+            b1=b1,
+            b2=b2,
+            sigma_e1_diag=np.full(n, floor),
+            sigma_e2_diag=np.ones(n),
+            trans=P_EXAMPLE,
+        )
+        le = regime_log_densities(panel, g, params)
+        at_mode = -0.5 * n * np.log(2 * np.pi) - 0.5 * n * np.log(floor)
+        assert np.abs(le[:10, 0] - at_mode).max() < 1e-9
+
     def test_dimension_mismatch(self):
         panel = validate_panel(np.zeros((3, 2)))
         with pytest.raises(DimensionMismatchError):
@@ -286,7 +309,7 @@ class TestFilterSmootherPass:
         rng = np.random.default_rng(8)
         log_eta, params = _random_instance(rng, n=4, t=100)
         path = filter_smoother_pass(log_eta, params.trans, STATE_1)
-        assert path.t_len == 100
+        assert path.predicted.shape == (100, 2)
         assert np.isfinite(path.loglik)
 
     def test_cross_marginalises_to_smoothed(self):

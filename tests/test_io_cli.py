@@ -216,6 +216,19 @@ class TestCliEstimate:
         assert lines[0] == "t,smoothed1,smoothed2,g1,g2,xi1_g1,xi1_g2,xi2_g1,xi2_g2"
         assert len(lines) == 51
 
+    def test_constant_panel(self, tmp_path, capsys):
+        # a zero sample variance used to give a zero variance floor and an
+        # "idiosyncratic variances must be strictly positive" exit
+        csv_path = tmp_path / "panel.csv"
+        save_panel_csv(csv_path, validate_panel(np.full((60, 3), 2.5)))
+        out = tmp_path / "est"
+        code = main(["estimate", "--input", str(csv_path), "--k", "1", "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        written = json.loads((out / "params.json").read_text())
+        assert written["converged"] is True
+        assert np.diff(written["loglik_trace"]).min() >= 0.0
+
     def test_runs_em_on_one_blas_thread(self, tmp_path, monkeypatch):
         from msfactor import cli
         from msfactor.blas import openblas_controls

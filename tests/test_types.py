@@ -119,7 +119,7 @@ class TestProbabilityPath:
 
     def test_valid_path(self):
         path = self._uniform_path()
-        assert path.t_len == 4
+        assert path.cross.shape == (4, 4)
 
     def test_row_sum_violation(self):
         half = np.full((3, 2), 0.5)
@@ -185,15 +185,26 @@ class TestVarianceFloor:
         data = np.random.default_rng(2).standard_normal((30, 5))
         panel = validate_panel(data)
         calls = []
-        var = np.var
-        monkeypatch.setattr(np, "var", lambda a: calls.append(1) or var(a))
+        mean = np.mean
+        monkeypatch.setattr(np, "mean", lambda a: calls.append(1) or mean(a))
         first = panel.variance_floor()
         assert panel.variance_floor() == first
-        assert first == VARIANCE_FLOOR_RATIO * float(var(data))
+        assert first == VARIANCE_FLOOR_RATIO * float(mean(data * data))
         assert len(calls) == 1
         # a new panel over the same data computes its own
         validate_panel(data).variance_floor()
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("value", [1.0, -2.5, 1e3])
+    def test_constant_panel_gets_a_positive_floor(self, value):
+        # the sample variance of a constant panel is zero; its mean square is not
+        panel = validate_panel(np.full((60, 3), value))
+        assert panel.variance_floor() == VARIANCE_FLOOR_RATIO * value * value
+
+    def test_scales_with_the_square_of_the_units(self):
+        data = np.random.default_rng(3).normal(5.0, 1.0, (40, 4))
+        base = validate_panel(data).variance_floor()
+        assert validate_panel(1e3 * data).variance_floor() == pytest.approx(1e6 * base, rel=1e-12)
 
 
 class TestRngHandle:
