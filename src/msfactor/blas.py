@@ -9,6 +9,23 @@ calls from other threads of the same process also run on one thread.
 Without a loaded OpenBLAS (an MKL build, or no ``/proc/self/maps``) it does
 nothing.
 
+Who holds the cap:
+
+- The estimators :func:`~msfactor.pca.select_num_factors_er`,
+  :func:`~msfactor.pca.estimate_factor_space` and
+  :func:`~msfactor.em.run_em` are decorated with it. Their results do not
+  depend on the caller's thread count, and PCA's X'X/T product, big enough
+  for OpenBLAS to thread at N=100, T=500, wakes no helper thread to spin
+  beside the E step.
+- :func:`~msfactor.montecarlo.run_montecarlo` and its worker hold it around
+  whole replications. That pins simulation and the metrics too, so serial
+  and parallel reports match, and it covers the fork.
+
+:func:`~msfactor.simulate.simulate_panel` is left on the caller's threads:
+its N x N covariance roots are the one place a second thread pays (a
+600 x 600 ``eigh`` takes ~55 ms on two threads and ~67 ms on one, on a
+2-core Xeon host).
+
 After a fork, make no set call in the child. OpenBLAS's fork handler tears
 down its thread pool, and any ``openblas_set_num_threads`` call in the child,
 even to one thread, builds it again; the new helper thread then spins for

@@ -22,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .blas import one_blas_thread
 from .em import EmConfig, run_em
 from .exceptions import InvalidArgumentError, MsfactorError
 from .io import (
@@ -236,19 +235,15 @@ def _cmd_estimate(args, file_cfg: dict[str, str]) -> int:
     panel = load_panel_csv(input_path)
     if demean:
         panel = demean_panel(panel)
-    # one BLAS thread, as in every Monte Carlo replication: the output does
-    # not depend on the core count, and no idle OpenBLAS thread spins
-    # beside the pure-Python E step
-    with one_blas_thread():
-        if str(k_setting).lower() == "auto":
-            k_max = _setting(
-                args, file_cfg, "k_max", int, min(8, min(panel.n_len, panel.t_len) - 1)
-            )
-            k = select_num_factors_er(panel, k_max)
-        else:
-            k = _cast("k", k_setting, int)
-        fs = estimate_factor_space(panel, k)
-        result = run_em(panel, fs, em_cfg)
+    if str(k_setting).lower() == "auto":
+        k_max = _setting(
+            args, file_cfg, "k_max", int, min(8, min(panel.n_len, panel.t_len) - 1)
+        )
+        k = select_num_factors_er(panel, k_max)
+    else:
+        k = _cast("k", k_setting, int)
+    fs = estimate_factor_space(panel, k)
+    result = run_em(panel, fs, em_cfg)
 
     stationary = unconditional_probs(result.params.trans).values
     smoothed = result.path.smoothed

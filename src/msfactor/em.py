@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .exceptions import EmptyRegimeError, InvalidArgumentError
 from .filtering import _forward_backward, anchor_fit, filter_smoother_pass, regime_log_densities
 from .pca import FactorSpace
@@ -248,6 +249,7 @@ def _relative_change(current: float, previous: float) -> float:
     return change / scale
 
 
+@one_blas_thread()
 def run_em(panel: Panel, fs: FactorSpace, cfg: EmConfig) -> EmResult:
     """Full EM loop with PCA factors held fixed.
 

@@ -81,7 +81,9 @@ def common_component_mse(chi_hat: np.ndarray, chi_true: np.ndarray) -> float:
     energy = (ct**2).sum()
     if energy == 0.0:
         raise ZeroSignalError("true common component is identically zero")
-    return float(((ch - ct) ** 2).sum() / energy)
+    diff = ch - ct
+    diff *= diff
+    return float(diff.sum() / energy)
 
 
 def fitted_common_component(
@@ -93,6 +95,9 @@ def fitted_common_component(
     """
     g = np.asarray(g_hat, dtype=float)
     w = np.asarray(smoothed, dtype=float)
-    return w[:, [0]] * (g @ np.asarray(b1, float).T) + w[:, [1]] * (
-        g @ np.asarray(b2, float).T
-    )
+    chi = g @ np.asarray(b1, float).T
+    chi *= w[:, [0]]
+    second = g @ np.asarray(b2, float).T
+    second *= w[:, [1]]
+    chi += second
+    return chi

@@ -1,16 +1,20 @@
 """Monte Carlo driver: replicate the simulate -> PCA -> EM -> metrics
 pipeline and aggregate the table columns.
 
-Each replication r draws from stream id r of the shared seed, and every
-replication runs with OpenBLAS on one thread, in the serial loop as in the
-pool workers (see :mod:`msfactor.blas`). OpenBLAS results depend on its
-thread count, so this is what makes serial and parallel reports
-byte-identical for any ``jobs``; it also keeps ``jobs`` worker processes
-from each starting their own BLAS threads and oversubscribing the cores.
+Each replication r draws from stream id r of the shared seed. The
+estimators run OpenBLAS on one thread wherever they are called (see
+:mod:`msfactor.blas`); :func:`run_montecarlo` and :func:`_worker` extend
+that cap to whole replications, simulation and metrics included, in the
+serial loop as in the pool workers. OpenBLAS results depend on its thread
+count, so this is what makes serial and parallel reports byte-identical
+for any ``jobs``; it also keeps ``jobs`` worker processes from each
+starting their own BLAS threads and oversubscribing the cores.
 :func:`run_montecarlo` holds the cap for the whole run, so forked workers
-inherit one thread and make no OpenBLAS call of their own that would start
-a helper thread. The cap is process-global: while a run is active, BLAS
-calls from other threads of the same process also run on one thread.
+inherit one thread, and neither :func:`_worker`'s cap nor the estimators'
+makes an OpenBLAS call there that would start a helper thread. A direct
+:func:`run_replication` simulates on the caller's threads. The cap is
+process-global: while a run is active, BLAS calls from other threads of
+the same process also run on one thread.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .exceptions import KTooLargeError, RankDeficientError
 from .types import FactorSpace, Panel
 
@@ -60,6 +61,7 @@ def _spectrum(panel: Panel) -> tuple[np.ndarray, np.ndarray]:
     return panel.memo("spectrum", decompose)
 
 
+@one_blas_thread()
 def estimate_factor_space(panel: Panel, k: int) -> FactorSpace:
     """PCA loadings, factors and eigenvalues for a k-factor linear model.
 
@@ -94,6 +96,7 @@ def estimate_factor_space(panel: Panel, k: int) -> FactorSpace:
     return FactorSpace(a_hat=a_hat, g_hat=g_hat, eigvals=vals[:k])
 
 
+@one_blas_thread()
 def select_num_factors_er(panel: Panel, k_max: int) -> int:
     """Eigenvalue-ratio choice of the factor count.
 

@@ -169,13 +169,16 @@ def simulate_loadings(
     return out[0], out[1]
 
 
-def _banded_toeplitz(n: int, band_values: np.ndarray) -> np.ndarray:
-    """Symmetric Toeplitz matrix with band_values[d] on diagonal offset d."""
+def _diagonal_plus_band(diag: np.ndarray, band: tuple[float, ...]) -> np.ndarray:
+    """diag(diag) plus the symmetric Toeplitz matrix with band[d] on diagonal
+    offset d, written into one array."""
+    n = diag.shape[0]
     m = np.zeros((n, n))
-    for offset, value in enumerate(band_values):
-        rows = np.arange(n - offset)
-        m[rows, rows + offset] = value
-        m[rows + offset, rows] = value
+    rows = np.arange(n)
+    m[rows, rows] = diag + band[0]
+    for offset, value in enumerate(band[1:], start=1):
+        m[rows[:-offset], rows[offset:]] = value
+        m[rows[offset:], rows[:-offset]] = value
     return m
 
 
@@ -197,12 +200,11 @@ def build_idio_covariances(
     diag1 = rng.uniform(0.25, 1.25, size=n)
     diag2 = rng.uniform(0.75, 1.75, size=n)
     if tau == 0.0:
-        banded1 = np.zeros((n, n))
-        banded2 = np.zeros((n, n))
-    else:
-        banded1 = _banded_toeplitz(n, np.array([tau, tau**2]))
-        banded2 = _banded_toeplitz(n, np.array([1.0, tau, tau**2]))
-    return np.diag(diag1) + banded1, np.diag(diag2) + banded2
+        return np.diag(diag1), np.diag(diag2)
+    return (
+        _diagonal_plus_band(diag1, (tau, tau**2)),
+        _diagonal_plus_band(diag2, (1.0, tau, tau**2)),
+    )
 
 
 def _mix(nu: np.ndarray, sigma: np.ndarray, regime: int) -> np.ndarray:

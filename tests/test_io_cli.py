@@ -230,23 +230,25 @@ class TestCliEstimate:
         assert np.diff(written["loglik_trace"]).min() >= 0.0
 
     def test_runs_em_on_one_blas_thread(self, tmp_path, monkeypatch):
-        from msfactor import cli
+        from msfactor import em
         from msfactor.blas import openblas_controls
 
         controls = openblas_controls()
         seen = []
+        forward_backward = em._forward_backward
 
-        def recording_run_em(*args, **kwargs):
+        def recording_forward_backward(*args):
             seen.append([get() for get, _ in controls])
-            return run_em(*args, **kwargs)
+            return forward_backward(*args)
 
-        monkeypatch.setattr(cli, "run_em", recording_run_em)
+        # recorded inside EM: the estimators hold the cap, not the CLI
+        monkeypatch.setattr(em, "_forward_backward", recording_forward_backward)
         truth = simulate_panel(SimConfig(n=15, t=50, r=1), RngHandle(seed=7))
         csv_path = tmp_path / "panel.csv"
         save_panel_csv(csv_path, truth.panel)
         before = [get() for get, _ in controls]
         main(["estimate", "--input", str(csv_path), "--k", "2", "--out", str(tmp_path / "est")])
-        assert seen == [[1] * len(controls)]
+        assert seen and all(counts == [1] * len(controls) for counts in seen)
         assert [get() for get, _ in controls] == before
 
 

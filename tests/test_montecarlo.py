@@ -7,14 +7,19 @@ import sys
 import numpy as np
 import pytest
 
-from msfactor import montecarlo
-from msfactor.em import EmConfig
+from msfactor import em, montecarlo, pca
+from msfactor.em import EmConfig, run_em
 from msfactor.blas import one_blas_thread, openblas_controls
 from msfactor.exceptions import InvalidArgumentError
-from msfactor.montecarlo import run_montecarlo
-from msfactor.simulate import SimConfig
+from msfactor.montecarlo import run_montecarlo, run_replication
+from msfactor.pca import estimate_factor_space, select_num_factors_er
+from msfactor.simulate import SimConfig, simulate_panel
+from msfactor.types import RngHandle, validate_panel
 
 SMALL = SimConfig(n=20, t=80, r=1)
+#: Paper Table 1 design: N=100, T=500 is large enough for OpenBLAS to thread
+#: its gemm/syrk calls, whose last bits depend on the thread count.
+TABLE1 = SimConfig(n=100, t=500, r=1, p11=0.9, p22=0.7)
 
 
 def _numpy_uses_openblas() -> bool:
@@ -22,6 +27,9 @@ def _numpy_uses_openblas() -> bool:
     return "openblas" in str(blas.get("name", "")).lower()
 
 
+needs_openblas = pytest.mark.skipif(
+    not _numpy_uses_openblas(), reason="needs numpy on OpenBLAS"
+)
 needs_forked_openblas = pytest.mark.skipif(
     not (
         sys.platform.startswith("linux")
@@ -104,13 +112,65 @@ class TestOneBlasThread:
         assert calls == [("two", 1), ("two", 2)]
 
 
+def _estimate(data: np.ndarray):
+    """Every estimator on a fresh panel (nothing memoised): the chosen k,
+    the result arrays as bytes, the loglik trace and the iteration count."""
+    panel = validate_panel(data)
+    k = select_num_factors_er(panel, 4)
+    fs = estimate_factor_space(panel, 2)
+    result = run_em(panel, fs, EmConfig())
+    params, path = result.params, result.path
+    arrays = (
+        fs.a_hat, fs.g_hat, fs.eigvals,
+        params.b1, params.b2, params.sigma_e1_diag, params.sigma_e2_diag, params.trans.p,
+        path.predicted, path.filtered, path.smoothed, path.cross,
+    )
+    return k, [a.tobytes() for a in arrays], result.loglik_trace, result.iterations
+
+
+@needs_openblas
+class TestEstimatorsHoldTheCap:
+    def test_run_on_one_thread_inside_and_restore_the_caller(
+        self, monkeypatch, caller_on_two_threads
+    ):
+        seen = []
+
+        def record(module, name):
+            original = getattr(module, name)
+
+            def recording(*args):
+                seen.append((name, _blas_counts()))
+                return original(*args)
+
+            monkeypatch.setattr(module, name, recording)
+
+        record(pca, "_spectrum")
+        record(em, "_forward_backward")
+        _estimate(simulate_panel(TABLE1, RngHandle(seed=0)).panel.data)
+        ones, twos = ([n] * len(openblas_controls()) for n in (1, 2))
+        # both PCA estimators read the spectrum; EM runs the passes
+        assert [name for name, _ in seen[:3]] == ["_spectrum", "_spectrum", "_forward_backward"]
+        assert all(counts == ones for _, counts in seen)
+        assert _blas_counts() == twos
+
+    def test_two_thread_caller_gets_a_one_thread_callers_bytes(self, caller_on_two_threads):
+        data = simulate_panel(TABLE1, RngHandle(seed=0)).panel.data
+        on_two = _estimate(data)
+        with one_blas_thread():
+            on_one = _estimate(data)
+        assert on_two == on_one
+
+    def test_direct_replication_equals_montecarlo_at_table1_shape(self, caller_on_two_threads):
+        report = run_montecarlo(TABLE1, EmConfig(), seed=0, replications=2, jobs=1)
+        assert _blas_counts() == [2] * len(openblas_controls())
+        for rep in range(2):
+            assert run_replication(TABLE1, EmConfig(), 0, rep) == report.results[rep]
+
+
 class TestRunMontecarlo:
     def test_serial_equals_parallel_at_table1_shape(self):
-        # N=100, T=500 is large enough for OpenBLAS to thread its gemm/syrk
-        # calls, whose last bits depend on the thread count.
-        design = SimConfig(n=100, t=500, r=1, p11=0.9, p22=0.7)
-        serial = run_montecarlo(design, EmConfig(), seed=0, replications=4, jobs=1)
-        parallel = run_montecarlo(design, EmConfig(), seed=0, replications=4, jobs=2)
+        serial = run_montecarlo(TABLE1, EmConfig(), seed=0, replications=4, jobs=1)
+        parallel = run_montecarlo(TABLE1, EmConfig(), seed=0, replications=4, jobs=2)
         assert json.dumps(serial.to_json_dict()) == json.dumps(parallel.to_json_dict())
         assert [r.loglik_trace for r in serial.results] == [
             r.loglik_trace for r in parallel.results

@@ -106,6 +106,26 @@ class TestIdioCovariances:
         assert np.diag(s1).min() >= 0.25 + 0.5
         assert np.diag(s2).min() >= 0.75 + 1.0
 
+    @pytest.mark.parametrize("n", [2, 3, 50])
+    @pytest.mark.parametrize("tau", [0.0, 0.3, 0.5])
+    def test_bytes_equal_diagonal_plus_dense_toeplitz(self, n, tau):
+        def toeplitz(bands):
+            m = np.zeros((n, n))
+            for offset, value in enumerate(bands):
+                m += value * (np.eye(n, k=offset) + (np.eye(n, k=-offset) if offset else 0.0))
+            return m
+
+        gen = _gen(5)
+        diag1 = gen.uniform(0.25, 1.25, size=n)
+        diag2 = gen.uniform(0.75, 1.75, size=n)
+        zeros = np.zeros((n, n))
+        expected = (
+            np.diag(diag1) + (toeplitz([tau, tau**2]) if tau else zeros),
+            np.diag(diag2) + (toeplitz([1.0, tau, tau**2]) if tau else zeros),
+        )
+        for got, want in zip(build_idio_covariances(n, tau, _gen(5)), expected):
+            assert got.tobytes() == want.tobytes()
+
     def test_positive_definite_at_half(self):
         # eigenvalue-check oracle
         s1, s2 = build_idio_covariances(100, 0.5, _gen(2))
