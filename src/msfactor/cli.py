@@ -8,7 +8,10 @@ Subcommands::
     msfactor verify      [--instances N] [--seed S]
 
 Every flag can also be given in a flat ``key = value`` config file passed
-with ``--config``; explicit flags override file values. An input the
+with ``--config``; explicit flags override file values. The simulation
+and EM settings are the fields of :class:`~msfactor.simulate.SimConfig`
+and :class:`~msfactor.em.EmConfig` with ``help`` metadata: field
+``rho_f`` is the flag ``--rho-f`` and the file key ``rho_f``. An input the
 library rejects (any :class:`~msfactor.exceptions.MsfactorError`) ends the
 command with one line on stderr and exit status 2, as does a file that
 cannot be read or written (any ``OSError``).
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import Field, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -36,25 +40,6 @@ from .oracle import EQUIVALENCE_TOLERANCE, equivalence_suite
 from .pca import demean_panel, estimate_factor_space, select_num_factors_er
 from .simulate import SimConfig, simulate_panel
 from .types import RngHandle, unconditional_probs
-
-_SIM_FIELDS = {
-    "n": int,
-    "t": int,
-    "r": int,
-    "p11": float,
-    "p22": float,
-    "rho_f": float,
-    "tau": float,
-    "rho_idio_max": float,
-    "noise_to_signal": float,
-}
-_EM_FIELDS = {
-    "max_iter": int,
-    "epsilon": float,
-    "omega1": float,
-    "omega2": float,
-}
-
 
 def _parse_bool(value: str) -> bool:
     lowered = value.strip().lower()
@@ -93,33 +78,19 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output directory")
 
 
-def _add_sim_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=int, help="number of series N")
-    parser.add_argument("--t", type=int, help="number of periods T")
-    parser.add_argument("--r", type=int, help="factors per regime")
-    parser.add_argument("--p11", type=float, help="stay probability of state 1")
-    parser.add_argument("--p22", type=float, help="stay probability of state 2")
-    parser.add_argument("--rho-f", dest="rho_f", type=float, help="factor AR(1) coefficient")
-    parser.add_argument("--tau", type=float, help="Toeplitz band decay")
-    parser.add_argument(
-        "--rho-idio-max",
-        dest="rho_idio_max",
-        type=float,
-        help="upper bound of idiosyncratic AR coefficients",
-    )
-    parser.add_argument(
-        "--noise-to-signal",
-        dest="noise_to_signal",
-        type=float,
-        help="target noise-to-signal ratio",
-    )
+def _settings(cls) -> list[Field]:
+    """The fields of config dataclass ``cls`` that the CLI sets: those with help text."""
+    return [f for f in fields(cls) if "help" in f.metadata]
 
 
-def _add_em_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-iter", dest="max_iter", type=int, help="EM iteration cap")
-    parser.add_argument("--epsilon", type=float, help="EM convergence threshold")
-    parser.add_argument("--omega1", type=float, help="initial transition offset, state 1")
-    parser.add_argument("--omega2", type=float, help="initial transition offset, state 2")
+def _add_config_flags(parser: argparse.ArgumentParser, cls) -> None:
+    for f in _settings(cls):
+        parser.add_argument(
+            "--" + f.name.replace("_", "-"),
+            dest=f.name,
+            type=type(f.default),
+            help=f.metadata["help"],
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -131,11 +102,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="draw one panel and write it with its truth")
     _add_common(p_sim)
-    _add_sim_flags(p_sim)
+    _add_config_flags(p_sim, SimConfig)
 
     p_est = sub.add_parser("estimate", help="estimate the model on a CSV panel")
     _add_common(p_est)
-    _add_em_flags(p_est)
+    _add_config_flags(p_est, EmConfig)
     p_est.add_argument("--input", help="input panel CSV")
     p_est.add_argument("--k", help="factor count of the linear representation, or 'auto'")
     p_est.add_argument("--k-max", dest="k_max", type=int, help="bound for auto selection")
@@ -149,8 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mc = sub.add_parser("montecarlo", help="replicate the simulation study")
     _add_common(p_mc)
-    _add_sim_flags(p_mc)
-    _add_em_flags(p_mc)
+    _add_config_flags(p_mc, SimConfig)
+    _add_config_flags(p_mc, EmConfig)
     p_mc.add_argument("--reps", type=int, help="number of replications")
     p_mc.add_argument("--jobs", type=int, help="parallel worker processes (default 1)")
 
@@ -162,22 +133,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sim_config(args, file_cfg: dict[str, str], seed: int) -> SimConfig:
-    defaults = SimConfig()
+def _config(cls, args, file_cfg: dict[str, str], **fixed):
+    """``cls`` with each setting read by :func:`_setting` and the ``fixed`` values."""
     values = {
-        key: _setting(args, file_cfg, key, cast, getattr(defaults, key))
-        for key, cast in _SIM_FIELDS.items()
+        f.name: _setting(args, file_cfg, f.name, type(f.default), f.default)
+        for f in _settings(cls)
     }
-    return SimConfig(seed=seed, **values)
-
-
-def _em_config(args, file_cfg: dict[str, str]) -> EmConfig:
-    defaults = EmConfig()
-    values = {
-        key: _setting(args, file_cfg, key, cast, getattr(defaults, key))
-        for key, cast in _EM_FIELDS.items()
-    }
-    return EmConfig(**values)
+    return cls(**values, **fixed)
 
 
 def _out_dir(args, file_cfg: dict[str, str]) -> Path:
@@ -191,7 +153,7 @@ def _out_dir(args, file_cfg: dict[str, str]) -> Path:
 
 def _cmd_simulate(args, file_cfg: dict[str, str]) -> int:
     seed = _setting(args, file_cfg, "seed", int, 0)
-    cfg = _sim_config(args, file_cfg, seed)
+    cfg = _config(SimConfig, args, file_cfg, seed=seed)
     out = _out_dir(args, file_cfg)
     truth = simulate_panel(cfg, RngHandle(seed=cfg.seed, stream=0))
 
@@ -215,7 +177,7 @@ def _cmd_simulate(args, file_cfg: dict[str, str]) -> int:
         {
             "lambda1": truth.lambda1.tolist(),
             "lambda2": truth.lambda2.tolist(),
-            "config": {key: getattr(cfg, key) for key in (*_SIM_FIELDS, "seed")},
+            "config": asdict(cfg),
         },
     )
     print(f"wrote simulated panel (T={cfg.t}, N={cfg.n}) to {out}")
@@ -230,7 +192,7 @@ def _cmd_estimate(args, file_cfg: dict[str, str]) -> int:
     demean = _setting(args, file_cfg, "demean", bool, False)
     k_setting = _setting(args, file_cfg, "k", str, "auto")
     out = _out_dir(args, file_cfg)
-    em_cfg = _em_config(args, file_cfg)
+    em_cfg = _config(EmConfig, args, file_cfg)
 
     panel = load_panel_csv(input_path)
     if demean:
@@ -290,15 +252,15 @@ def _cmd_montecarlo(args, file_cfg: dict[str, str]) -> int:
     if reps is None:
         raise InvalidArgumentError("montecarlo mode needs --reps (or reps= in the config)")
     jobs = _setting(args, file_cfg, "jobs", int, 1)
-    sim_cfg = _sim_config(args, file_cfg, seed)
-    em_cfg = _em_config(args, file_cfg)
+    sim_cfg = _config(SimConfig, args, file_cfg, seed=seed)
+    em_cfg = _config(EmConfig, args, file_cfg)
     out = _out_dir(args, file_cfg)
 
     report = run_montecarlo(sim_cfg, em_cfg, seed=seed, replications=reps, jobs=jobs)
     payload = {
         "config": {
-            **{key: getattr(sim_cfg, key) for key in _SIM_FIELDS},
-            **{key: getattr(em_cfg, key) for key in _EM_FIELDS},
+            **{f.name: getattr(sim_cfg, f.name) for f in _settings(SimConfig)},
+            **asdict(em_cfg),
             "seed": seed,
             "replications": reps,
         },

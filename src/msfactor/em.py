@@ -14,7 +14,8 @@ that state 1 is the one with the highest unconditional probability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,18 +53,22 @@ class EmConfig:
     from the uninformative all-0.5 point (which stalls the algorithm);
     requiring omega1 > omega2 makes state 1 the more persistent, hence
     most probable, one from the first iteration on.
+
+    Each field, with its ``help`` metadata, is a setting of ``msfactor
+    estimate`` and ``montecarlo``, under its own name in a config file and
+    as ``--max-iter`` for ``max_iter``, with the default's type.
     """
 
-    max_iter: int = 100
-    epsilon: float = 1e-6
-    omega1: float = 0.2
-    omega2: float = 0.1
+    max_iter: int = field(default=100, metadata={"help": "EM iteration cap"})
+    epsilon: float = field(default=1e-6, metadata={"help": "EM convergence threshold"})
+    omega1: float = field(default=0.2, metadata={"help": "initial transition offset, state 1"})
+    omega2: float = field(default=0.1, metadata={"help": "initial transition offset, state 2"})
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise InvalidArgumentError("max_iter must be >= 1")
-        if self.epsilon <= 0.0:
-            raise InvalidArgumentError("epsilon must be positive")
+        if not (0.0 < self.epsilon < math.inf):
+            raise InvalidArgumentError("epsilon must be finite and positive")
         if not (0.0 < self.omega2 < self.omega1 < 0.5):
             raise InvalidArgumentError(
                 f"need 0 < omega2 < omega1 < 0.5, got omega1={self.omega1}, "

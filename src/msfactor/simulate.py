@@ -12,7 +12,7 @@ values it passes them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,17 +33,23 @@ class SimConfig:
     ``tau`` controls the banded part of the idiosyncratic covariances;
     ``rho_idio_max`` is the upper bound of the per-series idiosyncratic
     AR coefficients (0 disables serial correlation).
+
+    Each field with ``help`` metadata (all but ``seed``) is a setting of
+    ``msfactor simulate`` and ``montecarlo``, under its own name in a config
+    file and as ``--rho-f`` for ``rho_f``, with the default's type.
     """
 
-    n: int = 100
-    t: int = 500
-    r: int = 1
-    p11: float = 0.9
-    p22: float = 0.7
-    rho_f: float = 0.0
-    tau: float = 0.0
-    rho_idio_max: float = 0.0
-    noise_to_signal: float = 0.5
+    n: int = field(default=100, metadata={"help": "number of series N"})
+    t: int = field(default=500, metadata={"help": "number of periods T"})
+    r: int = field(default=1, metadata={"help": "factors per regime"})
+    p11: float = field(default=0.9, metadata={"help": "stay probability of state 1"})
+    p22: float = field(default=0.7, metadata={"help": "stay probability of state 2"})
+    rho_f: float = field(default=0.0, metadata={"help": "factor AR(1) coefficient"})
+    tau: float = field(default=0.0, metadata={"help": "Toeplitz band decay"})
+    rho_idio_max: float = field(
+        default=0.0, metadata={"help": "upper bound of idiosyncratic AR coefficients"}
+    )
+    noise_to_signal: float = field(default=0.5, metadata={"help": "target noise-to-signal ratio"})
     seed: int = 0
 
     def __post_init__(self):
@@ -61,8 +67,8 @@ class SimConfig:
             raise InvalidArgumentError("tau must lie in [0, 1)")
         if not (0.0 <= self.rho_idio_max < 1.0):
             raise InvalidArgumentError("rho_idio_max must lie in [0, 1)")
-        if self.noise_to_signal <= 0.0:
-            raise InvalidArgumentError("noise_to_signal must be positive")
+        if not (0.0 < self.noise_to_signal < math.inf):
+            raise InvalidArgumentError("noise_to_signal must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ to 1 within 1e-10, and its cross marginalises to smoothed within 1e-10.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Callable, Hashable
 from dataclasses import dataclass, field
 from typing import Any
@@ -347,7 +348,11 @@ class RngHandle:
 
     def __post_init__(self):
         for name in ("seed", "stream"):
-            if not (0 <= int(getattr(self, name)) < 2**64):
+            try:
+                fits = 0 <= operator.index(getattr(self, name)) < 2**64
+            except TypeError:  # not an integer: a float, a string, ...
+                fits = False
+            if not fits:
                 raise InvalidArgumentError(f"{name} must fit an unsigned 64-bit integer")
 
     def generator(self) -> np.random.Generator:

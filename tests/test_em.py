@@ -16,7 +16,12 @@ from msfactor.em import (
     relabel_states,
     run_em,
 )
-from msfactor.exceptions import EmptyRegimeError, MsfactorError, SingularGramError
+from msfactor.exceptions import (
+    EmptyRegimeError,
+    InvalidArgumentError,
+    MsfactorError,
+    SingularGramError,
+)
 from msfactor.filtering import anchor_fit, filter_smoother_pass, regime_log_densities
 from msfactor.oracle import enumerate_posterior
 from msfactor.pca import estimate_factor_space, select_num_factors_er
@@ -58,6 +63,19 @@ def expected_loglik(log_eta, smoothed, cross, trans):
         weights = cross[1:]
         terms = np.where(weights > 0.0, weights * log_rho[None, :], 0.0)
     return density_part + float(terms.sum())
+
+
+class TestEmConfig:
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf], ids=["zero", "neg", "nan", "inf"])
+    def test_epsilon_must_be_finite_and_positive(self, value):
+        with pytest.raises(InvalidArgumentError, match="epsilon must be finite"):
+            EmConfig(epsilon=value)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("name", ["omega1", "omega2"])
+    def test_non_finite_offset_rejected(self, name, value):
+        with pytest.raises(InvalidArgumentError, match="omega2 < omega1"):
+            EmConfig(**{name: value})
 
 
 class TestInitParams:

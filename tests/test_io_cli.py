@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -368,6 +369,20 @@ class TestCliRejectsSettings:
         assert code == 2
         assert err == "msfactor estimate: error: k = 'two' is not a valid int\n"
 
+    @pytest.mark.parametrize(
+        ("mode", "flag", "value", "name", "written"),
+        [
+            ("montecarlo", "--epsilon", "nan", "epsilon", "report.json"),
+            ("simulate", "--noise-to-signal", "inf", "noise_to_signal", "loadings.json"),
+        ],
+    )
+    def test_non_finite_setting(self, tmp_path, capsys, mode, flag, value, name, written):
+        reps = ["--reps", "1"] if mode == "montecarlo" else []
+        code, err = self._run(capsys, [mode, *reps, flag, value, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert err == f"msfactor {mode}: error: {name} must be finite and positive\n"
+        assert not (tmp_path / "o" / written).exists()
+
     def test_fewer_series_than_factors(self, tmp_path, capsys):
         code, err = self._run(
             capsys, ["simulate", "--n", "2", "--r", "3", "--t", "20", "--out", str(tmp_path)]
@@ -406,6 +421,81 @@ class TestCliRejectsSettings:
         assert code == 2
         assert err.startswith("msfactor simulate: error: ") and err.count("\n") == 1
         assert cfg in err
+
+
+#: One non-default value per setting, as a flag or config-file string.
+_SIM_SETTINGS = {
+    "n": "12", "t": "40", "r": "2", "p11": "0.85", "p22": "0.6", "rho_f": "0.3",
+    "tau": "0.2", "rho_idio_max": "0.4", "noise_to_signal": "0.8",
+}
+_EM_SETTINGS = {"max_iter": "5", "epsilon": "0.0001", "omega1": "0.3", "omega2": "0.05"}
+_DEFAULTS = {
+    f.name: f.default for cls in (SimConfig, EmConfig) for f in dataclasses.fields(cls)
+}
+
+
+class TestCliSettingsAreConfigFields:
+    """Each SimConfig field but ``seed`` and each EmConfig field is a flag and a
+    config-file key of the subcommands that take it, and is echoed in order."""
+
+    CASES = {
+        # mode -> (settings, output file, its config keys in order)
+        "simulate": (
+            _SIM_SETTINGS,
+            "loadings.json",
+            ["n", "t", "r", "p11", "p22", "rho_f", "tau", "rho_idio_max",
+             "noise_to_signal", "seed"],
+        ),
+        "montecarlo": (
+            {**_SIM_SETTINGS, **_EM_SETTINGS},
+            "report.json",
+            ["n", "t", "r", "p11", "p22", "rho_f", "tau", "rho_idio_max",
+             "noise_to_signal", "max_iter", "epsilon", "omega1", "omega2",
+             "seed", "replications"],
+        ),
+    }
+
+    def test_settings_cover_the_config_fields(self):
+        settings = {**_SIM_SETTINGS, **_EM_SETTINGS}
+        assert [name for name in _DEFAULTS if name != "seed"] == list(settings)
+        for name, value in settings.items():
+            assert type(_DEFAULTS[name])(value) != _DEFAULTS[name], name
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("mode", list(CASES))
+    def test_each_setting_reaches_the_config(self, tmp_path, mode, source):
+        settings, written, keys = self.CASES[mode]
+        if source == "flag":
+            argv = [a for name, value in settings.items()
+                    for a in ("--" + name.replace("_", "-"), value)]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("".join(f"{name} = {value}\n" for name, value in settings.items()))
+            argv = ["--config", str(cfg)]
+        reps = ["--reps", "1"] if mode == "montecarlo" else []
+        out = tmp_path / "out"
+        assert main([mode, *argv, *reps, "--seed", "4", "--out", str(out)]) == 0
+        config = json.loads((out / written).read_text())["config"]
+        assert list(config) == keys
+        for name, value in settings.items():
+            cast = type(_DEFAULTS[name])
+            assert type(config[name]) is cast and config[name] == cast(value), name
+        assert config["seed"] == 4
+
+    @pytest.mark.parametrize(
+        ("mode", "classes"),
+        [("simulate", [SimConfig]), ("estimate", [EmConfig]), ("montecarlo", [SimConfig, EmConfig])],
+    )
+    def test_help_text_comes_from_the_fields(self, capsys, monkeypatch, mode, classes):
+        monkeypatch.setenv("COLUMNS", "200")
+        with pytest.raises(SystemExit):
+            main([mode, "--help"])
+        text = capsys.readouterr().out
+        for cls in classes:
+            for f in dataclasses.fields(cls):
+                if f.name != "seed":
+                    assert f"--{f.name.replace('_', '-')} {f.name.upper()}" in text
+                    assert f.metadata["help"] in text
 
 
 class TestCliVerify:

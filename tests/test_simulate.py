@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from msfactor.exceptions import NotPositiveDefiniteError, RankDeficientError
+from msfactor.exceptions import (
+    InvalidArgumentError,
+    NotPositiveDefiniteError,
+    RankDeficientError,
+)
 from msfactor.simulate import (
     SimConfig,
     build_idio_covariances,
@@ -16,6 +20,19 @@ from msfactor.types import RngHandle
 
 def _gen(seed=0):
     return RngHandle(seed=seed).generator()
+
+
+class TestSimConfig:
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf], ids=["zero", "neg", "nan", "inf"])
+    def test_noise_to_signal_must_be_finite_and_positive(self, value):
+        with pytest.raises(InvalidArgumentError, match="noise_to_signal must be finite"):
+            SimConfig(noise_to_signal=value)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", ["p11", "p22", "rho_f", "tau", "rho_idio_max"])
+    def test_non_finite_coefficient_rejected(self, name, value):
+        with pytest.raises(InvalidArgumentError, match=name):
+            SimConfig(**{name: value})
 
 
 class TestSimulateChain:

@@ -218,6 +218,18 @@ class TestRngHandle:
         b = RngHandle(seed=11, stream=1).generator().standard_normal(16)
         assert not np.array_equal(a, b)
 
+    def test_numpy_integers_draw_the_int_stream(self):
+        a = RngHandle(seed=np.int64(11), stream=np.uint64(3)).generator().standard_normal(16)
+        b = RngHandle(seed=11, stream=3).generator().standard_normal(16)
+        assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("value", [1.5, -0.5, 2.0, float("nan"), "abc", None])
+    @pytest.mark.parametrize("name", ["seed", "stream"])
+    def test_non_integer_rejected(self, name, value):
+        # a float is never truncated to the stream of a nearby integer
+        with pytest.raises(InvalidArgumentError, match=f"{name} must fit"):
+            RngHandle(**{"seed": 0, name: value})
+
 
 def _path(**bad):
     half = np.full((3, 2), 0.5)
