@@ -1,4 +1,4 @@
-"""OpenBLAS thread control.
+"""OpenBLAS thread control, and LAPACK's tridiagonal eigensolver.
 
 OpenBLAS results depend on its thread count (gemm, syrk and eigh change in
 the last bits between 1 and 2 threads), and its idle helper threads spin
@@ -22,15 +22,22 @@ Who holds the cap:
   and parallel reports match, and it covers the fork.
 
 :func:`~msfactor.simulate.simulate_panel` is left on the caller's threads:
-its N x N covariance roots are the one place a second thread pays (a
-600 x 600 ``eigh`` takes ~55 ms on two threads and ~67 ms on one, on a
-2-core Xeon host).
+its N x N covariance roots are the one place a second thread can pay. At
+600 x 600, regime 2's ``eigh`` takes ~55 ms on one thread and ~45-55 ms on
+two; regime 1's :func:`tridiagonal_eigh` takes ~10-12 ms on either (2-core
+Xeon host).
 
 After a fork, make no set call in the child. OpenBLAS's fork handler tears
 down its thread pool, and any ``openblas_set_num_threads`` call in the child,
 even to one thread, builds it again; the new helper thread then spins for
 ~0.1 s beside the child's own work. A child forked while the parent holds
 the cap inherits one thread, so its own :func:`one_blas_thread` is a no-op.
+
+:func:`tridiagonal_eigh` binds ``LAPACKE_dstevd`` from the same libraries.
+numpy has no tridiagonal eigensolver, but the scipy-openblas64 library its
+wheels bundle exports LAPACK's. Only the ILP64 symbol (suffix ``64_``,
+64-bit ``lapack_int``) is bound, since its integer width is known; without
+it the function returns None.
 """
 
 from __future__ import annotations
@@ -40,6 +47,8 @@ import functools
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 
+import numpy as np
+
 #: (get, set) thread-count symbol pairs across OpenBLAS builds, with or
 #: without the ``scipy_`` prefix and the ``64_`` suffix of ILP64 builds.
 _OPENBLAS_THREAD_SYMBOLS = tuple(
@@ -47,16 +56,15 @@ _OPENBLAS_THREAD_SYMBOLS = tuple(
     for prefix in ("", "scipy_")
     for suffix in ("", "64_")
 )
+#: ``LAPACKE_dstevd`` in ILP64 builds, with or without the ``scipy_`` prefix.
+_DSTEVD_SYMBOLS = ("LAPACKE_dstevd64_", "scipy_LAPACKE_dstevd64_")
+_LAPACK_COL_MAJOR = 102
 
 
 @functools.cache
-def openblas_controls() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
-    """(get, set) thread-count functions of every OpenBLAS mapped into this
-    process, found once from ``/proc/self/maps``.
-
-    numpy's wheels bundle scipy-openblas, which exports
-    ``scipy_openblas_set_num_threads64_``.
-    """
+def _openblas_libraries() -> tuple[ctypes.CDLL, ...]:
+    """Every OpenBLAS mapped into this process, found once from
+    ``/proc/self/maps``."""
     try:
         with open("/proc/self/maps") as maps:
             paths = sorted(
@@ -68,12 +76,24 @@ def openblas_controls() -> tuple[tuple[Callable[[], int], Callable[[int], None]]
             )
     except OSError:
         return ()
-    controls = []
+    libraries = []
     for path in paths:
         try:
-            lib = ctypes.CDLL(path)
+            libraries.append(ctypes.CDLL(path))
         except OSError:
             continue
+    return tuple(libraries)
+
+
+@functools.cache
+def openblas_controls() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
+    """(get, set) thread-count functions of every loaded OpenBLAS.
+
+    numpy's wheels bundle scipy-openblas, which exports
+    ``scipy_openblas_set_num_threads64_``.
+    """
+    controls = []
+    for lib in _openblas_libraries():
         for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
             if hasattr(lib, get_name) and hasattr(lib, set_name):
                 get, set_ = getattr(lib, get_name), getattr(lib, set_name)
@@ -82,6 +102,60 @@ def openblas_controls() -> tuple[tuple[Callable[[], int], Callable[[int], None]]
                 controls.append((get, set_))
                 break
     return tuple(controls)
+
+
+@functools.cache
+def _dstevd() -> Callable[..., int] | None:
+    """``LAPACKE_dstevd`` of the first loaded OpenBLAS that exports it with
+    64-bit integers, or None."""
+    for lib in _openblas_libraries():
+        for name in _DSTEVD_SYMBOLS:
+            if hasattr(lib, name):
+                dstevd = getattr(lib, name)
+                # (matrix_layout, jobz, n, d, e, z, ldz)
+                dstevd.argtypes = [
+                    ctypes.c_int, ctypes.c_char, ctypes.c_int64,
+                    ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
+                ]
+                dstevd.restype = ctypes.c_int64
+                return dstevd
+    return None
+
+
+def tridiagonal_eigh(
+    diagonal: np.ndarray, subdiagonal: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Eigenvalues (ascending) and eigenvectors (columns) of the symmetric
+    tridiagonal matrix with this diagonal and subdiagonal, from LAPACK's
+    divide-and-conquer ``dstevd``.
+
+    They are the bits ``np.linalg.eigh`` gives for the dense matrix: its
+    ``dsyevd`` reduces a tridiagonal input by identity reflectors, hands the
+    same two diagonals to the same ``dstedc`` and back-transforms by I.
+    Returns None when no loaded OpenBLAS exports the ILP64 symbol or when
+    ``dstevd`` reports an error (``info != 0``, such as a NaN input).
+    """
+    values = np.array(diagonal, dtype=np.float64)  # overwritten by the eigenvalues
+    work = np.array(subdiagonal, dtype=np.float64)  # overwritten by dstevd
+    n = values.size
+    if values.shape != (n,) or work.shape != (max(n - 1, 0),):
+        raise ValueError(
+            f"need a diagonal of n and a subdiagonal of n - 1 values, "
+            f"got shapes {values.shape} and {work.shape}"
+        )
+    dstevd = _dstevd()
+    if dstevd is None:
+        return None
+    vectors = np.empty((n, n))
+    info = dstevd(
+        _LAPACK_COL_MAJOR, b"V", n,
+        values.ctypes.data, work.ctypes.data, vectors.ctypes.data, max(n, 1),
+    )
+    if info != 0:
+        return None
+    # the buffer holds the eigenvectors column-major: its transpose has
+    # eigenvector j in column j
+    return values, vectors.T
 
 
 @contextmanager

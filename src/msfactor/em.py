@@ -31,6 +31,7 @@ from .types import (
     StateProbabilities,
     TransitionMatrix,
     check_gram,
+    store_integers,
     unconditional_probs,
 )
 
@@ -65,6 +66,7 @@ class EmConfig:
     omega2: float = field(default=0.1, metadata={"help": "initial transition offset, state 2"})
 
     def __post_init__(self):
+        store_integers(self, "max_iter")
         if self.max_iter < 1:
             raise InvalidArgumentError("max_iter must be >= 1")
         if not (0.0 < self.epsilon < math.inf):

@@ -19,6 +19,7 @@ the same process also run on one thread.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,13 +81,20 @@ class ReplicationResult:
         }
 
 
+def _json_statistic(value: float) -> float | None:
+    """``value``, or None (JSON ``null``) where it is undefined (NaN)."""
+    return None if math.isnan(value) else value
+
+
 @dataclass(frozen=True)
 class MonteCarloReport:
     """Aggregated Monte Carlo results.
 
     ``mean``/``std`` map the fixed :data:`REPORT_COLUMNS` to statistics
     over successful replications; with a single replication the standard
-    deviations are reported as 0.
+    deviations are reported as 0. With none, every statistic is undefined:
+    NaN here, ``null`` in :meth:`to_json_dict`, since strict JSON has no
+    NaN.
     """
 
     replications: int
@@ -103,8 +111,8 @@ class MonteCarloReport:
             "successful": len(self.results),
             "non_converged": self.non_converged,
             "errors": [{"replication": r, "message": m} for r, m in self.errors],
-            "mean": {c: self.mean[c] for c in REPORT_COLUMNS},
-            "std": {c: self.std[c] for c in REPORT_COLUMNS},
+            "mean": {c: _json_statistic(self.mean[c]) for c in REPORT_COLUMNS},
+            "std": {c: _json_statistic(self.std[c]) for c in REPORT_COLUMNS},
             "per_replication": [
                 {
                     "replication": res.replication,

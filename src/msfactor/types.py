@@ -54,6 +54,19 @@ def _frozen_array(x) -> np.ndarray:
     return out
 
 
+def store_integers(config, *names: str) -> None:
+    """Store each named field of the frozen dataclass ``config`` as the plain
+    ``int`` it stands for (a numpy integer becomes an ``int``); raise
+    :class:`InvalidArgumentError` naming the first that is not an integer
+    (a float, a string, ...)."""
+    for name in names:
+        try:
+            value = operator.index(getattr(config, name))
+        except TypeError:
+            raise InvalidArgumentError(f"{name} must be an integer") from None
+        object.__setattr__(config, name, value)
+
+
 def row_sum_deviation(rows: np.ndarray) -> float:
     """max_t |sum_j rows[t, j] - 1| of a probability array with at least
     two columns.

@@ -1,3 +1,6 @@
+from contextlib import contextmanager
+
+import numpy as np
 import pytest
 
 from msfactor import (
@@ -8,9 +11,43 @@ from msfactor import (
     run_replication,
     simulate_panel,
 )
+from msfactor.blas import openblas_controls
 
 ACCEPTANCE_SEED = 0
 ACCEPTANCE_REPS = 20
+
+
+def numpy_uses_openblas() -> bool:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+needs_openblas = pytest.mark.skipif(
+    not numpy_uses_openblas(), reason="needs numpy on OpenBLAS"
+)
+
+
+@contextmanager
+def on_blas_threads(count):
+    """Every loaded OpenBLAS on ``count`` threads inside the block; the
+    counts found on entry come back on exit."""
+    controls = openblas_controls()
+    before = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(count)
+    try:
+        yield
+    finally:
+        for (_, set_), previous in zip(controls, before):
+            set_(previous)
+
+
+@pytest.fixture
+def caller_on_two_threads():
+    """Every loaded OpenBLAS on two threads, as numpy starts on a 2-core
+    host; the counts the test found come back afterwards."""
+    with on_blas_threads(2):
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -1,12 +1,10 @@
-from contextlib import contextmanager
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import on_blas_threads
 from msfactor import em
-from msfactor.blas import openblas_controls
 from msfactor.em import (
     EmConfig,
     init_params,
@@ -357,7 +355,7 @@ class TestRunEm:
         # that ModelParams rejects as non-positive (value 2.5).
         results = []
         for threads in (1, 2):
-            with _on_blas_threads(threads):
+            with on_blas_threads(threads):
                 panel = validate_panel(np.full((60, 3), value))
                 results.append(run_em(panel, estimate_factor_space(panel, k=1), EmConfig()))
         one, two = results
@@ -381,20 +379,6 @@ class TestRunEm:
         trace = np.array(result.loglik_trace)
         assert result.converged is True
         assert (np.diff(trace) >= -1e-9).all()
-
-
-@contextmanager
-def _on_blas_threads(count):
-    """Every loaded OpenBLAS on ``count`` threads inside the block."""
-    controls = openblas_controls()
-    before = [get() for get, _ in controls]
-    for _, set_ in controls:
-        set_(count)
-    try:
-        yield
-    finally:
-        for (_, set_), previous in zip(controls, before):
-            set_(previous)
 
 
 @pytest.fixture

@@ -284,6 +284,20 @@ class TestCliMonteCarlo:
         report = json.loads((out / "report.json").read_text())
         assert all(v == 0.0 for v in report["std"].values())
 
+    def test_all_failed_report_is_strict_json(self, tmp_path):
+        # tau = 0.95 makes regime 1's covariance indefinite in every replication
+        out = tmp_path / "failed"
+        main(["montecarlo", "--reps", "2", "--n", "20", "--t", "30", "--tau", "0.95",
+              "--out", str(out)])
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+        assert report["successful"] == 0 and len(report["errors"]) == 2
+        for block in ("mean", "std"):
+            assert report[block] == {c: None for c in report["columns"]}
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "mc.cfg"
         cfg.write_text("n = 20\nt = 80\nr = 1\nreps = 2\nseed = 11\n")

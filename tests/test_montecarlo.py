@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import needs_openblas, numpy_uses_openblas
 from msfactor import em, montecarlo, pca
 from msfactor.em import EmConfig, run_em
 from msfactor.blas import one_blas_thread, openblas_controls
@@ -21,19 +22,10 @@ SMALL = SimConfig(n=20, t=80, r=1)
 #: its gemm/syrk calls, whose last bits depend on the thread count.
 TABLE1 = SimConfig(n=100, t=500, r=1, p11=0.9, p22=0.7)
 
-
-def _numpy_uses_openblas() -> bool:
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return "openblas" in str(blas.get("name", "")).lower()
-
-
-needs_openblas = pytest.mark.skipif(
-    not _numpy_uses_openblas(), reason="needs numpy on OpenBLAS"
-)
 needs_forked_openblas = pytest.mark.skipif(
     not (
         sys.platform.startswith("linux")
-        and _numpy_uses_openblas()
+        and numpy_uses_openblas()
         and multiprocessing.get_start_method() == "fork"
     ),
     reason="needs Linux, numpy on OpenBLAS and pool workers started by fork",
@@ -42,18 +34,6 @@ needs_forked_openblas = pytest.mark.skipif(
 
 def _blas_counts() -> list[int]:
     return [get() for get, _ in openblas_controls()]
-
-
-@pytest.fixture
-def caller_on_two_threads():
-    """Every loaded OpenBLAS on two threads, as numpy starts on a 2-core
-    host; the counts the test found come back afterwards."""
-    original = _blas_counts()
-    for _, set_ in openblas_controls():
-        set_(2)
-    yield
-    for (_, set_), count in zip(openblas_controls(), original):
-        set_(count)
 
 
 def _in_process_pool(opened: list):
@@ -86,7 +66,7 @@ def _report_worker_threads(sim_cfg, em_cfg, seed, replication):
 
 class TestOneBlasThread:
     def test_finds_numpy_openblas(self):
-        if not _numpy_uses_openblas():
+        if not numpy_uses_openblas():
             pytest.skip("numpy is not built against OpenBLAS")
         assert openblas_controls()
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import needs_openblas, on_blas_threads
+from msfactor import blas
 from msfactor.exceptions import (
     InvalidArgumentError,
     NotPositiveDefiniteError,
@@ -312,3 +314,77 @@ class TestDenseMixingReference:
     def test_not_pd_names_regime(self, sigma):
         with pytest.raises(NotPositiveDefiniteError, match="regime-2"):
             simulate_idiosyncratic(np.eye(2), sigma, np.array([1, 1]), 0.0, _gen(4))
+
+
+#: Design 4 (serially and cross-correlated noise) at N > T, as in the
+#: wide Monte Carlo benchmark.
+DESIGN4_WIDE = SimConfig(n=600, t=300, r=2, rho_f=0.7, tau=0.5, rho_idio_max=0.5)
+
+
+class TestTridiagonalRoots:
+    """Regime 1's covariance is tridiagonal when tau > 0; its root comes
+    from LAPACK's dstevd with the bits ``eigh`` gives."""
+
+    @needs_openblas
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("n", [2, 3, 120, 600])
+    def test_eigenpairs_and_root_bytes_equal_eigh(self, n, threads):
+        sigma, _ = build_idio_covariances(n, 0.5, _gen(n))
+        with on_blas_threads(threads):
+            pairs = [
+                blas.tridiagonal_eigh(np.diagonal(sigma), np.diagonal(sigma, -1)),
+                np.linalg.eigh(sigma),
+            ]
+            roots = [(v * np.sqrt(w)) @ v.T for w, v in pairs]
+        (got_w, got_v), (want_w, want_v) = pairs
+        assert got_w.tobytes() == want_w.tobytes()
+        assert got_v.tobytes() == want_v.tobytes()
+        assert roots[0].tobytes() == roots[1].tobytes()
+
+    def test_rejects_mismatched_diagonals(self):
+        with pytest.raises(ValueError, match="subdiagonal of n - 1"):
+            blas.tridiagonal_eigh(np.ones(3), np.ones(3))
+
+    def test_failure_returns_none(self):
+        # LAPACKE rejects a NaN input with info != 0
+        assert blas.tridiagonal_eigh(np.array([np.nan, 1.0]), np.array([0.5])) is None
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_design4_panels_bytes_equal_without_the_binding(self, monkeypatch, threads):
+        with on_blas_threads(threads):
+            panels = [simulate_panel(DESIGN4_WIDE, RngHandle(seed=1, stream=s)) for s in range(2)]
+            monkeypatch.setattr(blas, "_dstevd", lambda: None)
+            for stream, truth in enumerate(panels):
+                fallback = simulate_panel(DESIGN4_WIDE, RngHandle(seed=1, stream=stream))
+                assert truth.panel.data.tobytes() == fallback.panel.data.tobytes()
+                assert truth.e.tobytes() == fallback.e.tobytes()
+
+    def test_not_pd_message_equal_without_the_binding(self, monkeypatch):
+        cfg = SimConfig(n=50, t=40, r=1, tau=0.9)
+        messages = []
+        for binding in (True, False):
+            if not binding:
+                monkeypatch.setattr(blas, "_dstevd", lambda: None)
+            with pytest.raises(NotPositiveDefiniteError, match=r"regime-1 .*\(tau=0\.9\)") as info:
+                simulate_panel(cfg, RngHandle(seed=0))
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+    @needs_openblas
+    def test_eigh_runs_once_per_design4_panel_for_regime_2(self, monkeypatch):
+        # where numpy is on OpenBLAS the binding must be found: a silent
+        # fallback to eigh would keep the bits and lose the speed-up
+        eigh, wide = np.linalg.eigh, []
+
+        def spy(a, *args, **kwargs):
+            if a.shape == (DESIGN4_WIDE.n, DESIGN4_WIDE.n):
+                wide.append(a)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        for stream in range(2):
+            simulate_panel(DESIGN4_WIDE, RngHandle(seed=0, stream=stream))
+        assert len(wide) == 2
+        tau = DESIGN4_WIDE.tau
+        for sigma in wide:  # regime 2: tau^2 on the second off-diagonal
+            assert (np.diagonal(sigma, 2) == tau**2).all()

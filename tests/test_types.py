@@ -1,8 +1,12 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from msfactor.em import EmConfig
 from msfactor.exceptions import (
     DegenerateChainError,
     DimensionMismatchError,
@@ -11,6 +15,7 @@ from msfactor.exceptions import (
     NonFiniteError,
     TooSmallError,
 )
+from msfactor.simulate import SimConfig
 from msfactor.types import (
     VARIANCE_FLOOR_RATIO,
     FactorSpace,
@@ -229,6 +234,25 @@ class TestRngHandle:
         # a float is never truncated to the stream of a nearby integer
         with pytest.raises(InvalidArgumentError, match=f"{name} must fit"):
             RngHandle(**{"seed": 0, name: value})
+
+
+#: The size settings, each read through ``operator.index``.
+CONFIG_INTEGERS = [(SimConfig, "n"), (SimConfig, "t"), (SimConfig, "r"), (EmConfig, "max_iter")]
+
+
+class TestConfigIntegers:
+    @pytest.mark.parametrize("value", [10.5, 40.0, "40", None])
+    @pytest.mark.parametrize(("cls", "name"), CONFIG_INTEGERS)
+    def test_non_integer_rejected(self, cls, name, value):
+        # a float is never truncated, even one with an integer value
+        with pytest.raises(InvalidArgumentError, match=f"^{name} must be an integer$"):
+            cls(**{name: value})
+
+    @pytest.mark.parametrize(("cls", "name"), CONFIG_INTEGERS)
+    def test_numpy_integer_stored_as_int(self, cls, name):
+        cfg = cls(**{name: np.int64(getattr(cls(), name))})
+        assert type(getattr(cfg, name)) is int
+        assert json.dumps(dataclasses.asdict(cfg)) == json.dumps(dataclasses.asdict(cls()))
 
 
 def _path(**bad):
