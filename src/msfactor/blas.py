@@ -49,6 +49,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from .exceptions import DimensionMismatchError
+
 #: (get, set) thread-count symbol pairs across OpenBLAS builds, with or
 #: without the ``scipy_`` prefix and the ``64_`` suffix of ILP64 builds.
 _OPENBLAS_THREAD_SYMBOLS = tuple(
@@ -139,7 +141,7 @@ def tridiagonal_eigh(
     work = np.array(subdiagonal, dtype=np.float64)  # overwritten by dstevd
     n = values.size
     if values.shape != (n,) or work.shape != (max(n - 1, 0),):
-        raise ValueError(
+        raise DimensionMismatchError(
             f"need a diagonal of n and a subdiagonal of n - 1 values, "
             f"got shapes {values.shape} and {work.shape}"
         )

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import Field, asdict, fields
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,7 @@ from .montecarlo import run_montecarlo
 from .oracle import EQUIVALENCE_TOLERANCE, equivalence_suite
 from .pca import demean_panel, estimate_factor_space, select_num_factors_er
 from .simulate import SimConfig, simulate_panel
-from .types import RngHandle, unconditional_probs
+from .types import RngHandle, setting_fields, unconditional_probs
 
 def _parse_bool(value: str) -> bool:
     lowered = value.strip().lower()
@@ -78,13 +78,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output directory")
 
 
-def _settings(cls) -> list[Field]:
-    """The fields of config dataclass ``cls`` that the CLI sets: those with help text."""
-    return [f for f in fields(cls) if "help" in f.metadata]
-
-
 def _add_config_flags(parser: argparse.ArgumentParser, cls) -> None:
-    for f in _settings(cls):
+    for f in setting_fields(cls):
         parser.add_argument(
             "--" + f.name.replace("_", "-"),
             dest=f.name,
@@ -137,7 +132,7 @@ def _config(cls, args, file_cfg: dict[str, str], **fixed):
     """``cls`` with each setting read by :func:`_setting` and the ``fixed`` values."""
     values = {
         f.name: _setting(args, file_cfg, f.name, type(f.default), f.default)
-        for f in _settings(cls)
+        for f in setting_fields(cls)
     }
     return cls(**values, **fixed)
 
@@ -259,7 +254,7 @@ def _cmd_montecarlo(args, file_cfg: dict[str, str]) -> int:
     report = run_montecarlo(sim_cfg, em_cfg, seed=seed, replications=reps, jobs=jobs)
     payload = {
         "config": {
-            **{f.name: getattr(sim_cfg, f.name) for f in _settings(SimConfig)},
+            **{f.name: getattr(sim_cfg, f.name) for f in setting_fields(SimConfig)},
             **asdict(em_cfg),
             "seed": seed,
             "replications": reps,

@@ -8,8 +8,8 @@ and the variances come from moments of the least-squares fit of the panel
 on them (:func:`~msfactor.filtering.anchor_fit`, computed once per panel
 and factor matrix), and no iteration builds a T x N residual. The M steps
 take the pass's plain arrays; only the closing pass is validated as a
-:class:`ProbabilityPath`. The parameters are relabeled every iteration so
-that state 1 is the one with the highest unconditional probability.
+:class:`ProbabilityPath`. The regime labels are fixed once, after the
+last M step, so that state 1 is the more persistent one (p11 >= p22).
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ from .types import (
     StateProbabilities,
     TransitionMatrix,
     check_gram,
-    store_integers,
-    unconditional_probs,
+    check_settings,
 )
 
 __all__ = [
@@ -66,7 +65,7 @@ class EmConfig:
     omega2: float = field(default=0.1, metadata={"help": "initial transition offset, state 2"})
 
     def __post_init__(self):
-        store_integers(self, "max_iter")
+        check_settings(self)
         if self.max_iter < 1:
             raise InvalidArgumentError("max_iter must be >= 1")
         if not (0.0 < self.epsilon < math.inf):
@@ -82,13 +81,13 @@ class EmConfig:
 class EmResult:
     """Final estimates of one EM run.
 
-    ``params`` come from the last M step; ``path`` from one extra
-    filter/smoother pass under those final parameters, the run's only
+    ``params`` come from the last M step, relabeled so that p11 >= p22;
+    ``path`` from one extra filter/smoother pass under them, the run's only
     validated pass. ``loglik_trace`` holds one log-likelihood per M step:
-    entry k is the filter log-likelihood attained by the parameters the (k+1)-th M step
-    produced, with the last entry coming from the closing pass. The EM
-    ascent property makes the trace non-decreasing. Non-convergence
-    within ``max_iter`` is reported through ``converged``, not raised.
+    entry k is the one attained by the parameters of the (k+1)-th M step,
+    the last coming from the closing pass. The EM ascent property makes the
+    trace non-decreasing. Non-convergence within ``max_iter`` is reported
+    through ``converged``, not raised.
     """
 
     params: ModelParams
@@ -220,24 +219,19 @@ def m_step_transition(cross: np.ndarray, smoothed: np.ndarray) -> TransitionMatr
     if denom.min() <= 0.0:
         empty = int(np.argmin(denom)) + 1
         raise EmptyRegimeError(f"regime {empty} has zero smoothed weight over t < T")
-    p = np.array(
-        [
-            [numer[0] / denom[0], numer[1] / denom[0]],
-            [numer[2] / denom[1], numer[3] / denom[1]],
-        ]
-    )
+    p = numer.reshape(2, 2) / denom[:, None]
     return TransitionMatrix(np.clip(p, 0.0, 1.0))
 
 
 def relabel_states(params: ModelParams) -> ModelParams:
-    """Give label 1 to the state with the highest unconditional probability.
+    """Give label 1 to the more persistent state: for two states, p11 >= p22
+    exactly when state 1 has the larger unconditional probability.
 
-    Returns ``params`` itself when state 1 already has it (ties included);
+    Returns ``params`` itself when p11 >= p22 (ties, p = I included);
     otherwise a copy with loadings, variances and the transition matrix
     permuted together. Applying the function twice equals applying it once.
     """
-    stationary = unconditional_probs(params.trans).values
-    if stationary[0] >= stationary[1]:
+    if params.trans.p11 >= params.trans.p22:
         return params
     return ModelParams(
         b1=params.b2,
@@ -264,22 +258,17 @@ def run_em(panel: Panel, fs: FactorSpace, cfg: EmConfig) -> EmResult:
     two successive log-likelihoods drops below ``cfg.epsilon``, or at
     ``cfg.max_iter``. On convergence one more M step is taken and the
     final probability path comes from one extra E step under those
-    parameters, whose log-likelihood closes the trace. The filter starts
-    from ``STATE_1``. Every M step is relabeled, so the final parameters
-    need no further relabeling.
+    parameters, whose log-likelihood closes the trace. The loop's passes
+    start from ``STATE_1`` and never relabel; :func:`relabel_states` runs
+    once, after it, and a swap starts the closing pass from (0, 1).
     """
     g_hat = fs.g_hat
     params = init_params(panel, fs, cfg)
-    # The pre-sample prior xi0 swaps with the labels, so every relabel is an
-    # exact invariance of the likelihood; swapping the labels alone sends
-    # near-balanced regimes into a relabeling limit cycle.
-    xi0 = STATE_1
     trace: list[float] = []
     converged = False
-    iterations = 0
     for k in range(cfg.max_iter):
         log_eta = regime_log_densities(panel, g_hat, params)
-        _, _, smoothed, cross, loglik = _forward_backward(log_eta, params.trans, xi0)
+        _, _, smoothed, cross, loglik = _forward_backward(log_eta, params.trans, STATE_1)
         if k >= 1:
             # loglik is the value attained by the previous M step.
             trace.append(loglik)
@@ -298,23 +287,18 @@ def run_em(panel: Panel, fs: FactorSpace, cfg: EmConfig) -> EmResult:
         b1, b2 = m_step_loadings(panel, g_hat, smoothed)
         s1, s2 = m_step_variances(panel, g_hat, b1, b2, smoothed)
         trans = m_step_transition(cross, smoothed)
-        new_params = ModelParams(
-            b1=b1, b2=b2, sigma_e1_diag=s1, sigma_e2_diag=s2, trans=trans
-        )
-        params = relabel_states(new_params)
-        if params is not new_params:
-            xi0 = StateProbabilities(xi0.values[::-1])
-        iterations = k + 1
+        params = ModelParams(b1=b1, b2=b2, sigma_e1_diag=s1, sigma_e2_diag=s2, trans=trans)
         if converged:
             break
-    final_path = filter_smoother_pass(
-        regime_log_densities(panel, g_hat, params), params.trans, xi0
-    )
+    labeled = relabel_states(params)
+    xi0 = STATE_1 if labeled is params else StateProbabilities(STATE_1.values[::-1])
+    log_eta = regime_log_densities(panel, g_hat, labeled)
+    final_path = filter_smoother_pass(log_eta, labeled.trans, xi0)
     trace.append(final_path.loglik)
     return EmResult(
-        params=params,
+        params=labeled,
         path=final_path,
         loglik_trace=tuple(trace),
-        iterations=iterations,
+        iterations=k + 1,
         converged=converged,
     )

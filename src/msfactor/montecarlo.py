@@ -36,7 +36,7 @@ from .metrics import (
 )
 from .pca import estimate_factor_space
 from .simulate import SimConfig, simulate_panel
-from .types import RngHandle, marginal_deviation, row_sum_deviation
+from .types import RngHandle, as_integer, marginal_deviation, row_sum_deviation
 
 #: Fixed report schema, mirroring the Monte Carlo table layout.
 REPORT_COLUMNS = (
@@ -208,6 +208,8 @@ def run_montecarlo(
     pool forks, ``numpy.random`` (which numpy 2 loads lazily) is loaded once
     here rather than in every worker.
     """
+    replications = as_integer("replications", replications)
+    jobs = as_integer("jobs", jobs)
     if replications < 1:
         raise InvalidArgumentError(f"replications must be >= 1, got {replications}")
     if jobs < 1:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import DimensionMismatchError, InvalidArgumentError, TooLongError
-from .types import RngHandle, StateProbabilities, TransitionMatrix
+from .types import RngHandle, StateProbabilities, TransitionMatrix, as_integer
 
 MAX_ENUM_T = 16
 EQUIVALENCE_TOLERANCE = 1e-9
@@ -103,7 +103,7 @@ def random_instance(rng: np.random.Generator):
     drawn to keep every probability safely inside (0, 1).
     """
     from .filtering import regime_log_densities
-    from .types import ModelParams, validate_panel
+    from .types import ModelParams, Panel, validate_panel
 
     n = int(rng.integers(1, 5))
     t_len = int(rng.integers(2, 9))
@@ -127,8 +127,6 @@ def random_instance(rng: np.random.Generator):
     if n == 1:
         # validate_panel requires N >= 2; bypass it for the 1-series cases
         # of the equivalence suite, where finiteness is all that matters.
-        from .types import Panel
-
         panel = Panel(data=x)
     else:
         panel = validate_panel(x)
@@ -147,6 +145,7 @@ def equivalence_suite(instances: int = 200, seed: int = 0) -> dict[str, float]:
     """
     from .filtering import filter_smoother_pass
 
+    instances = as_integer("instances", instances)
     if instances < 1:
         raise InvalidArgumentError(f"instances must be >= 1, got {instances}")
     RngHandle(seed=seed)  # one seed range for the package: unsigned 64-bit

@@ -15,7 +15,7 @@ import numpy as np
 
 from .blas import one_blas_thread
 from .exceptions import KTooLargeError, RankDeficientError
-from .types import FactorSpace, Panel
+from .types import FactorSpace, Panel, as_integer
 
 #: Eigenvalues below this fraction of the largest one are treated as zero
 #: by the eigenvalue-ratio criterion.
@@ -73,6 +73,7 @@ def estimate_factor_space(panel: Panel, k: int) -> FactorSpace:
     Raises :class:`RankDeficientError` when the kth eigenvalue is at most
     1e-12 times the largest, i.e. k exceeds the panel's numerical rank.
     """
+    k = as_integer("k", k)
     n, t_len = panel.n_len, panel.t_len
     if not (1 <= k <= min(n, t_len)):
         raise KTooLargeError(f"k={k} outside [1, min(N, T)] = [1, {min(n, t_len)}]")
@@ -106,6 +107,7 @@ def select_num_factors_er(panel: Panel, k_max: int) -> int:
     1e-12 of the largest count as zero; a zero denominator under a nonzero
     numerator wins outright.
     """
+    k_max = as_integer("k_max", k_max)
     n, t_len = panel.n_len, panel.t_len
     if k_max < 1 or k_max + 1 > min(n, t_len):
         raise KTooLargeError(

@@ -34,7 +34,7 @@ from .types import (
     Panel,
     RngHandle,
     TransitionMatrix,
-    store_integers,
+    check_settings,
     unconditional_probs,
     validate_panel,
 )
@@ -68,7 +68,7 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        store_integers(self, "n", "t", "r")
+        check_settings(self)
         if self.r < 1:
             raise InvalidArgumentError("r must be >= 1")
         if self.n < 2 or self.t < 2:

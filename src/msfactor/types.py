@@ -22,9 +22,10 @@ to 1 within 1e-10, and its cross marginalises to smoothed within 1e-10.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from collections.abc import Callable, Hashable
-from dataclasses import dataclass, field
+from dataclasses import Field, dataclass, field, fields
 from typing import Any
 
 import numpy as np
@@ -54,17 +55,31 @@ def _frozen_array(x) -> np.ndarray:
     return out
 
 
-def store_integers(config, *names: str) -> None:
-    """Store each named field of the frozen dataclass ``config`` as the plain
-    ``int`` it stands for (a numpy integer becomes an ``int``); raise
-    :class:`InvalidArgumentError` naming the first that is not an integer
-    (a float, a string, ...)."""
-    for name in names:
-        try:
-            value = operator.index(getattr(config, name))
-        except TypeError:
-            raise InvalidArgumentError(f"{name} must be an integer") from None
-        object.__setattr__(config, name, value)
+def as_integer(name: str, value) -> int:
+    """The plain ``int`` that ``value`` stands for (a numpy integer becomes
+    an ``int``); :class:`InvalidArgumentError` naming ``name`` for anything
+    else, an integer-valued float included."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidArgumentError(f"{name} must be an integer") from None
+
+
+def setting_fields(cls) -> list[Field]:
+    """The settings of config dataclass ``cls``: its fields with ``help`` metadata."""
+    return [f for f in fields(cls) if "help" in f.metadata]
+
+
+def check_settings(config) -> None:
+    """Check each setting of the frozen dataclass ``config`` by its default's
+    type: store an ``int`` through :func:`as_integer`; reject a ``float`` that
+    is not a real number (a string, None, ...) with InvalidArgumentError."""
+    for f in setting_fields(config):
+        value = getattr(config, f.name)
+        if isinstance(f.default, int):
+            object.__setattr__(config, f.name, as_integer(f.name, value))
+        elif not isinstance(value, numbers.Real):
+            raise InvalidArgumentError(f"{f.name} must be a real number")
 
 
 def row_sum_deviation(rows: np.ndarray) -> float:

@@ -321,6 +321,83 @@ class TestRelabelStates:
         assert once is not params
         assert relabel_states(once) is once
 
+    @pytest.mark.parametrize(
+        "p", [[[0.8, 0.2], [0.2, 0.8]], [[1.0, 0.0], [0.0, 1.0]]], ids=["symmetric", "identity"]
+    )
+    def test_tie_keeps_the_labels(self, p):
+        # p = I has no unique stationary law; the stay probabilities still tie
+        params = self._params(TransitionMatrix(np.array(p)))
+        assert relabel_states(params) is params
+
+
+def _soft_pass(cfg):
+    """A panel, its factors and a pass with soft smoothed weights: the pass
+    under the parameters of two EM iterations."""
+    truth = simulate_panel(cfg, RngHandle(seed=0, stream=1))
+    fs = estimate_factor_space(truth.panel, k=2 * cfg.r)
+    params = run_em(truth.panel, fs, EmConfig(max_iter=2)).params
+    log_eta = regime_log_densities(truth.panel, fs.g_hat, params)
+    return truth.panel, fs.g_hat, filter_smoother_pass(log_eta, params.trans, STATE_1)
+
+
+class TestLabelsFixedOnce:
+    """``run_em`` leaves the labels alone in its loop and relabels once at
+    the end. That gives the numbers of relabeling every iteration because
+    the filter is bitwise label-symmetric and, on one BLAS thread, each M
+    step is bitwise label-equivariant."""
+
+    @pytest.mark.parametrize("cfg", [TABLE1, DESIGN4_WIDE], ids=["table1", "design4-wide"])
+    def test_m_steps_are_bitwise_label_equivariant(self, cfg):
+        panel, g, path = _soft_pass(cfg)
+        w, cross = path.smoothed, path.cross
+        assert ((w > 1e-3) & (w < 1 - 1e-3)).mean() > 0.9
+        with on_blas_threads(1):
+            b1, b2 = m_step_loadings(panel, g, w)
+            s1, s2 = m_step_variances(panel, g, b1, b2, w)
+            trans = m_step_transition(cross, w)
+            swapped_b = m_step_loadings(panel, g, w[:, ::-1])
+            swapped_s = m_step_variances(panel, g, b2, b1, w[:, ::-1])
+            swapped_trans = m_step_transition(cross[:, ::-1], w[:, ::-1])
+        assert [a.tobytes() for a in swapped_b] == [b2.tobytes(), b1.tobytes()]
+        assert [a.tobytes() for a in swapped_s] == [s2.tobytes(), s1.tobytes()]
+        assert swapped_trans.p.tobytes() == trans.relabeled().p.tobytes()
+
+    @pytest.mark.parametrize(
+        ("stream", "swaps"), [(0, True), (1, False)], ids=["final-swap", "no-swap"]
+    )
+    def test_one_relabel_per_run(self, monkeypatch, stream, swaps):
+        # Table 1 inputs 0/0 and 0/1 of the benchmark pool: the first run's
+        # last M step has p11 < p22, the second's p11 >= p22
+        calls = []
+        relabel = em.relabel_states
+
+        def spy(params):
+            labeled = relabel(params)
+            calls.append((params, labeled))
+            return labeled
+
+        monkeypatch.setattr(em, "relabel_states", spy)
+        truth = simulate_panel(TABLE1, RngHandle(seed=0, stream=stream))
+        fs = estimate_factor_space(truth.panel, k=2)
+        result = run_em(truth.panel, fs, EmConfig())
+        assert result.iterations > 1 and len(calls) == 1
+        loop_params, labeled = calls[0]
+        assert labeled is result.params and (labeled is not loop_params) == swaps
+        assert result.params.trans.p11 >= result.params.trans.p22
+        assert result.path.loglik == result.loglik_trace[-1]
+        for name in ("predicted", "filtered", "smoothed", "cross"):
+            assert row_sum_deviation(getattr(result.path, name)) < 1e-10
+        # the returned path is the pass under the loop's own parameters,
+        # with its labels swapped when the parameters' were
+        loop_path = filter_smoother_pass(
+            regime_log_densities(truth.panel, fs.g_hat, loop_params), loop_params.trans, STATE_1
+        )
+        assert loop_path.loglik == result.path.loglik
+        flip = slice(None, None, -1 if swaps else 1)
+        for name in ("predicted", "filtered", "smoothed", "cross"):
+            expected = getattr(loop_path, name)[:, flip]
+            assert expected.tobytes() == getattr(result.path, name).tobytes()
+
 
 class TestRunEm:
     def test_deterministic(self):
@@ -369,10 +446,9 @@ class TestRunEm:
 
     def test_near_balanced_regimes_do_not_cycle(self):
         # Regression: on small panels with nearly balanced fitted regimes,
-        # per-iteration relabeling used to flip the parameter labels while
-        # the pre-sample prior kept pointing at fixed state 1, turning the
-        # trace into a +-1 limit cycle that never converged. The prior now
-        # swaps together with the labels.
+        # relabeling inside the loop while the pre-sample prior stayed on
+        # state 1 turned the trace into a +-1 limit cycle that never
+        # converged. The loop now leaves the labels, and the prior, alone.
         truth = simulate_panel(SimConfig(n=20, t=80, r=1), RngHandle(seed=5, stream=3))
         fs = estimate_factor_space(truth.panel, k=2)
         result = run_em(truth.panel, fs, EmConfig())

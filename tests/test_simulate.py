@@ -4,6 +4,7 @@ import pytest
 from conftest import needs_openblas, on_blas_threads
 from msfactor import blas
 from msfactor.exceptions import (
+    DimensionMismatchError,
     InvalidArgumentError,
     NotPositiveDefiniteError,
     RankDeficientError,
@@ -342,7 +343,7 @@ class TestTridiagonalRoots:
         assert roots[0].tobytes() == roots[1].tobytes()
 
     def test_rejects_mismatched_diagonals(self):
-        with pytest.raises(ValueError, match="subdiagonal of n - 1"):
+        with pytest.raises(DimensionMismatchError, match="subdiagonal of n - 1"):
             blas.tridiagonal_eigh(np.ones(3), np.ones(3))
 
     def test_failure_returns_none(self):

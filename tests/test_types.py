@@ -15,6 +15,9 @@ from msfactor.exceptions import (
     NonFiniteError,
     TooSmallError,
 )
+from msfactor.montecarlo import run_montecarlo
+from msfactor.oracle import equivalence_suite
+from msfactor.pca import estimate_factor_space, select_num_factors_er
 from msfactor.simulate import SimConfig
 from msfactor.types import (
     VARIANCE_FLOOR_RATIO,
@@ -253,6 +256,53 @@ class TestConfigIntegers:
         cfg = cls(**{name: np.int64(getattr(cls(), name))})
         assert type(getattr(cfg, name)) is int
         assert json.dumps(dataclasses.asdict(cfg)) == json.dumps(dataclasses.asdict(cls()))
+
+
+#: Each real-valued setting of the two configs.
+CONFIG_REALS = [
+    (SimConfig, name) for name in ("p11", "p22", "rho_f", "tau", "rho_idio_max", "noise_to_signal")
+] + [(EmConfig, name) for name in ("epsilon", "omega1", "omega2")]
+
+
+class TestConfigReals:
+    @pytest.mark.parametrize("value", ["0.3", None, [0.3]])
+    @pytest.mark.parametrize(("cls", "name"), CONFIG_REALS)
+    def test_non_real_rejected(self, cls, name, value):
+        with pytest.raises(InvalidArgumentError, match=f"^{name} must be a real number$"):
+            cls(**{name: value})
+
+    @pytest.mark.parametrize(("cls", "name"), CONFIG_REALS)
+    def test_real_values_kept_as_given(self, cls, name):
+        default = getattr(cls(), name)
+        cfg = cls(**{name: np.float64(default)})
+        assert type(getattr(cfg, name)) is np.float64
+        assert json.dumps(dataclasses.asdict(cfg)) == json.dumps(dataclasses.asdict(cls()))
+
+
+_PANEL = validate_panel(np.random.default_rng(0).standard_normal((20, 6)))
+
+#: Each integer argument of the library's entry points, as a call with that
+#: value; every call here is cheap.
+_INTEGER_ARGUMENTS = {
+    "replications": lambda v: run_montecarlo(
+        SimConfig(n=8, t=40), EmConfig(max_iter=2), seed=0, replications=v
+    ),
+    "jobs": lambda v: run_montecarlo(
+        SimConfig(n=8, t=40), EmConfig(max_iter=2), seed=0, replications=1, jobs=v
+    ),
+    "k": lambda v: estimate_factor_space(_PANEL, k=v),
+    "k_max": lambda v: select_num_factors_er(_PANEL, k_max=v),
+    "instances": lambda v: equivalence_suite(instances=v),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, "2", None])
+@pytest.mark.parametrize("name", list(_INTEGER_ARGUMENTS))
+def test_integer_arguments(name, value):
+    call = _INTEGER_ARGUMENTS[name]
+    with pytest.raises(InvalidArgumentError, match=f"^{name} must be an integer$"):
+        call(value)
+    call(np.int64(1))  # a numpy integer passes
 
 
 def _path(**bad):
