@@ -1,4 +1,4 @@
-"""OpenBLAS thread control, and LAPACK's tridiagonal eigensolver.
+"""OpenBLAS thread control, and two of LAPACK's symmetric eigensolvers.
 
 OpenBLAS results depend on its thread count (gemm, syrk and eigh change in
 the last bits between 1 and 2 threads), and its idle helper threads spin
@@ -23,9 +23,9 @@ Who holds the cap:
 
 :func:`~msfactor.simulate.simulate_panel` is left on the caller's threads:
 its N x N covariance roots are the one place a second thread can pay. At
-600 x 600, regime 2's ``eigh`` takes ~55 ms on one thread and ~45-55 ms on
-two; regime 1's :func:`tridiagonal_eigh` takes ~10-12 ms on either (2-core
-Xeon host).
+600 x 600, regime 2's :func:`eigh_in_place` takes ~47-59 ms on one thread
+and ~39-40 ms on two; regime 1's :func:`tridiagonal_eigh` takes ~10-12 ms
+on either (2-core Xeon host).
 
 After a fork, make no set call in the child. OpenBLAS's fork handler tears
 down its thread pool, and any ``openblas_set_num_threads`` call in the child,
@@ -33,11 +33,22 @@ even to one thread, builds it again; the new helper thread then spins for
 ~0.1 s beside the child's own work. A child forked while the parent holds
 the cap inherits one thread, so its own :func:`one_blas_thread` is a no-op.
 
-:func:`tridiagonal_eigh` binds ``LAPACKE_dstevd`` from the same libraries.
-numpy has no tridiagonal eigensolver, but the scipy-openblas64 library its
-wheels bundle exports LAPACK's. Only the ILP64 symbol (suffix ``64_``,
-64-bit ``lapack_int``) is bound, since its integer width is known; without
-it the function returns None.
+The eigensolvers take the simulation's covariance roots with the bits of
+``np.linalg.eigh``, from the LAPACKE functions that the scipy-openblas64
+library bundled with numpy's wheels exports:
+
+- :func:`tridiagonal_eigh` binds ``LAPACKE_dstevd`` and serves regime 1's
+  tridiagonal covariance, which it takes as two diagonals. numpy has no
+  tridiagonal eigensolver.
+- :func:`eigh_in_place` binds ``LAPACKE_dsyevd``, the routine behind
+  ``np.linalg.eigh``, and serves regime 2's pentadiagonal covariance. It
+  writes the eigenvectors over its input, where ``eigh`` works on a copy
+  and returns a new array.
+
+Both are looked up once by :func:`_lapacke`. Only the ILP64 symbols (suffix
+``64_``, 64-bit ``lapack_int``) are bound, since their integer width is
+known; without them both functions return None, and the caller falls back
+to ``np.linalg.eigh``.
 """
 
 from __future__ import annotations
@@ -49,7 +60,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .exceptions import DimensionMismatchError
+from .exceptions import DimensionMismatchError, InvalidArgumentError
 
 #: (get, set) thread-count symbol pairs across OpenBLAS builds, with or
 #: without the ``scipy_`` prefix and the ``64_`` suffix of ILP64 builds.
@@ -58,8 +69,19 @@ _OPENBLAS_THREAD_SYMBOLS = tuple(
     for prefix in ("", "scipy_")
     for suffix in ("", "64_")
 )
-#: ``LAPACKE_dstevd`` in ILP64 builds, with or without the ``scipy_`` prefix.
-_DSTEVD_SYMBOLS = ("LAPACKE_dstevd64_", "scipy_LAPACKE_dstevd64_")
+#: ctypes argument types of each bound LAPACKE routine.
+_LAPACKE_ARGTYPES = {
+    # (matrix_layout, jobz, n, d, e, z, ldz)
+    "dstevd": [
+        ctypes.c_int, ctypes.c_char, ctypes.c_int64,
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
+    ],
+    # (matrix_layout, jobz, uplo, n, a, lda, w)
+    "dsyevd": [
+        ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int64,
+        ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
+    ],
+}
 _LAPACK_COL_MAJOR = 102
 
 
@@ -107,20 +129,16 @@ def openblas_controls() -> tuple[tuple[Callable[[], int], Callable[[int], None]]
 
 
 @functools.cache
-def _dstevd() -> Callable[..., int] | None:
-    """``LAPACKE_dstevd`` of the first loaded OpenBLAS that exports it with
-    64-bit integers, or None."""
+def _lapacke(routine: str) -> Callable[..., int] | None:
+    """``LAPACKE_<routine>`` of the first loaded OpenBLAS that exports it
+    with 64-bit integers, with or without the ``scipy_`` prefix, or None."""
     for lib in _openblas_libraries():
-        for name in _DSTEVD_SYMBOLS:
+        for name in (f"LAPACKE_{routine}64_", f"scipy_LAPACKE_{routine}64_"):
             if hasattr(lib, name):
-                dstevd = getattr(lib, name)
-                # (matrix_layout, jobz, n, d, e, z, ldz)
-                dstevd.argtypes = [
-                    ctypes.c_int, ctypes.c_char, ctypes.c_int64,
-                    ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
-                ]
-                dstevd.restype = ctypes.c_int64
-                return dstevd
+                function = getattr(lib, name)
+                function.argtypes = _LAPACKE_ARGTYPES[routine]
+                function.restype = ctypes.c_int64
+                return function
     return None
 
 
@@ -145,7 +163,7 @@ def tridiagonal_eigh(
             f"need a diagonal of n and a subdiagonal of n - 1 values, "
             f"got shapes {values.shape} and {work.shape}"
         )
-    dstevd = _dstevd()
+    dstevd = _lapacke("dstevd")
     if dstevd is None:
         return None
     vectors = np.empty((n, n))
@@ -158,6 +176,38 @@ def tridiagonal_eigh(
     # the buffer holds the eigenvectors column-major: its transpose has
     # eigenvector j in column j
     return values, vectors.T
+
+
+def eigh_in_place(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Eigenvalues (ascending) and eigenvectors (columns) of a symmetric
+    matrix from LAPACK's divide-and-conquer ``dsyevd``, which writes the
+    eigenvectors over ``matrix``.
+
+    ``matrix`` must be a C-contiguous float64 square array, exactly
+    symmetric: ``dsyevd`` reads its lower triangle. The eigenvectors come
+    back as a view of its buffer. They and the eigenvalues are the bits
+    ``np.linalg.eigh`` gives, since it runs the same ``dsyevd`` on a copy.
+    Returns None, with ``matrix`` unspecified, when no loaded OpenBLAS
+    exports the ILP64 symbol or when ``dsyevd`` reports an error
+    (``info != 0``, such as a NaN input).
+    """
+    n = matrix.shape[0]
+    if matrix.shape != (n, n):
+        raise DimensionMismatchError(f"need a square matrix, got shape {matrix.shape}")
+    if matrix.dtype != np.float64 or not matrix.flags.c_contiguous:
+        raise InvalidArgumentError("need a C-contiguous float64 matrix to overwrite")
+    dsyevd = _lapacke("dsyevd")
+    if dsyevd is None:
+        return None
+    values = np.empty(n)
+    info = dsyevd(
+        _LAPACK_COL_MAJOR, b"V", b"L", n, matrix.ctypes.data, max(n, 1), values.ctypes.data
+    )
+    if info != 0:
+        return None
+    # the buffer holds the eigenvectors column-major: its transpose has
+    # eigenvector j in column j
+    return values, matrix.T
 
 
 @contextmanager

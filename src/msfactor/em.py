@@ -166,7 +166,12 @@ def m_step_variances(
         = (w_j' (z*z))_i - 2 d_ji' (z' (w_j g))_i + d_ji' G_j d_ji,
 
     so no T x N residual is built per call; anchoring at z keeps every
-    term on the scale of the residuals. Off-diagonal covariances are
+    term on the scale of the residuals. The terms still cancel where a
+    regime fits far better than the anchor. Each series' terms are bounded
+    by (w_j' (z*z))_i + |d_ji|^2 tr(G_j); series whose bound tops 1e5 times
+    their sum, so that rounding passes ~1e-11 of it, are summed from
+    z_i - g d_ji, as :func:`~msfactor.filtering.regime_log_densities` does
+    for rows. Off-diagonal covariances are
     identically zero under the exact-factor quasi-likelihood, so only the
     diagonal is returned.
     """
@@ -194,6 +199,11 @@ def m_step_variances(
             - 2.0 * np.einsum("ik,ik->i", d, zwg[:, cols])
             + np.einsum("ik,ik->i", d @ gram, d)
         )
+        bound = wzz[:, j] + gram.trace() * np.einsum("ik,ik->i", d, d)
+        exposed = np.flatnonzero(bound > 1e5 * ssr)
+        if exposed.size:
+            resid = z[:, exposed] - g @ d[exposed].T
+            ssr[exposed] = smoothed[:, j] @ (resid * resid)
         out.append(np.maximum(ssr / totals[j], floor))
     return out[0], out[1]
 

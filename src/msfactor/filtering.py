@@ -93,8 +93,9 @@ def regime_log_densities(
     keeps every term on the scale of the residuals: expanded around x, the
     terms grow with the column means and the signal and cancel
     catastrophically. They still cancel where a regime fits far better than
-    the anchor, its variances near the floor: rows whose (z*z)(1/s2_j) tops
-    1e6, so that rounding passes ~1e-10, are summed from z_t - d_j g_t.
+    the anchor, its variances near the floor. Each row's terms are bounded
+    by (z*z)(1/s2_j) + |g_t|^2 tr(d_j' diag(1/s2_j) d_j); rows whose bound
+    tops 1e6, so that rounding passes ~1e-10, are summed from z_t - d_j g_t.
     """
     x = panel.data
     g = np.asarray(g_hat, dtype=float)
@@ -116,16 +117,18 @@ def regime_log_densities(
     # both regimes in one pass over z*z and one over z
     squares = zz @ inv_s2
     products = z @ np.hstack(scaled)
+    row_norms = np.einsum("tk,tk->t", g, g)
     k = g.shape[1]
     out = np.empty((t_len, 2))
     const = -0.5 * n * _LOG_2PI
     for j in range(2):
+        gram = d[j].T @ scaled[j]  # d_j' diag(1/s2_j) d_j
         q = (
             squares[:, j]
             - 2.0 * np.einsum("tk,tk->t", g, products[:, j * k : (j + 1) * k])
-            + np.einsum("tk,tk->t", g @ (d[j].T @ scaled[j]), g)
+            + np.einsum("tk,tk->t", g @ gram, g)
         )
-        exposed = np.flatnonzero(squares[:, j] > 1e6)
+        exposed = np.flatnonzero(squares[:, j] + gram.trace() * row_norms > 1e6)
         if exposed.size:
             resid = z[exposed] - g[exposed] @ d[j].T
             q[exposed] = (resid * resid) @ inv_s2[:, j]

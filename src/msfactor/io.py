@@ -9,6 +9,7 @@ same double, so written files reload bit-identically.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from pathlib import Path
 
@@ -16,6 +17,12 @@ import numpy as np
 
 from .exceptions import CsvParseError, InvalidArgumentError
 from .types import Panel, validate_panel
+
+
+def _not_utf8(path: str | Path, exc: UnicodeDecodeError) -> str:
+    """Message naming the file and the byte offset of a decoding error
+    raised on the whole file's bytes."""
+    return f"{path}: byte 0x{exc.object[exc.start]:02x} at offset {exc.start} is not UTF-8"
 
 
 def _is_numeric(cell: str) -> bool:
@@ -54,11 +61,19 @@ def load_panel_csv(path: str | Path) -> Panel:
     non-numeric (a name like ``date`` or ``t``, or empty) the first column
     is treated as a date/index column and dropped. Every remaining cell
     must parse as a decimal float; failures report 1-based file
-    coordinates.
+    coordinates. A file that is not UTF-8 raises :class:`CsvParseError` at
+    the line and comma-separated cell of its first bad byte.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
-        rows = list(csv.reader(fh))
+    raw = path.read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_start = raw.rfind(b"\n", 0, exc.start) + 1
+        row = raw.count(b"\n", 0, exc.start) + 1
+        col = raw.count(b",", line_start, exc.start) + 1
+        raise CsvParseError(row, col, _not_utf8(path, exc)) from None
+    rows = list(csv.reader(io.StringIO(text, newline="")))
     if not rows:
         raise CsvParseError(1, 1, f"{path}: empty file")
     header = rows[0]
@@ -98,10 +113,15 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     """Parse a flat ``key = value`` config file.
 
     Blank lines and ``#`` comments are ignored; keys are lowercased and
-    dashes normalised to underscores so they match CLI flag names.
+    dashes normalised to underscores so they match CLI flag names. A file
+    that is not UTF-8 raises :class:`InvalidArgumentError`.
     """
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidArgumentError(_not_utf8(path, exc)) from None
     settings: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

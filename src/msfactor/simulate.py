@@ -6,11 +6,19 @@ and AR(1) idiosyncratic noise mixed through per-regime covariance square
 roots, then rescales the noise to a target noise-to-signal ratio.
 
 The roots are the symmetric ones, (v * sqrt(w)) v' from ``eigh``'s
-eigenpairs, and every route to them gives ``eigh``'s bits. A diagonal
-covariance (tau = 0) needs no eigensolver. When tau > 0, regime 1's
-covariance is tridiagonal and takes LAPACK's tridiagonal solver through
-:func:`msfactor.blas.tridiagonal_eigh`, a fifth of ``eigh``'s time at
-N = 600; regime 2's is pentadiagonal and takes ``np.linalg.eigh``.
+eigenpairs, and every route to them gives ``eigh``'s bits. Each covariance
+is carried as its structure, a :class:`BandedCovariance`, and is made
+dense only where an eigensolver needs it:
+
+- a diagonal covariance (tau = 0) needs no eigensolver and no N x N array;
+- when tau > 0, regime 1's covariance is tridiagonal and goes from its two
+  diagonals to LAPACK's tridiagonal solver through
+  :func:`msfactor.blas.tridiagonal_eigh`, a fifth of ``eigh``'s time at
+  N = 600;
+- regime 2's is pentadiagonal. It is made dense after regime 1's root is
+  gone, and :func:`msfactor.blas.eigh_in_place` writes its eigenvectors
+  over it, so at most one N x N covariance and its root's two temporaries
+  are live at once.
 
 :class:`SimConfig` validates every knob once; the helpers below trust the
 values it passes them.
@@ -23,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blas import tridiagonal_eigh
+from .blas import eigh_in_place, tridiagonal_eigh
 from .exceptions import (
     InvalidArgumentError,
     NotPositiveDefiniteError,
@@ -191,29 +199,38 @@ def simulate_loadings(
     return out[0], out[1]
 
 
-def _diagonal_plus_band(diag: np.ndarray, band: tuple[float, ...]) -> np.ndarray:
-    """diag(diag) plus the symmetric Toeplitz matrix with band[d] on diagonal
-    offset d, written into one array."""
-    n = diag.shape[0]
-    m = np.zeros((n, n))
-    rows = np.arange(n)
-    m[rows, rows] = diag + band[0]
-    for offset, value in enumerate(band[1:], start=1):
-        m[rows[:-offset], rows[offset:]] = value
-        m[rows[offset:], rows[:-offset]] = value
-    return m
+@dataclass(frozen=True, eq=False)
+class BandedCovariance:
+    """A symmetric N x N covariance kept as its structure: ``diagonal`` on
+    the main diagonal, ``band[d - 1]`` on every entry of diagonal offset d,
+    and zeros beyond the band."""
+
+    diagonal: np.ndarray
+    band: tuple[float, ...] = ()
+
+    def dense(self) -> np.ndarray:
+        """The N x N matrix, exactly symmetric."""
+        n = self.diagonal.shape[0]
+        m = np.zeros((n, n))
+        rows = np.arange(n)
+        m[rows, rows] = self.diagonal
+        for offset, value in enumerate(self.band, start=1):
+            m[rows[:-offset], rows[offset:]] = value
+            m[rows[offset:], rows[:-offset]] = value
+        return m
 
 
 def build_idio_covariances(
     n: int, tau: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[BandedCovariance, BandedCovariance]:
     """Per-regime idiosyncratic covariances: diagonal plus banded Toeplitz.
 
     The diagonal parts draw U[0.25, 1.25] (regime 1) and U[0.75, 1.75]
     (regime 2). The banded parts put tau^k on the kth diagonal for k = 1, 2
     (regime 1) and tau^(k-1) for k = 1, 2, 3 (regime 2), counting the main
     diagonal as k = 1; with tau = 0 both banded parts are identically zero
-    so the idiosyncratic covariance is purely diagonal.
+    so the idiosyncratic covariance is purely diagonal. So regime 1's
+    covariance is tridiagonal and regime 2's pentadiagonal when tau > 0.
 
     Nothing is checked here: :func:`simulate_idiosyncratic` raises
     :class:`NotPositiveDefiniteError` when it takes the square root of a
@@ -222,56 +239,57 @@ def build_idio_covariances(
     diag1 = rng.uniform(0.25, 1.25, size=n)
     diag2 = rng.uniform(0.75, 1.75, size=n)
     if tau == 0.0:
-        return np.diag(diag1), np.diag(diag2)
+        return BandedCovariance(diag1), BandedCovariance(diag2)
     return (
-        _diagonal_plus_band(diag1, (tau, tau**2)),
-        _diagonal_plus_band(diag2, (1.0, tau, tau**2)),
+        BandedCovariance(diag1 + tau, (tau**2,)),
+        BandedCovariance(diag2 + 1.0, (tau, tau**2)),
     )
 
 
-def _mix(nu: np.ndarray, sigma: np.ndarray, regime: int) -> np.ndarray:
+def _mix(nu: np.ndarray, sigma: BandedCovariance, regime: int) -> np.ndarray:
     """Rows of ``nu`` times the symmetric PSD square root of ``sigma``.
 
     The eigenpairs (w, v) behind the root (v * sqrt(w)) v' come from the
-    cheapest source that gives ``eigh``'s bits:
+    cheapest source that gives ``eigh``'s bits, chosen by the band:
 
     - a diagonal ``sigma`` (every design with tau = 0) has root
-      diag(sqrt(sigma_ii)), so mixing is an elementwise product;
-    - a tridiagonal ``sigma`` (regime 1 when tau > 0) takes
+      diag(sqrt(sigma_ii)), so mixing is an elementwise product and no
+      N x N array is made;
+    - a tridiagonal one (regime 1 when tau > 0) takes
       :func:`~msfactor.blas.tridiagonal_eigh` on its diagonal and
-      subdiagonal, ~11 ms against ``eigh``'s ~55 ms at 600 x 600 on one
-      thread. All of its nonzeros lie on the three central diagonals, so the
-      lower triangle that ``eigh`` reads is that same tridiagonal matrix;
-    - any other ``sigma`` (regime 2, pentadiagonal when tau > 0), or a
-      tridiagonal one that ``tridiagonal_eigh`` returns None for, takes one
-      ``eigh``.
+      subdiagonal, ~11 ms against ``eigh``'s ~50-60 ms at 600 x 600 on one
+      thread, and is never made dense;
+    - a wider band (regime 2, pentadiagonal when tau > 0) is made dense
+      here and :func:`~msfactor.blas.eigh_in_place` writes the eigenvectors
+      over it;
+    - where a binding returns None, ``np.linalg.eigh`` takes ``sigma``
+      made dense.
 
-    Raises :class:`NotPositiveDefiniteError` naming ``regime`` when an
-    eigenvalue is <= 0.
+    Only this call's N x N arrays are live, so the caller can take one
+    regime's root after the other. Raises :class:`NotPositiveDefiniteError`
+    naming ``regime`` when an eigenvalue is <= 0.
     """
-    diag = np.diagonal(sigma)
-    nonzero = np.count_nonzero(sigma)
-    is_diagonal = nonzero == np.count_nonzero(diag)
-    if is_diagonal:
-        w, v = diag, None
+    if not sigma.band:
+        eigenpairs = sigma.diagonal, None
+    elif len(sigma.band) == 1:
+        sub = np.full(sigma.diagonal.size - 1, sigma.band[0])
+        eigenpairs = tridiagonal_eigh(sigma.diagonal, sub)
     else:
-        sub = np.diagonal(sigma, -1)
-        in_band = sum(np.count_nonzero(np.diagonal(sigma, k)) for k in (-1, 0, 1))
-        eigenpairs = tridiagonal_eigh(diag, sub) if nonzero == in_band else None
-        w, v = eigenpairs if eigenpairs is not None else np.linalg.eigh(sigma)
+        eigenpairs = eigh_in_place(sigma.dense())
+    w, v = eigenpairs if eigenpairs is not None else np.linalg.eigh(sigma.dense())
     if w.min() <= 0.0:
         raise NotPositiveDefiniteError(
             f"regime-{regime} idiosyncratic covariance has eigenvalue "
             f"{w.min():.3e} <= 0"
         )
-    if is_diagonal:
+    if v is None:
         return nu * np.sqrt(w)
     return nu @ ((v * np.sqrt(w)) @ v.T)
 
 
 def simulate_idiosyncratic(
-    sigma_e1: np.ndarray,
-    sigma_e2: np.ndarray,
+    sigma_e1: BandedCovariance,
+    sigma_e2: BandedCovariance,
     states: np.ndarray,
     rho_idio_max: float,
     rng: np.random.Generator,
@@ -284,12 +302,13 @@ def simulate_idiosyncratic(
     variance before mixing, so the covariance matrices alone control the
     idiosyncratic scale. Mixing uses the symmetric PSD square roots, each
     applied only to the periods of its regime (state 1, and every other
-    state value for regime 2); a covariance with an eigenvalue <= 0 raises
-    :class:`NotPositiveDefiniteError` naming its regime.
+    state value for regime 2), regime 1's first: its root is gone before
+    regime 2's covariance is made. A covariance with an eigenvalue <= 0
+    raises :class:`NotPositiveDefiniteError` naming its regime.
     """
     states = np.asarray(states)
     t_len = states.shape[0]
-    n = sigma_e1.shape[0]
+    n = sigma_e1.diagonal.shape[0]
     rho = rng.uniform(0.0, rho_idio_max, size=n)  # drawn either way: keeps the stream
     w = rng.standard_normal((t_len, n))
     if rho_idio_max == 0.0:
@@ -304,8 +323,8 @@ def simulate_idiosyncratic(
     nu /= sd
     in_one = states == 1
     e = np.empty((t_len, n))
-    e[in_one] = _mix(nu[in_one], np.asarray(sigma_e1, dtype=float), regime=1)
-    e[~in_one] = _mix(nu[~in_one], np.asarray(sigma_e2, dtype=float), regime=2)
+    e[in_one] = _mix(nu[in_one], sigma_e1, regime=1)
+    e[~in_one] = _mix(nu[~in_one], sigma_e2, regime=2)
     return e
 
 

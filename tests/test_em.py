@@ -546,6 +546,21 @@ class TestExpandedKernels:
         at_floor=st.booleans(),
         zero_column=st.booleans(),
     )
+    # cancellation-exposed inputs: a series' variance (1.28e-9 relative off
+    # without the direct fallback), then rows of the log densities, where
+    # the terms of the k x k quadratic form cancel (6.3e-9 and 1.2e-9)
+    @example(
+        seed=5692, offset_sd=1.0, noise_to_signal=1e-6,
+        hard_weights=True, at_floor=False, zero_column=False,
+    )
+    @example(
+        seed=5692, offset_sd=0.0, noise_to_signal=1e-12,
+        hard_weights=True, at_floor=True, zero_column=False,
+    )
+    @example(
+        seed=39495, offset_sd=1.0, noise_to_signal=1e-12,
+        hard_weights=True, at_floor=True, zero_column=False,
+    )
     def test_match_direct_residual_formula(
         self, seed, offset_sd, noise_to_signal, hard_weights, at_floor, zero_column
     ):

@@ -58,6 +58,13 @@ class TestPanelCsv:
             load_panel_csv(path)
         assert err.value.row == 4 and err.value.col == 3
 
+    def test_not_utf8_coordinates(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"t,a,b\n1,1.0,2.0\n2,3.0,4\xff\n")
+        with pytest.raises(CsvParseError, match="byte 0xff at offset 23 is not UTF-8") as err:
+            load_panel_csv(path)
+        assert err.value.row == 3 and err.value.col == 3
+
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("t,a,b\n1,1.0,2.0\n2,3.0\n")
@@ -428,6 +435,23 @@ class TestCliRejectsSettings:
         assert code == 2
         assert err.startswith("msfactor estimate: error: ") and err.count("\n") == 1
         assert path in err
+
+    def test_input_not_utf8(self, tmp_path, capsys):
+        panel = tmp_path / "panel.csv"
+        panel.write_bytes(b"\xffa,b\n1,2\n3,4\n")
+        code, err = self._run(
+            capsys, ["estimate", "--input", str(panel), "--out", str(tmp_path / "e")]
+        )
+        assert code == 2
+        assert err == f"msfactor estimate: error: {panel}: byte 0xff at offset 0 is not UTF-8\n"
+        assert not (tmp_path / "e" / "params.json").exists()
+
+    def test_config_file_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"n = 10\n# caf\xe9\n")
+        code, err = self._run(capsys, ["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        assert err == f"msfactor simulate: error: {cfg}: byte 0xe9 at offset 12 is not UTF-8\n"
 
     def test_missing_config(self, tmp_path, capsys):
         cfg = str(tmp_path / "missing.cfg")

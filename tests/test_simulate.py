@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import needs_openblas, on_blas_threads
-from msfactor import blas
+from msfactor import blas, simulate
 from msfactor.exceptions import (
     DimensionMismatchError,
     InvalidArgumentError,
@@ -10,6 +12,7 @@ from msfactor.exceptions import (
     RankDeficientError,
 )
 from msfactor.simulate import (
+    BandedCovariance,
     SimConfig,
     build_idio_covariances,
     simulate_chain,
@@ -108,13 +111,14 @@ class TestSimulateLoadings:
 class TestIdioCovariances:
     def test_tau_zero_is_diagonal_within_ranges(self):
         s1, s2 = build_idio_covariances(50, 0.0, _gen(0))
-        for s, lo, hi in [(s1, 0.25, 1.25), (s2, 0.75, 1.75)]:
+        assert s1.band == s2.band == ()
+        for s, lo, hi in [(s1.dense(), 0.25, 1.25), (s2.dense(), 0.75, 1.75)]:
             assert np.abs(s - np.diag(np.diag(s))).max() == 0.0
             d = np.diag(s)
             assert d.min() >= lo and d.max() <= hi
 
     def test_band_structure(self):
-        s1, s2 = build_idio_covariances(10, 0.5, _gen(1))
+        s1, s2 = (s.dense() for s in build_idio_covariances(10, 0.5, _gen(1)))
         # regime 1: tau^k on diagonals k=1,2 counting the main diagonal as k=1
         assert np.allclose(np.diag(s1, 1), 0.25)
         assert np.allclose(np.diag(s1, 2), 0.0)
@@ -144,19 +148,19 @@ class TestIdioCovariances:
             np.diag(diag2) + (toeplitz([1.0, tau, tau**2]) if tau else zeros),
         )
         for got, want in zip(build_idio_covariances(n, tau, _gen(5)), expected):
-            assert got.tobytes() == want.tobytes()
+            assert got.dense().tobytes() == want.tobytes()
 
     def test_positive_definite_at_half(self):
         # eigenvalue-check oracle
-        s1, s2 = build_idio_covariances(100, 0.5, _gen(2))
+        s1, s2 = (s.dense() for s in build_idio_covariances(100, 0.5, _gen(2)))
         assert np.linalg.eigvalsh(s1).min() > 0
         assert np.linalg.eigvalsh(s2).min() > 0
 
     def test_not_pd_raises(self):
         with pytest.raises(NotPositiveDefiniteError):
             simulate_idiosyncratic(
-                np.array([[1.0, 2.0], [2.0, 1.0]]),  # eigenvalues 3, -1
-                np.eye(2),
+                BandedCovariance(np.ones(2), (2.0,)),  # [[1, 2], [2, 1]]: eigenvalues 3, -1
+                BandedCovariance(np.ones(2)),
                 np.array([1, 2]),
                 0.0,
                 _gen(3),
@@ -167,20 +171,23 @@ class TestSimulateIdiosyncratic:
     def test_unit_variance_columns(self):
         # sample-variance oracle with identity mixing
         states = np.ones(1000, dtype=int)
-        e = simulate_idiosyncratic(np.eye(20), np.eye(20), states, 0.0, _gen(0))
+        identity = BandedCovariance(np.ones(20))
+        e = simulate_idiosyncratic(identity, identity, states, 0.0, _gen(0))
         assert np.abs(e.var(axis=0) - 1.0).max() < 0.1
 
     def test_single_regime_uses_only_first_covariance(self):
         states = np.ones(200, dtype=int)
         gen_a, gen_b = _gen(1), _gen(1)
-        e_scaled = simulate_idiosyncratic(4.0 * np.eye(5), np.eye(5), states, 0.0, gen_a)
-        e_unit = simulate_idiosyncratic(np.eye(5), 7.0 * np.eye(5), states, 0.0, gen_b)
+        scaled = [BandedCovariance(np.full(5, scale)) for scale in (1.0, 4.0, 7.0)]
+        e_scaled = simulate_idiosyncratic(scaled[1], scaled[0], states, 0.0, gen_a)
+        e_unit = simulate_idiosyncratic(scaled[0], scaled[2], states, 0.0, gen_b)
         assert np.allclose(e_scaled, 2.0 * e_unit)
 
     def test_autocorrelation_range(self):
         # autocorrelation oracle with rho_i ~ U[0, 0.5]
         states = np.ones(1000, dtype=int)
-        e = simulate_idiosyncratic(np.eye(30), np.eye(30), states, 0.5, _gen(2))
+        identity = BandedCovariance(np.ones(30))
+        e = simulate_idiosyncratic(identity, identity, states, 0.5, _gen(2))
         for col in e.T:
             autocorr = np.corrcoef(col[:-1], col[1:])[0, 1]
             assert -0.1 <= autocorr <= 0.6
@@ -310,11 +317,18 @@ class TestDenseMixingReference:
             simulate_panel(SimConfig(n=50, t=40, r=1, tau=0.9), RngHandle(seed=0))
 
     @pytest.mark.parametrize(
-        "sigma", [np.array([[1.0, 2.0], [2.0, 1.0]]), np.diag([1.0, -1.0])], ids=["dense", "diagonal"]
+        "sigma",
+        [
+            BandedCovariance(np.ones(2), (2.0,)),  # [[1, 2], [2, 1]]
+            BandedCovariance(np.array([1.0, -1.0])),
+        ],
+        ids=["dense", "diagonal"],
     )
     def test_not_pd_names_regime(self, sigma):
         with pytest.raises(NotPositiveDefiniteError, match="regime-2"):
-            simulate_idiosyncratic(np.eye(2), sigma, np.array([1, 1]), 0.0, _gen(4))
+            simulate_idiosyncratic(
+                BandedCovariance(np.ones(2)), sigma, np.array([1, 1]), 0.0, _gen(4)
+            )
 
 
 #: Design 4 (serially and cross-correlated noise) at N > T, as in the
@@ -330,7 +344,7 @@ class TestTridiagonalRoots:
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("n", [2, 3, 120, 600])
     def test_eigenpairs_and_root_bytes_equal_eigh(self, n, threads):
-        sigma, _ = build_idio_covariances(n, 0.5, _gen(n))
+        sigma = build_idio_covariances(n, 0.5, _gen(n))[0].dense()
         with on_blas_threads(threads):
             pairs = [
                 blas.tridiagonal_eigh(np.diagonal(sigma), np.diagonal(sigma, -1)),
@@ -352,9 +366,10 @@ class TestTridiagonalRoots:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_design4_panels_bytes_equal_without_the_binding(self, monkeypatch, threads):
+        # both bindings away: eigh takes both regimes' dense covariances
         with on_blas_threads(threads):
             panels = [simulate_panel(DESIGN4_WIDE, RngHandle(seed=1, stream=s)) for s in range(2)]
-            monkeypatch.setattr(blas, "_dstevd", lambda: None)
+            monkeypatch.setattr(blas, "_lapacke", lambda routine: None)
             for stream, truth in enumerate(panels):
                 fallback = simulate_panel(DESIGN4_WIDE, RngHandle(seed=1, stream=stream))
                 assert truth.panel.data.tobytes() == fallback.panel.data.tobytes()
@@ -365,7 +380,7 @@ class TestTridiagonalRoots:
         messages = []
         for binding in (True, False):
             if not binding:
-                monkeypatch.setattr(blas, "_dstevd", lambda: None)
+                monkeypatch.setattr(blas, "_lapacke", lambda routine: None)
             with pytest.raises(NotPositiveDefiniteError, match=r"regime-1 .*\(tau=0\.9\)") as info:
                 simulate_panel(cfg, RngHandle(seed=0))
             messages.append(str(info.value))
@@ -374,18 +389,101 @@ class TestTridiagonalRoots:
     @needs_openblas
     def test_eigh_runs_once_per_design4_panel_for_regime_2(self, monkeypatch):
         # where numpy is on OpenBLAS the binding must be found: a silent
-        # fallback to eigh would keep the bits and lose the speed-up
-        eigh, wide = np.linalg.eigh, []
+        # fallback to eigh would keep the bits and lose the memory saving
+        in_place, wide, eigh = blas.eigh_in_place, [], np.linalg.eigh
 
-        def spy(a, *args, **kwargs):
-            if a.shape == (DESIGN4_WIDE.n, DESIGN4_WIDE.n):
-                wide.append(a)
+        def spy(matrix):
+            if matrix.shape == (DESIGN4_WIDE.n, DESIGN4_WIDE.n):
+                wide.append(matrix.copy())  # the call overwrites it
+            pairs = in_place(matrix)
+            assert pairs is not None
+            return pairs
+
+        def no_wide_eigh(a, *args, **kwargs):
+            assert a.shape != (DESIGN4_WIDE.n, DESIGN4_WIDE.n)
             return eigh(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigh", spy)
+        monkeypatch.setattr(simulate, "eigh_in_place", spy)
+        monkeypatch.setattr(np.linalg, "eigh", no_wide_eigh)
         for stream in range(2):
             simulate_panel(DESIGN4_WIDE, RngHandle(seed=0, stream=stream))
         assert len(wide) == 2
         tau = DESIGN4_WIDE.tau
         for sigma in wide:  # regime 2: tau^2 on the second off-diagonal
             assert (np.diagonal(sigma, 2) == tau**2).all()
+
+
+class TestInPlaceRoots:
+    """Regime 2's covariance is pentadiagonal when tau > 0; LAPACK's dsyevd
+    writes its eigenvectors over it, with the bits ``eigh`` gives."""
+
+    @needs_openblas
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("n", [2, 3, 120, 600])
+    def test_eigenpairs_and_root_bytes_equal_eigh(self, n, threads):
+        sigma = build_idio_covariances(n, 0.5, _gen(n))[1].dense()
+        buffer = sigma.copy()
+        with on_blas_threads(threads):
+            pairs = [blas.eigh_in_place(buffer), np.linalg.eigh(sigma)]
+            roots = [(v * np.sqrt(w)) @ v.T for w, v in pairs]
+        (got_w, got_v), (want_w, want_v) = pairs
+        assert got_w.tobytes() == want_w.tobytes()
+        assert got_v.tobytes() == want_v.tobytes()
+        assert roots[0].tobytes() == roots[1].tobytes()
+        # the input buffer holds the eigenvectors, one per row
+        assert np.shares_memory(got_v, buffer)
+        assert buffer.tobytes() == want_v.T.tobytes()
+
+    def test_failure_returns_none(self):
+        # LAPACKE rejects a NaN input with info != 0
+        assert blas.eigh_in_place(np.array([[np.nan, 0.5], [0.5, 1.0]])) is None
+
+    def test_rejects_what_it_cannot_overwrite(self):
+        with pytest.raises(DimensionMismatchError, match="square"):
+            blas.eigh_in_place(np.ones((2, 3)))
+        with pytest.raises(InvalidArgumentError, match="C-contiguous float64"):
+            blas.eigh_in_place(np.eye(4)[::2, ::2])
+        with pytest.raises(InvalidArgumentError, match="C-contiguous float64"):
+            blas.eigh_in_place(np.eye(2, dtype=np.float32))
+
+    def test_regime_2_not_pd_message_equal_without_the_binding(self, monkeypatch):
+        # ones on the five central diagonals: eigenvalue 1 + 2 cos(x) + 2 cos(2x) < 0
+        sigma = BandedCovariance(np.ones(8), (1.0, 1.0))
+        messages = []
+        for binding in (True, False):
+            if not binding:
+                monkeypatch.setattr(blas, "_lapacke", lambda routine: None)
+            with pytest.raises(NotPositiveDefiniteError, match="regime-2") as info:
+                simulate_idiosyncratic(
+                    BandedCovariance(np.ones(8)), sigma, np.array([1, 2, 2]), 0.0, _gen(4)
+                )
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+
+class TestSimulationMemory:
+    """The traced peak of one simulate_panel call, in N x N doubles: one
+    covariance root at a time, and no N x N array for a diagonal one."""
+
+    @staticmethod
+    def _peak_in_n_squared(cfg):
+        simulate_panel(cfg, RngHandle(seed=0))  # warm-up: caches and bindings
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            simulate_panel(cfg, RngHandle(seed=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if started:
+                tracemalloc.stop()
+        return (peak - before) / (8 * cfg.n**2)
+
+    def test_banded_design(self):
+        cfg = SimConfig(n=300, t=60, r=2, tau=0.5, rho_idio_max=0.5)
+        assert self._peak_in_n_squared(cfg) <= 4.5
+
+    def test_diagonal_design(self):
+        assert self._peak_in_n_squared(SimConfig(n=600, t=60)) <= 1.0
