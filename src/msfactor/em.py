@@ -3,13 +3,14 @@
 The E step is the forward-backward pass of :mod:`msfactor.filtering`; the
 M step has closed forms: weighted least squares for the loadings, weighted
 mean squared residuals for the variances, and normalised smoothed
-transition counts for the chain. The factors stay fixed, so the densities
-and the variances come from moments of the least-squares fit of the panel
-on them (:func:`~msfactor.filtering.anchor_fit`, computed once per panel
-and factor matrix), and no iteration builds a T x N residual. The M steps
-take the pass's plain arrays; only the closing pass is validated as a
-:class:`ProbabilityPath`. The regime labels are fixed once, after the
-last M step, so that state 1 is the more persistent one (p11 >= p22).
+transition counts for the chain. The factors stay fixed, so the start,
+the densities and the variances come from the least-squares fit of the
+panel on them (:func:`~msfactor.filtering.anchor_fit`, once per panel and
+factor matrix), the last two through one kernel, and no iteration builds
+a T x N residual. The M steps take the pass's plain arrays; only the
+closing pass is validated as a :class:`ProbabilityPath`. The regime labels
+are fixed once, after the last M step, so that state 1 is the more
+persistent one (p11 >= p22).
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ import numpy as np
 
 from .blas import one_blas_thread
 from .exceptions import EmptyRegimeError, InvalidArgumentError
-from .filtering import _forward_backward, anchor_fit, filter_smoother_pass, regime_log_densities
+from .filtering import (
+    _forward_backward, _residual_sums, anchor_fit, filter_smoother_pass, regime_log_densities
+)
 from .pca import FactorSpace
 from .types import (
     STATE_1,
@@ -101,11 +104,14 @@ def init_params(panel: Panel, fs: FactorSpace, cfg: EmConfig) -> ModelParams:
     """PCA-based starting point.
 
     Both regimes start from the linear-model loadings (b1 = b2 = a_hat)
-    and from the diagonal of the PCA residual second-moment matrix; the
-    initial transition matrix is [[0.5+w1, 0.5-w1], [0.5-w2, 0.5+w2]].
+    and from each series' mean squared PCA residual, floored: the z*z of
+    :func:`~msfactor.filtering.anchor_fit`, whose loadings are a_hat for
+    PCA factors. The initial transition matrix is
+    [[0.5+w1, 0.5-w1], [0.5-w2, 0.5+w2]].
     """
-    resid = panel.data - fs.g_hat @ fs.a_hat.T
-    sigma = np.maximum((resid**2).mean(axis=0), panel.variance_floor())
+    floor = panel.variance_floor()  # before the fit: its T x N temporary is gone by then
+    _, _, zz = anchor_fit(panel, fs.g_hat)
+    sigma = np.maximum(zz.mean(axis=0), floor)
     w1, w2 = cfg.omega1, cfg.omega2
     trans = TransitionMatrix(np.array([[0.5 + w1, 0.5 - w1], [0.5 - w2, 0.5 + w2]]))
     return ModelParams(
@@ -131,7 +137,7 @@ def m_step_loadings(
     """
     g = np.asarray(g_hat, dtype=float)
     k = g.shape[1]
-    wg = _weighted_factors(g, smoothed)
+    wg = np.hstack([g * smoothed[:, :1], g * smoothed[:, 1:2]])
     cross_moment = panel.data.T @ wg
     out = []
     for j in range(2):
@@ -140,11 +146,6 @@ def m_step_loadings(
         check_gram(gram, regime=j + 1)
         out.append(np.linalg.solve(gram.T, cross_moment[:, cols].T).T)
     return out[0], out[1]
-
-
-def _weighted_factors(g: np.ndarray, smoothed: np.ndarray) -> np.ndarray:
-    """[w_1 g, w_2 g]: the factors times each regime's smoothed weights, T x 2k."""
-    return np.hstack([g * smoothed[:, :1], g * smoothed[:, 1:2]])
 
 
 def m_step_variances(
@@ -158,25 +159,14 @@ def m_step_variances(
 
         sigma2_ji = sum_t w_jt (x_it - b_ji' g_t)^2 / sum_t w_jt.
 
-    The numerator is expanded around the least-squares fit of
-    :func:`~msfactor.filtering.anchor_fit` (residual z, loadings a0) with
-    d_j = b_j - a0 and G_j = sum_t w_jt g_t g_t':
-
-        sum_t w_jt (z_it - d_ji' g_t)^2
-        = (w_j' (z*z))_i - 2 d_ji' (z' (w_j g))_i + d_ji' G_j d_ji,
-
-    so no T x N residual is built per call; anchoring at z keeps every
-    term on the scale of the residuals. The terms still cancel where a
-    regime fits far better than the anchor. Each series' terms are bounded
-    by (w_j' (z*z))_i + |d_ji|^2 tr(G_j); series whose bound tops 1e5 times
-    their sum, so that rounding passes ~1e-11 of it, are summed from
-    z_i - g d_ji, as :func:`~msfactor.filtering.regime_log_densities` does
-    for rows. Off-diagonal covariances are
-    identically zero under the exact-factor quasi-likelihood, so only the
-    diagonal is returned.
+    With z and a0 from :func:`~msfactor.filtering.anchor_fit` and
+    d_j = b_j - a0, the numerator is sum_t w_jt (z_it - d_ji' g_t)^2, from
+    :func:`~msfactor.filtering._residual_sums` on the transposed fit. Only
+    the diagonal is returned: the exact-factor quasi-likelihood has no
+    off-diagonal covariances.
     """
     g = np.asarray(g_hat, dtype=float)
-    t_len, k = g.shape[0], g.shape[1]
+    t_len = g.shape[0]
     floor = panel.variance_floor()
     totals = (smoothed[:, 0].sum(), smoothed[:, 1].sum())
     for j, total in enumerate(totals):
@@ -185,27 +175,8 @@ def m_step_variances(
                 f"regime {j + 1} has total smoothed weight {total:.3e}"
             )
     a0, z, zz = anchor_fit(panel, g)
-    wg = _weighted_factors(g, smoothed)
-    # both regimes in one pass over z*z and one over z
-    wzz = zz.T @ smoothed
-    zwg = z.T @ wg
-    out = []
-    for j, b in enumerate([b1, b2]):
-        d = b - a0
-        cols = slice(j * k, (j + 1) * k)
-        gram = wg[:, cols].T @ g
-        ssr = (
-            wzz[:, j]
-            - 2.0 * np.einsum("ik,ik->i", d, zwg[:, cols])
-            + np.einsum("ik,ik->i", d @ gram, d)
-        )
-        bound = wzz[:, j] + gram.trace() * np.einsum("ik,ik->i", d, d)
-        exposed = np.flatnonzero(bound > 1e5 * ssr)
-        if exposed.size:
-            resid = z[:, exposed] - g @ d[exposed].T
-            ssr[exposed] = smoothed[:, j] @ (resid * resid)
-        out.append(np.maximum(ssr / totals[j], floor))
-    return out[0], out[1]
+    ssr = _residual_sums(z.T, zz.T, (b1 - a0, b2 - a0), (g, g), smoothed)
+    return tuple(np.maximum(ssr[:, j] / totals[j], floor) for j in range(2))
 
 
 def m_step_transition(cross: np.ndarray, smoothed: np.ndarray) -> TransitionMatrix:

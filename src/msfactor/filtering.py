@@ -8,9 +8,10 @@ relative density at exactly 1, and runs the scaled forward recursion
 (Rabiner 1989) on those O(1) values; the shifts return in the log
 likelihood. Every probability the smoother then sees is O(1) too.
 
-:func:`regime_log_densities` reads the panel only through the
-least-squares fit of :func:`anchor_fit`, computed once per panel and
-factor matrix, and builds no T x N residual per call.
+:func:`regime_log_densities` and the variance M step read the panel only
+through the least-squares fit of :func:`anchor_fit`, computed once per
+panel and factor matrix, and expand their residual sums around it in one
+kernel, :func:`_residual_sums`, with one cancellation guard.
 
 One E step is one forward-backward pass: the filter appends Python floats
 to flat lists, the smoother reads those lists directly, each T x 2 array
@@ -70,6 +71,46 @@ def anchor_fit(panel: Panel, g_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     return panel.memo(("anchor_fit", g.shape, g.tobytes()), fit)
 
 
+def _residual_sums(
+    z: np.ndarray, zz: np.ndarray, rows: tuple, cols: tuple, weights: np.ndarray
+) -> np.ndarray:
+    """Entry (r, j) is sum_c w_cj (z_rc - a_jr' b_jc)^2 for the R x C anchor
+    residual z, rows a_j = ``rows[j]``, columns b_j = ``cols[j]`` and the
+    C x 2 ``weights`` w. With G_j = b_j' diag(w_j) b_j it is expanded as
+
+        (z*z) w_j - 2 a_jr' (z (w_j b_j))_r + a_jr' G_j a_jr
+
+    from one product over z*z and one over z for both regimes, so no R x C
+    residual is built. Anchored at a fit, the terms stay on the scale of z
+    (around x they would cancel catastrophically), but they still cancel
+    where a regime fits far better than the anchor. They are bounded by
+    ((z*z) w_j)_r + |a_jr|^2 tr(G_j); an entry whose bound tops 1e5 times
+    its value, so that rounding could pass ~1e-11 of it, is summed from its
+    residual directly. The guard is relative, so unit-free in either
+    orientation.
+    """
+    k = cols[0].shape[1]
+    scaled = [cols[j] * weights[:, j : j + 1] for j in range(2)]
+    squares = zz @ weights
+    products = z @ np.hstack(scaled)
+    out = np.empty((z.shape[0], 2))
+    for j in range(2):
+        a = rows[j]
+        gram = cols[j].T @ scaled[j]
+        q = (
+            squares[:, j]
+            - 2.0 * np.einsum("rk,rk->r", a, products[:, j * k : (j + 1) * k])
+            + np.einsum("rk,rk->r", a @ gram, a)
+        )
+        bound = squares[:, j] + gram.trace() * np.einsum("rk,rk->r", a, a)
+        exposed = np.flatnonzero(bound > 1e5 * q)
+        if exposed.size:
+            resid = z[exposed] - a[exposed] @ cols[j].T
+            q[exposed] = (resid * resid) @ weights[:, j]
+        out[:, j] = q
+    return out
+
+
 def regime_log_densities(
     panel: Panel, g_hat: np.ndarray, params: ModelParams
 ) -> np.ndarray:
@@ -83,19 +124,8 @@ def regime_log_densities(
     The (2 pi)^(-N/2) constant cancels in the filter but keeps log
     likelihoods comparable across panel widths.
 
-    The quadratic form is expanded around the least-squares fit of
-    :func:`anchor_fit` (residual z, loadings a0) with d_j = b_j - a0:
-
-        sum_i (z_it - d_ji' g_t)^2 / s2_ji
-        = (z*z)(1/s2_j) - 2 g_t' z_t' (d_j / s2_j) + g_t' d_j' diag(1/s2_j) d_j g_t,
-
-    so no T x N residual is built per call. Anchoring at z rather than at x
-    keeps every term on the scale of the residuals: expanded around x, the
-    terms grow with the column means and the signal and cancel
-    catastrophically. They still cancel where a regime fits far better than
-    the anchor, its variances near the floor. Each row's terms are bounded
-    by (z*z)(1/s2_j) + |g_t|^2 tr(d_j' diag(1/s2_j) d_j); rows whose bound
-    tops 1e6, so that rounding passes ~1e-10, are summed from z_t - d_j g_t.
+    With z and a0 from :func:`anchor_fit` and d_j = b_j - a0, the quadratic
+    form is sum_i (z_it - g_t' d_ji)^2 / s2_ji, from :func:`_residual_sums`.
     """
     x = panel.data
     g = np.asarray(g_hat, dtype=float)
@@ -112,27 +142,9 @@ def regime_log_densities(
     a0, z, zz = anchor_fit(panel, g)
     s2 = (params.sigma_e1_diag, params.sigma_e2_diag)
     inv_s2 = np.column_stack([1.0 / s2[0], 1.0 / s2[1]])
-    d = (params.b1 - a0, params.b2 - a0)
-    scaled = (d[0] * inv_s2[:, :1], d[1] * inv_s2[:, 1:])
-    # both regimes in one pass over z*z and one over z
-    squares = zz @ inv_s2
-    products = z @ np.hstack(scaled)
-    row_norms = np.einsum("tk,tk->t", g, g)
-    k = g.shape[1]
-    out = np.empty((t_len, 2))
-    const = -0.5 * n * _LOG_2PI
-    for j in range(2):
-        gram = d[j].T @ scaled[j]  # d_j' diag(1/s2_j) d_j
-        q = (
-            squares[:, j]
-            - 2.0 * np.einsum("tk,tk->t", g, products[:, j * k : (j + 1) * k])
-            + np.einsum("tk,tk->t", g @ gram, g)
-        )
-        exposed = np.flatnonzero(squares[:, j] + gram.trace() * row_norms > 1e6)
-        if exposed.size:
-            resid = z[exposed] - g[exposed] @ d[j].T
-            q[exposed] = (resid * resid) @ inv_s2[:, j]
-        out[:, j] = const - 0.5 * np.log(s2[j]).sum() - 0.5 * q
+    q = _residual_sums(z, zz, (g, g), (params.b1 - a0, params.b2 - a0), inv_s2)
+    log_dets = np.array([np.log(s2[0]).sum(), np.log(s2[1]).sum()])
+    out = -0.5 * n * _LOG_2PI - 0.5 * log_dets - 0.5 * q
     if not np.isfinite(out).all():
         t, j = np.argwhere(~np.isfinite(out))[0]
         raise NonFiniteError(int(t), int(j), "non-finite regime log density")

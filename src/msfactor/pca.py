@@ -71,7 +71,8 @@ def estimate_factor_space(panel: Panel, k: int) -> FactorSpace:
     Gram: a_hat = sqrt(N) X'u / ||X'u|| for its top-k eigenvectors u. Each
     eigenvector's sign is fixed so its largest-magnitude entry is positive.
     Raises :class:`RankDeficientError` when the kth eigenvalue is at most
-    1e-12 times the largest, i.e. k exceeds the panel's numerical rank.
+    1e-12 times the largest: k exceeds the panel's numerical rank or, when
+    that eigenvalue still tops eigh's rounding error, its dynamic range.
     """
     k = as_integer("k", k)
     n, t_len = panel.n_len, panel.t_len
@@ -79,6 +80,12 @@ def estimate_factor_space(panel: Panel, k: int) -> FactorSpace:
         raise KTooLargeError(f"k={k} outside [1, min(N, T)] = [1, {min(n, t_len)}]")
     vals, vecs = _spectrum(panel)
     if vals[k - 1] <= EIGENVALUE_FLOOR_RATIO * max(vals[0], 0.0):
+        if vals[k - 1] > len(vals) * np.finfo(float).eps * vals[0]:  # eigh's error
+            raise RankDeficientError(
+                f"k={k} is beyond the panel's dynamic range: eigenvalue {k} is "
+                f"{vals[k - 1]:.3e}, above rounding error but below {EIGENVALUE_FLOOR_RATIO:g} "
+                f"of the largest ({vals[0]:.3e}); an extreme entry or series can cause this"
+            )
         raise RankDeficientError(
             f"k={k} exceeds the numerical rank of the panel: eigenvalue {k} "
             f"is {vals[k - 1]:.3e} against a largest of {vals[0]:.3e}"

@@ -93,6 +93,13 @@ class SimConfig:
             raise InvalidArgumentError("rho_idio_max must lie in [0, 1)")
         if not (0.0 < self.noise_to_signal < math.inf):
             raise InvalidArgumentError("noise_to_signal must be finite and positive")
+        # numpy indexes an array's bytes with intp: check before allocating
+        sizes = {"N x T panel": self.n * self.t, "N x N covariance": self.n**2 * (self.tau > 0)}
+        for name, size in sizes.items():
+            if 8 * size > np.iinfo(np.intp).max:
+                raise InvalidArgumentError(
+                    f"the {name} would need {8 * size} bytes, more than an array can address"
+                )
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,13 @@
 
 Runs one replication from each of four iteration strata of the
 ``mc_table1`` pool (N=100, T=500) and of the ``mc_wide`` pool (design 4 at
-N=600 > T=300, where PCA takes the T x T Gram route) and checks it with the
-benchmark's own rule: p11/p22 within 1e-6, the final log likelihood within
-1e-9 relative, the exact EM iteration count, EM ascent and normalised
-probability rows. A rewrite of PCA, the E step or the M steps that moves
-convergence shows up here as a failure.
+N=600 > T=300, where PCA takes the T x T Gram route), and one
+``msfactor estimate --k auto --demean`` of the ``cli_estimate`` pool
+(630 x 49), and checks each with the benchmark's own rule: p11/p22 within
+1e-6, the final log likelihood within 1e-9 relative, the exact EM
+iteration count (and selected k), EM ascent and normalised probability
+rows. A rewrite of PCA, the E step or the M steps that moves convergence
+shows up here as a failure.
 
 Also checks that every function the benchmark's tracer wraps, and every
 name the package exports, still exists.
@@ -68,3 +70,14 @@ def test_table1_replications_match_pinned_references(workloads):
 
 def test_wide_replications_match_pinned_references(workloads):
     _check_one_per_stratum(workloads, "mc_wide", workloads.WIDE)
+
+
+def test_cli_estimate_matches_pinned_reference(workloads, tmp_path, capsys):
+    refs = workloads.load_refs()["cli_estimate"]
+    costs = {key: ref["iterations"] for key, ref in refs.items()}
+    (key,) = workloads.stratified_round(costs, 1, seed=0)
+    csv = tmp_path / "panel.csv"
+    workloads.save_panel_csv(csv, workloads.empirical_panel(int(key)))
+    out_dir = tmp_path / "estimate"
+    assert workloads.cli.main(workloads.estimate_argv(csv, out_dir)) == 0
+    assert workloads.check_estimate_output(out_dir, refs[key]).problems == [], key

@@ -598,13 +598,17 @@ class TestExpandedKernels:
         [
             (SimConfig(n=100, t=500, r=1), 1e4),
             (SimConfig(n=100, t=500, r=1, noise_to_signal=1e-12), 0.0),
+            # wide and nearly noise-free: the log densities' cancellation
+            # guard is relative to their quadratic form, which grows with N
+            (SimConfig(n=600, t=300, r=2, noise_to_signal=1e-9), 0.0),
         ],
-        ids=["column-offsets", "near-noise-free"],
+        ids=["column-offsets", "near-noise-free", "wide-near-noise-free"],
     )
     def test_em_ascends(self, cfg, offset_sd):
-        # expanded around x instead of the fit, these runs step down by ~1e-2
+        # expanded around x instead of the fit, the first two step down by ~1e-2
         panel = _offset_panel(cfg, 1, offset_sd)
-        result = run_em(panel, estimate_factor_space(panel, k=2), EmConfig(max_iter=60))
+        fs = estimate_factor_space(panel, k=2 * cfg.r)
+        result = run_em(panel, fs, EmConfig(max_iter=60))
         steps = np.diff(result.loglik_trace)
         assert (steps < -1e-6).sum() == 0, steps.min()
 

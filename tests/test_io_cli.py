@@ -404,6 +404,20 @@ class TestCliRejectsSettings:
         assert err == f"msfactor {mode}: error: {name} must be finite and positive\n"
         assert not (tmp_path / "o" / written).exists()
 
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_panel_no_array_can_hold(self, tmp_path, capsys, source):
+        n = 10**20
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"n = {n}\n")
+        setting = ["--n", str(n)] if source == "flag" else ["--config", str(cfg)]
+        code, err = self._run(capsys, ["simulate", *setting, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert err == (
+            f"msfactor simulate: error: the N x T panel would need {8 * n * 500} bytes, "
+            "more than an array can address\n"
+        )
+        assert not (tmp_path / "o").exists()
+
     def test_fewer_series_than_factors(self, tmp_path, capsys):
         code, err = self._run(
             capsys, ["simulate", "--n", "2", "--r", "3", "--t", "20", "--out", str(tmp_path)]

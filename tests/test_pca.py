@@ -172,8 +172,18 @@ class TestGramRoute:
         panel = _panel(rng.standard_normal((25, 2)) @ rng.standard_normal((2, 60)))
         fs = estimate_factor_space(panel, k=2)
         assert np.isfinite(fs.a_hat).all()
-        with pytest.raises(RankDeficientError):
+        with pytest.raises(RankDeficientError, match="exceeds the numerical rank"):
             estimate_factor_space(panel, k=3)
+
+    def test_resolved_eigenvalue_names_the_dynamic_range(self):
+        # one extreme cell: eigenvalue 2 is ~1.5e2 against ~2e15, below the
+        # 1e-12 floor but well above eigh's rounding error
+        data = simulate_panel(SimConfig(), RngHandle(seed=0)).panel.data.copy()
+        data[10, 5] = 1e9
+        panel = _panel(data)
+        assert select_num_factors_er(panel, k_max=8) == 1
+        with pytest.raises(RankDeficientError, match="k=2 is beyond the panel's dynamic range"):
+            estimate_factor_space(panel, k=2)
 
 
 class TestSelectNumFactorsEr:

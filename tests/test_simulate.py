@@ -40,6 +40,12 @@ class TestSimConfig:
         with pytest.raises(InvalidArgumentError, match=name):
             SimConfig(**{name: value})
 
+    def test_covariance_no_array_can_hold_rejected(self):
+        # the N x T panel fits an array; with tau > 0 the N x N covariance
+        # does not, and the config rejects it before anything is allocated
+        with pytest.raises(InvalidArgumentError, match="the N x N covariance would need"):
+            SimConfig(n=2**31, t=2, tau=0.5)
+
 
 class TestSimulateChain:
     def test_near_absorbing_chain_stays_put(self):
