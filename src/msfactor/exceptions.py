@@ -35,6 +35,10 @@ class NotPositiveDefiniteError(MsfactorError):
     """A covariance matrix has an eigenvalue <= 0."""
 
 
+class SecondMomentOverflowError(MsfactorError):
+    """A panel's second-moment matrix overflows the largest double."""
+
+
 class RankDeficientError(MsfactorError):
     """Fewer independent directions than factors: whitening impossible, or
     a PCA factor count above the panel's numerical rank."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .blas import one_blas_thread
-from .exceptions import KTooLargeError, RankDeficientError
+from .exceptions import KTooLargeError, RankDeficientError, SecondMomentOverflowError
 from .types import FactorSpace, Panel, as_integer
 
 #: Eigenvalues below this fraction of the largest one are treated as zero
@@ -42,15 +42,22 @@ def _spectrum(panel: Panel) -> tuple[np.ndarray, np.ndarray]:
     An eigenvector u of the Gram maps to the eigenvector X'u of X'X/T with
     the same eigenvalue. Exact ties keep ascending-index order. Computed
     once per panel (so ``--k auto`` decomposes once); both arrays are
-    read-only.
+    read-only. Raises :class:`SecondMomentOverflowError` when that matrix
+    overflows, before it is decomposed.
     """
 
     def decompose():
-        if panel.n_len <= panel.t_len:
-            second_moment = sample_covariance(panel)
-        else:
-            gram = panel.data @ panel.data.T / panel.t_len
-            second_moment = (gram + gram.T) / 2.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            if panel.n_len <= panel.t_len:
+                second_moment = sample_covariance(panel)
+            else:
+                gram = panel.data @ panel.data.T / panel.t_len
+                second_moment = (gram + gram.T) / 2.0
+        if not np.isfinite(second_moment).all():
+            raise SecondMomentOverflowError(
+                f"the panel's second moments overflow the largest double (largest |entry| "
+                f"{np.abs(panel.data).max():.3e}); rescale the data"
+            )
         vals, vecs = np.linalg.eigh(second_moment)
         order = np.argsort(-vals, kind="stable")
         vals, vecs = vals[order], vecs[:, order]

@@ -83,12 +83,17 @@ class TestCriterion3SmallTBias:
             f"(required >= 0.10)",
         )
         # The downward-bias direction reproduces (the gap is positive on
-        # every seed tried), but its magnitude under this estimator stays
-        # near 0.06: a smoother run with the true parameters already gives
-        # mean p22 = 0.70 at T=250, so the required 0.10 gap would need the
-        # estimator to collapse the rare regime in part of the
-        # replications, which this ascent-exact EM does not do. The
-        # assertion is kept as stated rather than weakened.
+        # every seed tried), but its magnitude stays near 0.06. Of the
+        # T=250 shortfall, the stopping rule accounts for ~0.001
+        # (epsilon = 1e-12 gives a gap of 0.0606) and PCA for ~0.01 (the
+        # true stacked factors give p22 = 0.6459). The rest comes from EM
+        # stopping at a lower local maximum from the paper's start: from a
+        # start built from the true states, p22 = 0.7007 and the log
+        # likelihood is higher by a median of 97 in 19 of 20 replications.
+        # Reaching that maximum would shrink the gap to ~0.004, so a 0.10
+        # gap would need an estimator that lowers p22 at T=250 without
+        # lowering the likelihood; none is known. The assertion is kept as
+        # stated rather than weakened.
         assert gap >= 0.10
 
 

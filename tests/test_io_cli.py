@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import msfactor
+from msfactor import cli
 from msfactor.cli import main
 from msfactor.em import EmConfig, run_em
 from msfactor.exceptions import (
@@ -326,6 +328,16 @@ class TestCliMonteCarlo:
         assert not (tmp_path / "mc" / "report.json").exists()
 
 
+#: (mode, setting, type) of every int and float setting of every subcommand;
+#: ``k`` is read as a string that is an int unless it is "auto".
+_NUMERIC_SETTINGS = [
+    (mode, s.name, s.cast.__name__)
+    for mode, (_, settings, _) in cli.COMMANDS.items()
+    for s in settings
+    if s.cast in (int, float)
+] + [("estimate", "k", "int")]
+
+
 class TestCliRejectsSettings:
     """A bad setting from any source ends in one stderr line and status 2."""
 
@@ -437,10 +449,61 @@ class TestCliRejectsSettings:
     def test_simulate_without_out(self, capsys):
         code, err = self._run(capsys, ["simulate", "--n", "10", "--t", "40"])
         assert code == 2
+        assert err == "msfactor simulate: error: out is required (--out or out= in the config)\n"
+
+    @pytest.mark.parametrize(
+        ("mode", "given", "name"),
+        [
+            ("estimate", ["--input", "panel.csv"], "out"),
+            ("estimate", ["--out", "e"], "input"),
+            ("montecarlo", ["--out", "mc"], "reps"),
+        ],
+    )
+    def test_required_setting_missing(self, tmp_path, capsys, monkeypatch, mode, given, name):
+        monkeypatch.chdir(tmp_path)
+        code, err = self._run(capsys, [mode, *given])
+        assert code == 2
         assert err == (
-            "msfactor simulate: error: an output directory is required "
-            "(--out or out= in the config)\n"
+            f"msfactor {mode}: error: {name} is required (--{name} or {name}= in the config)\n"
         )
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize(("mode", "name", "kind"), _NUMERIC_SETTINGS)
+    def test_non_numeric_value(self, tmp_path, capsys, source, mode, name, kind):
+        # flags and config-file keys are the same raw strings, cast by one reader
+        if source == "flag":
+            setting = ["--" + name.replace("_", "-"), "abc"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{name} = abc\n")
+            setting = ["--config", str(cfg)]
+        out = tmp_path / "o"
+        required = {
+            "simulate": ["--out", str(out)],
+            "estimate": ["--input", str(tmp_path / "panel.csv"), "--out", str(out)],
+            "montecarlo": ["--out", str(out)] + (["--reps", "1"] if name != "reps" else []),
+            "verify": [],
+        }[mode]
+        code, err = self._run(capsys, [mode, *setting, *required])
+        assert code == 2
+        assert err == f"msfactor {mode}: error: {name} = 'abc' is not a valid {kind}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("k", ["1", "auto"])
+    @pytest.mark.parametrize("shape", [(30, 3), (6, 30)], ids=["covariance", "gram"])
+    def test_overflowing_second_moments(self, tmp_path, capsys, shape, k):
+        # with warnings as errors, an overflow warning would escape main
+        panel = tmp_path / "panel.csv"
+        data = np.random.default_rng(0).standard_normal(shape) * 1e200
+        save_panel_csv(panel, validate_panel(data))
+        code, err = self._run(
+            capsys, ["estimate", "--input", str(panel), "--k", k, "--out", str(tmp_path / "e")]
+        )
+        assert code == 2
+        assert err.startswith("msfactor estimate: error: the panel's second moments overflow")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "e" / "params.json").exists()
 
     @pytest.mark.parametrize("name", ["missing.csv", "."], ids=["missing", "directory"])
     def test_unreadable_input(self, tmp_path, capsys, name):
@@ -534,20 +597,37 @@ class TestCliSettingsAreConfigFields:
             assert type(config[name]) is cast and config[name] == cast(value), name
         assert config["seed"] == 4
 
+    #: Each subcommand's own flags, besides those of its config classes.
+    OWN_FLAGS = {
+        "simulate": ["config", "seed", "out"],
+        "estimate": ["config", "seed", "out", "input", "k", "k-max", "demean"],
+        "montecarlo": ["config", "seed", "out", "reps", "jobs"],
+        "verify": ["config", "seed", "instances"],
+    }
+
     @pytest.mark.parametrize(
         ("mode", "classes"),
-        [("simulate", [SimConfig]), ("estimate", [EmConfig]), ("montecarlo", [SimConfig, EmConfig])],
+        [("simulate", [SimConfig]), ("estimate", [EmConfig]), ("montecarlo", [SimConfig, EmConfig]),
+         ("verify", [])],
     )
     def test_help_text_comes_from_the_fields(self, capsys, monkeypatch, mode, classes):
         monkeypatch.setenv("COLUMNS", "200")
         with pytest.raises(SystemExit):
             main([mode, "--help"])
         text = capsys.readouterr().out
-        for cls in classes:
-            for f in dataclasses.fields(cls):
-                if f.name != "seed":
-                    assert f"--{f.name.replace('_', '-')} {f.name.upper()}" in text
-                    assert f.metadata["help"] in text
+        fields = [f for cls in classes for f in dataclasses.fields(cls) if f.name != "seed"]
+        flags = set(re.findall(r"--([a-z0-9-]+)", text.split("options:")[0]))
+        assert flags == {*self.OWN_FLAGS[mode], *(f.name.replace("_", "-") for f in fields)}
+        for f in fields:
+            assert f"--{f.name.replace('_', '-')} {f.name.upper()}" in text
+            assert f"{f.metadata['help']} (default {f.default})" in text
+        # the command's own settings: help and any default from their one declaration
+        for setting in cli.COMMANDS[mode][1]:
+            flag = "--" + setting.name.replace("_", "-")
+            assert (flag if setting.cast is bool else f"{flag} {setting.name.upper()}") in text
+            shown = setting.cast is not bool and setting.default not in (None, cli.REQUIRED)
+            default = f" (default {setting.default})" if shown else ""
+            assert f"{setting.help}{default}" in text
 
 
 class TestCliVerify:
@@ -568,14 +648,30 @@ class TestCliVerify:
 
 def _modules_after_cli_import() -> list[str]:
     """Names in ``sys.modules`` of a fresh interpreter after ``import msfactor.cli``."""
-    src = str(Path(msfactor.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
     probe = "import json, sys, msfactor.cli; print(json.dumps(sorted(sys.modules)))"
     out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, check=True, capture_output=True, text=True
+        [sys.executable, "-c", probe], env=_src_env(), check=True, capture_output=True, text=True
     ).stdout
     return json.loads(out)
+
+
+def _src_env() -> dict[str, str]:
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(Path(msfactor.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_module_run_rejects_a_bad_flag_in_one_line(tmp_path):
+    # the way the benchmark starts the command: python -m msfactor.cli
+    run = subprocess.run(
+        [sys.executable, "-m", "msfactor.cli", "estimate", "--input", str(tmp_path / "panel.csv"),
+         "--k", "auto", "--k-max", "eight", "--demean", "--out", str(tmp_path / "e")],
+        env=_src_env(), capture_output=True, text=True,
+    )
+    assert run.returncode == 2
+    assert run.stderr == "msfactor estimate: error: k_max = 'eight' is not a valid int\n"
+    assert run.stdout == "" and not (tmp_path / "e").exists()
 
 
 def test_cli_import_leaves_scipy_out():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from msfactor.exceptions import KTooLargeError, RankDeficientError
+from msfactor.exceptions import KTooLargeError, RankDeficientError, SecondMomentOverflowError
 from msfactor.pca import (
     demean_panel,
     estimate_factor_space,
@@ -217,6 +217,27 @@ class TestSelectNumFactorsEr:
         panel = _panel(np.random.default_rng(12).standard_normal((6, 4)))
         with pytest.raises(KTooLargeError):
             select_num_factors_er(panel, k_max=4)
+
+
+class TestSecondMomentOverflow:
+    """Entries near 1e200 square past the largest double; both estimators
+    reject the panel before eigh sees the overflowed matrix (pytest turns
+    any RuntimeWarning into a failure)."""
+
+    @pytest.mark.parametrize("shape", [(30, 3), (6, 30)], ids=["covariance", "gram"])
+    @pytest.mark.parametrize("estimator", ["factor_space", "select"])
+    def test_rejected_before_eigh(self, monkeypatch, shape, estimator):
+        panel = _panel(np.random.default_rng(0).standard_normal(shape) * 1e200)
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("eigh ran on an overflowed matrix")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        with pytest.raises(SecondMomentOverflowError, match="second moments overflow"):
+            if estimator == "select":
+                select_num_factors_er(panel, k_max=2)
+            else:
+                estimate_factor_space(panel, k=1)
 
 
 class TestOneSpectrumPerPanel:
