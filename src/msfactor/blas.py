@@ -1,31 +1,30 @@
-"""OpenBLAS thread control, and two of LAPACK's symmetric eigensolvers.
+"""numpy's OpenBLAS: its thread count, and two of its LAPACK symmetric
+eigensolvers.
+
+Every symbol is looked up by :func:`_openblas_symbol` on a handle to
+numpy's LAPACK extension, ``numpy.linalg._umath_linalg``: the dynamic
+loader resolves it in the libraries that module links, whatever their file
+names, and in no other OpenBLAS of the process (scipy's, say). That holds
+for ``dlsym`` on Linux, where it is tested, and is not verified elsewhere.
+A lookup that finds nothing (an MKL build, say) leaves the cap a no-op and
+the eigensolvers on ``np.linalg.eigh``.
 
 OpenBLAS results depend on its thread count (gemm, syrk and eigh change in
 the last bits between 1 and 2 threads), and its idle helper threads spin
 for a while after every threaded call, competing with the pure-Python E
-step for the cores. :func:`one_blas_thread` runs a block with every loaded
-OpenBLAS on one thread. The cap is process-global: while it is active, BLAS
-calls from other threads of the same process also run on one thread.
-Without a loaded OpenBLAS (an MKL build, or no ``/proc/self/maps``) it does
-nothing.
-
-Who holds the cap:
-
-- The estimators :func:`~msfactor.pca.select_num_factors_er`,
-  :func:`~msfactor.pca.estimate_factor_space` and
-  :func:`~msfactor.em.run_em` are decorated with it. Their results do not
-  depend on the caller's thread count, and PCA's X'X/T product, big enough
-  for OpenBLAS to thread at N=100, T=500, wakes no helper thread to spin
-  beside the E step.
-- :func:`~msfactor.montecarlo.run_montecarlo` and its worker hold it around
-  whole replications. That pins simulation and the metrics too, so serial
-  and parallel reports match, and it covers the fork.
-
-:func:`~msfactor.simulate.simulate_panel` is left on the caller's threads:
-its N x N covariance roots are the one place a second thread can pay. At
-600 x 600, regime 2's :func:`eigh_in_place` takes ~47-59 ms on one thread
-and ~39-40 ms on two; regime 1's :func:`tridiagonal_eigh` takes ~10-12 ms
-on either (2-core Xeon host).
+step for the cores. :func:`one_blas_thread` runs a block on one thread. The
+cap is process-global: while it is active, BLAS calls from other threads of
+the same process also run on one thread. The estimators
+(:func:`~msfactor.pca.select_num_factors_er`,
+:func:`~msfactor.pca.estimate_factor_space`, :func:`~msfactor.em.run_em`)
+are decorated with it, so their results do not depend on the caller's
+thread count and no helper thread spins beside the E step;
+:func:`~msfactor.montecarlo.run_montecarlo` holds it around whole
+replications. :func:`~msfactor.simulate.simulate_panel` is left on the
+caller's threads: its N x N covariance roots are the one place a second
+thread can pay. At 600 x 600, regime 2's :func:`eigh_in_place` takes
+~47-59 ms on one thread and ~39-40 ms on two; regime 1's
+:func:`tridiagonal_eigh` takes ~10-12 ms on either (2-core Xeon host).
 
 After a fork, make no set call in the child. OpenBLAS's fork handler tears
 down its thread pool, and any ``openblas_set_num_threads`` call in the child,
@@ -33,22 +32,15 @@ even to one thread, builds it again; the new helper thread then spins for
 ~0.1 s beside the child's own work. A child forked while the parent holds
 the cap inherits one thread, so its own :func:`one_blas_thread` is a no-op.
 
-The eigensolvers take the simulation's covariance roots with the bits of
-``np.linalg.eigh``, from the LAPACKE functions that the scipy-openblas64
-library bundled with numpy's wheels exports:
-
-- :func:`tridiagonal_eigh` binds ``LAPACKE_dstevd`` and serves regime 1's
-  tridiagonal covariance, which it takes as two diagonals. numpy has no
-  tridiagonal eigensolver.
-- :func:`eigh_in_place` binds ``LAPACKE_dsyevd``, the routine behind
-  ``np.linalg.eigh``, and serves regime 2's pentadiagonal covariance. It
-  writes the eigenvectors over its input, where ``eigh`` works on a copy
-  and returns a new array.
-
-Both are looked up once by :func:`_lapacke`. Only the ILP64 symbols (suffix
-``64_``, 64-bit ``lapack_int``) are bound, since their integer width is
-known; without them both functions return None, and the caller falls back
-to ``np.linalg.eigh``.
+The eigensolvers give the simulation's covariance roots the bits of
+``np.linalg.eigh``. :func:`tridiagonal_eigh` binds ``LAPACKE_dstevd`` for
+regime 1's tridiagonal covariance, taken as two diagonals (numpy has no
+tridiagonal eigensolver). :func:`eigh_in_place` binds ``LAPACKE_dsyevd``,
+the routine behind ``eigh``, for regime 2's pentadiagonal covariance, and
+writes the eigenvectors over its input, where ``eigh`` works on a copy.
+Only the ILP64 symbols (suffix ``64_``, 64-bit ``lapack_int``) are bound,
+since their integer width is known; without them both return None, and the
+caller falls back to ``np.linalg.eigh``.
 """
 
 from __future__ import annotations
@@ -59,16 +51,10 @@ from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .exceptions import DimensionMismatchError, InvalidArgumentError
 
-#: (get, set) thread-count symbol pairs across OpenBLAS builds, with or
-#: without the ``scipy_`` prefix and the ``64_`` suffix of ILP64 builds.
-_OPENBLAS_THREAD_SYMBOLS = tuple(
-    (f"{prefix}openblas_get_num_threads{suffix}", f"{prefix}openblas_set_num_threads{suffix}")
-    for prefix in ("", "scipy_")
-    for suffix in ("", "64_")
-)
 #: ctypes argument types of each bound LAPACKE routine.
 _LAPACKE_ARGTYPES = {
     # (matrix_layout, jobz, n, d, e, z, ldz)
@@ -86,60 +72,46 @@ _LAPACK_COL_MAJOR = 102
 
 
 @functools.cache
-def _openblas_libraries() -> tuple[ctypes.CDLL, ...]:
-    """Every OpenBLAS mapped into this process, found once from
-    ``/proc/self/maps``."""
+def _numpy_linalg() -> ctypes.CDLL | None:
+    """A handle to numpy's LAPACK extension module, or None."""
     try:
-        with open("/proc/self/maps") as maps:
-            paths = sorted(
-                {
-                    fields[5].strip()
-                    for fields in (line.split(maxsplit=5) for line in maps)
-                    if len(fields) == 6 and "openblas" in fields[5]
-                }
-            )
+        return ctypes.CDLL(_umath_linalg.__file__)
     except OSError:
-        return ()
-    libraries = []
-    for path in paths:
-        try:
-            libraries.append(ctypes.CDLL(path))
-        except OSError:
-            continue
-    return tuple(libraries)
+        return None
+
+
+def _openblas_symbol(name: str, restype, argtypes: list, suffixes=("", "64_")):
+    """numpy's OpenBLAS function ``name``, typed ``argtypes -> restype``,
+    under the first of its builds' name variants (prefix ``""`` or
+    ``scipy_``, then each suffix), or None."""
+    for prefix in ("", "scipy_"):
+        for suffix in suffixes:
+            function = getattr(_numpy_linalg(), f"{prefix}{name}{suffix}", None)
+            if function is not None:
+                function.restype, function.argtypes = restype, argtypes
+                return function
+    return None
 
 
 @functools.cache
-def openblas_controls() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
-    """(get, set) thread-count functions of every loaded OpenBLAS.
+def openblas_controls() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """(get, set) thread-count functions of numpy's OpenBLAS, or None.
 
     numpy's wheels bundle scipy-openblas, which exports
     ``scipy_openblas_set_num_threads64_``.
     """
-    controls = []
-    for lib in _openblas_libraries():
-        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
-            if hasattr(lib, get_name) and hasattr(lib, set_name):
-                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                controls.append((get, set_))
-                break
-    return tuple(controls)
+    get = _openblas_symbol("openblas_get_num_threads", ctypes.c_int, [])
+    set_ = _openblas_symbol("openblas_set_num_threads", None, [ctypes.c_int])
+    return None if get is None or set_ is None else (get, set_)
 
 
 @functools.cache
 def _lapacke(routine: str) -> Callable[..., int] | None:
-    """``LAPACKE_<routine>`` of the first loaded OpenBLAS that exports it
-    with 64-bit integers, with or without the ``scipy_`` prefix, or None."""
-    for lib in _openblas_libraries():
-        for name in (f"LAPACKE_{routine}64_", f"scipy_LAPACKE_{routine}64_"):
-            if hasattr(lib, name):
-                function = getattr(lib, name)
-                function.argtypes = _LAPACKE_ARGTYPES[routine]
-                function.restype = ctypes.c_int64
-                return function
-    return None
+    """``LAPACKE_<routine>`` of numpy's OpenBLAS with 64-bit integers, or
+    None."""
+    return _openblas_symbol(
+        f"LAPACKE_{routine}", ctypes.c_int64, _LAPACKE_ARGTYPES[routine], suffixes=("64_",)
+    )
 
 
 def tridiagonal_eigh(
@@ -152,7 +124,7 @@ def tridiagonal_eigh(
     They are the bits ``np.linalg.eigh`` gives for the dense matrix: its
     ``dsyevd`` reduces a tridiagonal input by identity reflectors, hands the
     same two diagonals to the same ``dstedc`` and back-transforms by I.
-    Returns None when no loaded OpenBLAS exports the ILP64 symbol or when
+    Returns None when numpy's OpenBLAS exports no ILP64 symbol or when
     ``dstevd`` reports an error (``info != 0``, such as a NaN input).
     """
     values = np.array(diagonal, dtype=np.float64)  # overwritten by the eigenvalues
@@ -187,8 +159,8 @@ def eigh_in_place(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     symmetric: ``dsyevd`` reads its lower triangle. The eigenvectors come
     back as a view of its buffer. They and the eigenvalues are the bits
     ``np.linalg.eigh`` gives, since it runs the same ``dsyevd`` on a copy.
-    Returns None, with ``matrix`` unspecified, when no loaded OpenBLAS
-    exports the ILP64 symbol or when ``dsyevd`` reports an error
+    Returns None, with ``matrix`` unspecified, when numpy's OpenBLAS
+    exports no ILP64 symbol or when ``dsyevd`` reports an error
     (``info != 0``, such as a NaN input).
     """
     n = matrix.shape[0]
@@ -212,16 +184,19 @@ def eigh_in_place(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
 
 @contextmanager
 def one_blas_thread() -> Iterator[None]:
-    """Run the body with every loaded OpenBLAS on one thread, then restore
-    each library's previous thread count, also when the body raises.
+    """Run the body with numpy's OpenBLAS on one thread, then restore its
+    previous thread count, also when the body raises.
 
-    A library already on one thread gets no set call, on entry or on exit:
-    in a forked child that call would rebuild its thread pool."""
-    changed = [(set_, count) for get, set_ in openblas_controls() if (count := get()) != 1]
-    for set_, _ in changed:
-        set_(1)
+    Already on one thread, it gets no set call, on entry or on exit: in a
+    forked child that call would rebuild its thread pool."""
+    controls = openblas_controls()
+    count = controls[0]() if controls else 1
+    if count == 1:
+        yield
+        return
+    set_ = controls[1]
+    set_(1)
     try:
         yield
     finally:
-        for set_, count in changed:
-            set_(count)
+        set_(count)

@@ -13,10 +13,11 @@ Each subcommand's settings are declared once, in :data:`COMMANDS`: its own
 with ``help`` metadata. Setting ``rho_f`` is the flag ``--rho-f`` and the
 key ``rho_f`` of a flat ``key = value`` file passed with ``--config``. A
 flag overrides the file and the file the default; either way the value is
-the same raw string, cast by one reader. A bad or missing value, an input
-the library rejects (any :class:`~msfactor.exceptions.MsfactorError`) and a
-file that cannot be read or written (any ``OSError``) end the command with
-one line on stderr and exit status 2.
+the same raw string, cast by one reader, and a flag's value may start with
+a dash (``--epsilon -1e-3``). A bad or missing value, an input the library
+rejects (any :class:`~msfactor.exceptions.MsfactorError`) and a file that
+cannot be read or written (any ``OSError``) end the command with one line
+on stderr and exit status 2.
 """
 
 from __future__ import annotations
@@ -269,8 +270,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_values(argv: list[str]) -> list[str]:
+    """``argv`` with each value-taking flag of its subcommand joined to the
+    next token, as ``--flag=value``: argparse alone takes a lone ``-1e-3`` or
+    ``-inf`` for an unknown option. A flag may be abbreviated, as in argparse."""
+    settings = COMMANDS[argv[0]][1] if argv and argv[0] in COMMANDS else []
+    takes_value = {"--help": False, "--config": True}
+    takes_value.update((_flag(s.name), s.cast is not bool) for s in settings)
+    joined, tokens = [], iter(argv)
+    for token in tokens:
+        named = [f for f in takes_value if token.startswith("--") and f.startswith(token)]
+        flag = token if token in takes_value else named[0] if len(named) == 1 else None
+        value = next(tokens, None) if takes_value.get(flag) else None
+        joined.append(token if value is None else f"{token}={value}")
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_values(sys.argv[1:] if argv is None else argv))
     _, settings, command = COMMANDS[args.mode]
     try:
         file_cfg = parse_config_file(args.config) if args.config else {}

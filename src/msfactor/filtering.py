@@ -87,7 +87,8 @@ def _residual_sums(
     ((z*z) w_j)_r + |a_jr|^2 tr(G_j); an entry whose bound tops 1e5 times
     its value, so that rounding could pass ~1e-11 of it, is summed from its
     residual directly. The guard is relative, so unit-free in either
-    orientation.
+    orientation, and compares 1e-5 times the bound, so that an entry near
+    the top of the float range does not overflow the test.
     """
     k = cols[0].shape[1]
     scaled = [cols[j] * weights[:, j : j + 1] for j in range(2)]
@@ -103,7 +104,7 @@ def _residual_sums(
             + np.einsum("rk,rk->r", a @ gram, a)
         )
         bound = squares[:, j] + gram.trace() * np.einsum("rk,rk->r", a, a)
-        exposed = np.flatnonzero(bound > 1e5 * q)
+        exposed = np.flatnonzero(1e-5 * bound > q)
         if exposed.size:
             resid = z[exposed] - a[exposed] @ cols[j].T
             q[exposed] = (resid * resid) @ weights[:, j]

@@ -1,25 +1,20 @@
 """Monte Carlo driver: replicate the simulate -> PCA -> EM -> metrics
 pipeline and aggregate the table columns.
 
-Each replication r draws from stream id r of the shared seed. The
-estimators run OpenBLAS on one thread wherever they are called (see
-:mod:`msfactor.blas`); :func:`run_montecarlo` and :func:`_worker` extend
-that cap to whole replications, simulation and metrics included, in the
-serial loop as in the pool workers. OpenBLAS results depend on its thread
-count, so this is what makes serial and parallel reports byte-identical
-for any ``jobs``; it also keeps ``jobs`` worker processes from each
-starting their own BLAS threads and oversubscribing the cores.
-:func:`run_montecarlo` holds the cap for the whole run, so forked workers
-inherit one thread, and neither :func:`_worker`'s cap nor the estimators'
-makes an OpenBLAS call there that would start a helper thread. A direct
-:func:`run_replication` simulates on the caller's threads. The cap is
-process-global: while a run is active, BLAS calls from other threads of
-the same process also run on one thread.
+Each replication r draws from stream id r of the shared seed.
+:func:`run_montecarlo` runs every replication, simulation and metrics
+included, with numpy's OpenBLAS on one thread (see :mod:`msfactor.blas`),
+in the serial loop as in the pool workers. OpenBLAS results depend on its
+thread count, so this makes serial and parallel reports byte-identical for
+any ``jobs``. The cap is held for the whole run, so forked workers inherit
+one thread and start no BLAS helper thread of their own; a direct
+:func:`run_replication` simulates on the caller's threads.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,6 +185,13 @@ def _worker(args: tuple[SimConfig, EmConfig, int, int]):
         return (replication, f"{type(exc).__name__}: {exc}")
 
 
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on: its affinity mask, where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_montecarlo(
     sim_cfg: SimConfig,
     em_cfg: EmConfig,
@@ -200,8 +202,9 @@ def run_montecarlo(
     """Run ``replications`` independent streams and aggregate the columns.
 
     A replication that raises is recorded as an error, not fatal. ``jobs``
-    > 1 fans replications over ``min(jobs, replications)`` worker
-    processes; the report is byte-identical to a serial run because every
+    > 1 fans replications over ``min(jobs, replications, usable CPUs)``
+    worker processes; a fork pool starts them all at once, so more would
+    only wait. The report is byte-identical to a serial run because every
     replication runs BLAS on one thread and aggregation happens in
     replication order. The pool module is imported only when a pool opens,
     so serial runs and the other CLI commands do not pay for it. Before the
@@ -216,7 +219,7 @@ def run_montecarlo(
         raise InvalidArgumentError(f"jobs must be >= 1, got {jobs}")
     RngHandle(seed=seed)  # a bad seed fails the run, not each replication
     tasks = [(sim_cfg, em_cfg, seed, rep) for rep in range(replications)]
-    workers = min(jobs, replications)
+    workers = min(jobs, replications, _usable_cpus())
     with one_blas_thread():
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor

@@ -29,23 +29,25 @@ needs_openblas = pytest.mark.skipif(
 
 @contextmanager
 def on_blas_threads(count):
-    """Every loaded OpenBLAS on ``count`` threads inside the block; the
-    counts found on entry come back on exit."""
+    """numpy's OpenBLAS on ``count`` threads inside the block; the count
+    found on entry comes back on exit."""
     controls = openblas_controls()
-    before = [get() for get, _ in controls]
-    for _, set_ in controls:
-        set_(count)
+    if controls is None:
+        yield
+        return
+    get, set_ = controls
+    before = get()
+    set_(count)
     try:
         yield
     finally:
-        for (_, set_), previous in zip(controls, before):
-            set_(previous)
+        set_(before)
 
 
 @pytest.fixture
 def caller_on_two_threads():
-    """Every loaded OpenBLAS on two threads, as numpy starts on a 2-core
-    host; the counts the test found come back afterwards."""
+    """numpy's OpenBLAS on two threads, as numpy starts on a 2-core host;
+    the count the test found comes back afterwards."""
     with on_blas_threads(2):
         yield
 

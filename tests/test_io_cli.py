@@ -244,11 +244,12 @@ class TestCliEstimate:
         from msfactor.blas import openblas_controls
 
         controls = openblas_controls()
+        get = controls[0] if controls else (lambda: 1)
         seen = []
         forward_backward = em._forward_backward
 
         def recording_forward_backward(*args):
-            seen.append([get() for get, _ in controls])
+            seen.append(get())
             return forward_backward(*args)
 
         # recorded inside EM: the estimators hold the cap, not the CLI
@@ -256,10 +257,10 @@ class TestCliEstimate:
         truth = simulate_panel(SimConfig(n=15, t=50, r=1), RngHandle(seed=7))
         csv_path = tmp_path / "panel.csv"
         save_panel_csv(csv_path, truth.panel)
-        before = [get() for get, _ in controls]
+        before = get()
         main(["estimate", "--input", str(csv_path), "--k", "2", "--out", str(tmp_path / "est")])
-        assert seen and all(counts == [1] * len(controls) for counts in seen)
-        assert [get() for get, _ in controls] == before
+        assert seen and all(count == 1 for count in seen)
+        assert get() == before
 
 
 class TestCliMonteCarlo:
@@ -490,6 +491,27 @@ class TestCliRejectsSettings:
         assert err == f"msfactor {mode}: error: {name} = 'abc' is not a valid {kind}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (["montecarlo", "--reps", "1", "--epsilon", "-1e-3"],
+             "epsilon must be finite and positive"),
+            (["montecarlo", "--reps", "1", "--eps", "-1e-3"],  # abbreviated
+             "epsilon must be finite and positive"),
+            (["simulate", "--p11", "-5e-1"], "p11 and p22 must lie strictly in (0, 1)"),
+            (["simulate", "--tau", "-inf"], "tau must lie in [0, 1)"),
+            (["estimate", "--input", "panel.csv", "--k", "-x"], "k = '-x' is not a valid int"),
+        ],
+        ids=["epsilon", "abbreviated", "p11", "tau", "k"],
+    )
+    def test_value_starting_with_a_dash(self, tmp_path, capsys, monkeypatch, argv, message):
+        # argparse alone takes a lone "-1e-3" or "-inf" for an option
+        monkeypatch.chdir(tmp_path)
+        spaced = self._run(capsys, [*argv, "--out", "o"])
+        joined = self._run(capsys, [*argv[:-2], f"{argv[-2]}={argv[-1]}", "--out", "o"])
+        assert spaced == joined == (2, f"msfactor {argv[0]}: error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("k", ["1", "auto"])
     @pytest.mark.parametrize("shape", [(30, 3), (6, 30)], ids=["covariance", "gram"])
     def test_overflowing_second_moments(self, tmp_path, capsys, shape, k):
@@ -504,6 +526,19 @@ class TestCliRejectsSettings:
         assert err.startswith("msfactor estimate: error: the panel's second moments overflow")
         assert err.count("\n") == 1
         assert not (tmp_path / "e" / "params.json").exists()
+
+    def test_entries_near_the_overflow_edge_estimate(self, tmp_path, capsys):
+        # the second moments fit a double but 1e5 times a residual sum does
+        # not: the exposure test must not overflow (warnings are errors here)
+        panel = tmp_path / "panel.csv"
+        data = np.random.default_rng(0).standard_normal((30, 3)) * 1e153
+        save_panel_csv(panel, validate_panel(data))
+        out = tmp_path / "e"
+        code, err = self._run(
+            capsys, ["estimate", "--input", str(panel), "--k", "1", "--out", str(out)]
+        )
+        assert (code, err) == (0, "")
+        assert json.loads((out / "params.json").read_text())["converged"] is True
 
     @pytest.mark.parametrize("name", ["missing.csv", "."], ids=["missing", "directory"])
     def test_unreadable_input(self, tmp_path, capsys, name):

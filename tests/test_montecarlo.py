@@ -32,18 +32,20 @@ needs_forked_openblas = pytest.mark.skipif(
 )
 
 
-def _blas_counts() -> list[int]:
-    return [get() for get, _ in openblas_controls()]
+def _blas_count() -> int | None:
+    """numpy's OpenBLAS thread count, or None without one."""
+    controls = openblas_controls()
+    return controls[0]() if controls else None
 
 
 def _in_process_pool(opened: list):
     """A ``ProcessPoolExecutor`` stand-in that runs the tasks in-process and
-    appends ``(max_workers, OpenBLAS thread counts)`` to ``opened`` as each
+    appends ``(max_workers, OpenBLAS thread count)`` to ``opened`` as each
     pool opens, which is when a real pool forks its workers."""
 
     class InProcessPool:
         def __init__(self, max_workers):
-            opened.append((max_workers, _blas_counts()))
+            opened.append((max_workers, _blas_count()))
 
         def __enter__(self):
             return self
@@ -59,9 +61,9 @@ def _in_process_pool(opened: list):
 
 def _report_worker_threads(sim_cfg, em_cfg, seed, replication):
     """Stands in for ``run_replication`` inside a pool worker: fails with the
-    worker's thread count and every OpenBLAS thread count it runs on."""
+    worker's thread count and the OpenBLAS thread count it runs on."""
     tasks = len(os.listdir("/proc/self/task"))
-    raise InvalidArgumentError(f"tasks={tasks} blas={_blas_counts()}")
+    raise InvalidArgumentError(f"tasks={tasks} blas={_blas_count()}")
 
 
 class TestOneBlasThread:
@@ -71,25 +73,27 @@ class TestOneBlasThread:
         assert openblas_controls()
 
     def test_caps_inside_and_restores_after(self, caller_on_two_threads):
-        ones, twos = ([n] * len(openblas_controls()) for n in (1, 2))
+        one, two = (n if openblas_controls() else None for n in (1, 2))
         with one_blas_thread():
-            assert _blas_counts() == ones
-        assert _blas_counts() == twos
+            assert _blas_count() == one
+        assert _blas_count() == two
         with pytest.raises(RuntimeError), one_blas_thread():
             raise RuntimeError("body failed")
-        assert _blas_counts() == twos
+        assert _blas_count() == two
 
     def test_sets_only_libraries_not_on_one_thread(self, monkeypatch):
-        calls = []
-
-        def fake(name, count):
-            return (lambda: count, lambda n: calls.append((name, n)))
-
-        fakes = (fake("one", 1), fake("two", 2))
-        monkeypatch.setattr("msfactor.blas.openblas_controls", lambda: fakes)
+        for count, sets in ((1, []), (2, [1, 2])):
+            calls = []
+            monkeypatch.setattr(
+                "msfactor.blas.openblas_controls", lambda: (lambda: count, calls.append)
+            )
+            with one_blas_thread():
+                assert calls == sets[:1]
+            assert calls == sets
+        # without an OpenBLAS the block just runs
+        monkeypatch.setattr("msfactor.blas.openblas_controls", lambda: None)
         with one_blas_thread():
-            assert calls == [("two", 1)]
-        assert calls == [("two", 1), ("two", 2)]
+            pass
 
 
 def _estimate(data: np.ndarray):
@@ -119,7 +123,7 @@ class TestEstimatorsHoldTheCap:
             original = getattr(module, name)
 
             def recording(*args):
-                seen.append((name, _blas_counts()))
+                seen.append((name, _blas_count()))
                 return original(*args)
 
             monkeypatch.setattr(module, name, recording)
@@ -127,11 +131,10 @@ class TestEstimatorsHoldTheCap:
         record(pca, "_spectrum")
         record(em, "_forward_backward")
         _estimate(simulate_panel(TABLE1, RngHandle(seed=0)).panel.data)
-        ones, twos = ([n] * len(openblas_controls()) for n in (1, 2))
         # both PCA estimators read the spectrum; EM runs the passes
         assert [name for name, _ in seen[:3]] == ["_spectrum", "_spectrum", "_forward_backward"]
-        assert all(counts == ones for _, counts in seen)
-        assert _blas_counts() == twos
+        assert all(count == 1 for _, count in seen)
+        assert _blas_count() == 2
 
     def test_two_thread_caller_gets_a_one_thread_callers_bytes(self, caller_on_two_threads):
         data = simulate_panel(TABLE1, RngHandle(seed=0)).panel.data
@@ -142,7 +145,7 @@ class TestEstimatorsHoldTheCap:
 
     def test_direct_replication_equals_montecarlo_at_table1_shape(self, caller_on_two_threads):
         report = run_montecarlo(TABLE1, EmConfig(), seed=0, replications=2, jobs=1)
-        assert _blas_counts() == [2] * len(openblas_controls())
+        assert _blas_count() == 2
         for rep in range(2):
             assert run_replication(TABLE1, EmConfig(), 0, rep) == report.results[rep]
 
@@ -168,9 +171,21 @@ class TestRunMontecarlo:
         opened = []
         # run_montecarlo imports the pool class only when it opens a pool
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _in_process_pool(opened))
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 64)  # no real pool opens
         report = run_montecarlo(SMALL, EmConfig(), seed=3, replications=replications, jobs=jobs)
         assert [workers for workers, _ in opened] == pools
         assert report.replications == replications
+
+    @pytest.mark.parametrize(("cpus", "pools"), [(3, [3]), (1, [])])
+    def test_pool_never_exceeds_usable_cpus(self, monkeypatch, cpus, pools):
+        # the pool is a stand-in: never fork a real pool of many workers
+        opened = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _in_process_pool(opened))
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+        report = run_montecarlo(SMALL, EmConfig(), seed=3, replications=6, jobs=6)
+        assert [workers for workers, _ in opened] == pools
+        serial = run_montecarlo(SMALL, EmConfig(), seed=3, replications=6, jobs=1)
+        assert json.dumps(report.to_json_dict()) == json.dumps(serial.to_json_dict())
 
 
 @needs_forked_openblas
@@ -180,10 +195,10 @@ class TestForkedWorkers:
     ):
         opened = []
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _in_process_pool(opened))
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
         run_montecarlo(SMALL, EmConfig(), seed=3, replications=2, jobs=2)
-        ones, twos = ([n] * len(openblas_controls()) for n in (1, 2))
-        assert opened == [(2, ones)]
-        assert _blas_counts() == twos
+        assert opened == [(2, 1)]
+        assert _blas_count() == 2
 
     def test_worker_runs_replications_without_a_helper_thread(
         self, monkeypatch, caller_on_two_threads
@@ -191,7 +206,8 @@ class TestForkedWorkers:
         # fork carries the stand-in into the workers; its errors come back
         # in the report
         monkeypatch.setattr(montecarlo, "run_replication", _report_worker_threads)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)  # a real pool of two
         report = run_montecarlo(SMALL, EmConfig(), seed=3, replications=2, jobs=2)
-        inside = f"InvalidArgumentError: tasks=1 blas={[1] * len(openblas_controls())}"
+        inside = "InvalidArgumentError: tasks=1 blas=1"
         assert report.errors == ((0, inside), (1, inside))
-        assert _blas_counts() == [2] * len(openblas_controls())
+        assert _blas_count() == 2
