@@ -17,10 +17,24 @@ the same raw string, cast by one reader, and a flag's value may start with
 a dash (``--epsilon -1e-3``). A bad or missing value, an input the library
 rejects (any :class:`~msfactor.exceptions.MsfactorError`) and a file that
 cannot be read or written (any ``OSError``) end the command with one line
-on stderr and exit status 2.
+on stderr and exit status 2; so does a command line argparse rejects.
+
+Run as a program (``python -m msfactor.cli``, ``python -m msfactor`` or the
+``msfactor`` script), the command starts numpy's OpenBLAS on one thread,
+unless the caller set one of the variables OpenBLAS reads for its thread
+count: the estimators run on one thread anyway, and a second thread would
+only spin from numpy's import on. Imported as a library, the module leaves
+the environment alone.
 """
 
 from __future__ import annotations
+
+import os
+
+if __name__ == "__main__" and not any(
+    name in os.environ for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read once, when numpy loads OpenBLAS
 
 import argparse
 import sys
@@ -250,10 +264,18 @@ COMMANDS: dict[str, tuple[str, list[Setting], Callable[[argparse.Namespace], int
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser, and through ``add_subparsers`` each subcommand's,
+    that rejects a command line in one stderr line, without the usage."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Flags from :data:`COMMANDS`. They keep raw strings, which
     :func:`_read` casts as it casts config-file values."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="msfactor",
         description="Two-state Markov switching factor models: simulate, estimate, replicate.",
     )

@@ -1,8 +1,11 @@
+import os
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import msfactor
 from msfactor import (
     EmConfig,
     RngHandle,
@@ -15,6 +18,18 @@ from msfactor.blas import openblas_controls
 
 ACCEPTANCE_SEED = 0
 ACCEPTANCE_REPS = 20
+#: The variables OpenBLAS reads for its thread count, in its order.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def src_env(**variables: str) -> dict[str, str]:
+    """The environment for a fresh interpreter: this checkout's package
+    first on PYTHONPATH, none of :data:`BLAS_THREAD_VARIABLES` but those
+    given, as a user who set none would have."""
+    src = str(Path(msfactor.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    return {**env, "PYTHONPATH": path, **variables}
 
 
 def numpy_uses_openblas() -> bool:

@@ -9,7 +9,9 @@ inputs, and compares the SHA-256 of every file they write with
 the iteration count and the convergence flag) of 20 Table 1 inputs and 4
 design-4 inputs (N = 600, T = 300). OpenBLAS is pinned to one thread,
 since simulation's tau > 0 covariance roots change in the last bits with
-the thread count.
+the thread count. The tau = 0.5 ``simulate`` also runs as a program, in a
+process of its own that the tests do not cap, and must write those bytes:
+the command starts on one thread by itself.
 
 The digests hold for the numpy version and OpenBLAS configuration stored
 beside them; under another environment the test skips and names both. On
@@ -30,6 +32,7 @@ import ctypes
 import hashlib
 import io
 import json
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -37,7 +40,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import numpy_uses_openblas, on_blas_threads
+from conftest import numpy_uses_openblas, on_blas_threads, src_env
 from msfactor import (
     EmConfig,
     RngHandle,
@@ -163,6 +166,20 @@ def _assert_same(digests: dict[str, str], expected: dict[str, str]) -> None:
 def test_cli_outputs_match_golden_digests(tmp_path):
     expected = _golden()["digests"]
     _assert_same(run_cases(tmp_path), expected)
+
+
+def test_program_run_writes_the_one_thread_bytes(tmp_path):
+    # a real process, with no cap from the tests: the program itself starts
+    # numpy's OpenBLAS on one thread, whatever the host's core count
+    expected = _golden()["digests"]
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(SIM_CONFIG)
+    out = tmp_path / "simulate_tau05"
+    subprocess.run(
+        [sys.executable, "-m", "msfactor.cli", "simulate", "--config", str(cfg), "--out", str(out)],
+        env=src_env(), check=True, capture_output=True,
+    )
+    _assert_same(_digests(out), {k: v for k, v in expected.items() if k.startswith(f"{out.name}/")})
 
 
 def test_em_results_match_golden_digests():

@@ -5,13 +5,13 @@ import os
 import re
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import msfactor
-from msfactor import cli
+from conftest import BLAS_THREAD_VARIABLES, needs_openblas, src_env
+from msfactor import cli, montecarlo
 from msfactor.cli import main
 from msfactor.em import EmConfig, run_em
 from msfactor.exceptions import (
@@ -681,20 +681,19 @@ class TestCliVerify:
         assert "PASS" not in captured.out
 
 
+def _probe(code: str, **variables: str):
+    """What a fresh interpreter running ``code`` prints as JSON, under
+    :func:`~conftest.src_env` with ``variables``."""
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=src_env(**variables),
+        check=True, capture_output=True, text=True,
+    ).stdout
+    return json.loads(out.splitlines()[-1])
+
+
 def _modules_after_cli_import() -> list[str]:
     """Names in ``sys.modules`` of a fresh interpreter after ``import msfactor.cli``."""
-    probe = "import json, sys, msfactor.cli; print(json.dumps(sorted(sys.modules)))"
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=_src_env(), check=True, capture_output=True, text=True
-    ).stdout
-    return json.loads(out)
-
-
-def _src_env() -> dict[str, str]:
-    """The environment with this checkout's package first on PYTHONPATH."""
-    src = str(Path(msfactor.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": path}
+    return _probe("import json, sys, msfactor.cli; print(json.dumps(sorted(sys.modules)))")
 
 
 def test_module_run_rejects_a_bad_flag_in_one_line(tmp_path):
@@ -702,7 +701,7 @@ def test_module_run_rejects_a_bad_flag_in_one_line(tmp_path):
     run = subprocess.run(
         [sys.executable, "-m", "msfactor.cli", "estimate", "--input", str(tmp_path / "panel.csv"),
          "--k", "auto", "--k-max", "eight", "--demean", "--out", str(tmp_path / "e")],
-        env=_src_env(), capture_output=True, text=True,
+        env=src_env(), capture_output=True, text=True,
     )
     assert run.returncode == 2
     assert run.stderr == "msfactor estimate: error: k_max = 'eight' is not a valid int\n"
@@ -720,3 +719,84 @@ def test_cli_import_leaves_process_pool_out():
     assert "concurrent.futures.process" not in modules
     assert "multiprocessing" not in modules
     assert "numpy.random" not in modules
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["simulate", "--bogus", "1", "--out", "d"],
+         "msfactor: error: unrecognized arguments: --bogus 1"),
+        (["estimate", "--input", "x.csv", "--out"],
+         "msfactor estimate: error: argument --out: expected one argument"),
+        ([], "msfactor: error: the following arguments are required: mode"),
+        (["bogus"], "msfactor: error: argument mode: invalid choice: 'bogus' "
+                    "(choose from 'simulate', 'estimate', 'montecarlo', 'verify')"),
+    ],
+    ids=["unknown-flag", "flag-without-value", "no-subcommand", "unknown-subcommand"],
+)
+def test_command_line_argparse_rejects_is_one_stderr_line(tmp_path, capsys, monkeypatch, argv,
+                                                          message):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exit_.value.code == 2
+    assert (captured.out, captured.err) == ("", message + "\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+#: Runs ``msfactor --help`` as a program, then prints numpy's OpenBLAS
+#: thread count and the process's OS threads.
+_PROGRAM_PROBE = """
+import json, os, runpy, sys
+sys.argv = ["msfactor", "--help"]
+try:
+    {entry}
+except SystemExit:
+    pass
+from msfactor.blas import openblas_controls
+print(json.dumps([openblas_controls()[0](), len(os.listdir("/proc/self/task"))]))
+"""
+#: How ``python -m msfactor.cli`` runs the command, and the installed
+#: ``msfactor`` script (``python -m msfactor`` runs the same function).
+_ENTRIES = {
+    "module": 'runpy.run_module("msfactor.cli", run_name="__main__", alter_sys=True)',
+    "script": "from msfactor.__main__ import main; main()",
+}
+
+needs_proc_tasks = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task"), reason="counts OS threads in Linux's /proc/self/task"
+)
+
+
+@needs_openblas
+@needs_proc_tasks
+@pytest.mark.parametrize("entry", list(_ENTRIES))
+def test_program_starts_on_one_blas_thread(entry):
+    # no OpenBLAS helper thread: the process runs one OS thread
+    assert _probe(_PROGRAM_PROBE.format(entry=_ENTRIES[entry])) == [1, 1]
+
+
+@needs_openblas
+@needs_proc_tasks
+@pytest.mark.skipif(montecarlo._usable_cpus() < 2,
+                    reason="OpenBLAS starts no more threads than the CPUs it may use")
+@pytest.mark.parametrize("variable", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_program_keeps_the_callers_blas_threads(variable):
+    assert _probe(_PROGRAM_PROBE.format(entry=_ENTRIES["module"]), **{variable: "2"}) == [2, 2]
+
+
+def test_library_import_leaves_the_environment_alone():
+    probe = "import json, os, msfactor.cli; print(json.dumps(sorted(os.environ)))"
+    assert set(_probe(probe)).isdisjoint(BLAS_THREAD_VARIABLES)
+
+
+def test_package_import_loads_no_numpy():
+    assert "numpy" not in _probe("import json, sys, msfactor; print(json.dumps(list(sys.modules)))")
+
+
+def test_package_names_load_on_first_use():
+    assert set(msfactor.__all__) <= set(dir(msfactor))
+    assert msfactor.run_em is cli.run_em
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        msfactor.no_such_name

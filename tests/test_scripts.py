@@ -1,22 +1,19 @@
 """Smoke runs of the scripts under ``scripts/``, each in a fresh interpreter."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
-import msfactor
+from conftest import src_env
 from msfactor.montecarlo import REPORT_COLUMNS
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def _run_script(name: str, *args: str) -> subprocess.CompletedProcess:
-    src = str(Path(msfactor.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, str(SCRIPTS / name), *args],
-        env={**os.environ, "PYTHONPATH": path},
+        env=src_env(),
         capture_output=True,
         text=True,
         timeout=120,
