@@ -142,10 +142,12 @@ def regime_log_densities(
         )
     a0, z, zz = anchor_fit(panel, g)
     s2 = (params.sigma_e1_diag, params.sigma_e2_diag)
-    inv_s2 = np.column_stack([1.0 / s2[0], 1.0 / s2[1]])
-    q = _residual_sums(z, zz, (g, g), (params.b1 - a0, params.b2 - a0), inv_s2)
-    log_dets = np.array([np.log(s2[0]).sum(), np.log(s2[1]).sum()])
-    out = -0.5 * n * _LOG_2PI - 0.5 * log_dets - 0.5 * q
+    # an overflow surfaces once, as the NonFiniteError below
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv_s2 = np.column_stack([1.0 / s2[0], 1.0 / s2[1]])
+        q = _residual_sums(z, zz, (g, g), (params.b1 - a0, params.b2 - a0), inv_s2)
+        log_dets = np.array([np.log(s2[0]).sum(), np.log(s2[1]).sum()])
+        out = -0.5 * n * _LOG_2PI - 0.5 * log_dets - 0.5 * q
     if not np.isfinite(out).all():
         t, j = np.argwhere(~np.isfinite(out))[0]
         raise NonFiniteError(int(t), int(j), "non-finite regime log density")

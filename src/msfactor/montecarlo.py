@@ -81,6 +81,22 @@ def _json_statistic(value: float) -> float | None:
     return None if math.isnan(value) else value
 
 
+def _mean_std(values: np.ndarray) -> tuple[float, float]:
+    """Mean and sample std of a report column (NaN if empty, std 0 for one
+    value). Where numpy's sums overflow on finite values, they are taken on
+    the values over their largest magnitude and scaled back."""
+    if values.size == 0:
+        return float("nan"), float("nan")
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(values.mean())
+        std = float(values.std(ddof=1)) if values.size > 1 else 0.0
+    if not (math.isfinite(mean) and math.isfinite(std)) and np.isfinite(values).all():
+        scale = float(np.abs(values).max())
+        unit = values / scale
+        mean, std = scale * float(unit.mean()), scale * float(unit.std(ddof=1))
+    return mean, std
+
+
 @dataclass(frozen=True)
 class MonteCarloReport:
     """Aggregated Monte Carlo results.
@@ -238,12 +254,7 @@ def run_montecarlo(
     std: dict[str, float] = {}
     for col in REPORT_COLUMNS:
         values = np.array([res.column_values()[col] for res in results])
-        if values.size == 0:
-            mean[col] = float("nan")
-            std[col] = float("nan")
-        else:
-            mean[col] = float(values.mean())
-            std[col] = float(values.std(ddof=1)) if values.size > 1 else 0.0
+        mean[col], std[col] = _mean_std(values)
     return MonteCarloReport(
         replications=replications,
         results=results,

@@ -1,7 +1,9 @@
 """Exact brute-force posterior by state-path enumeration.
 
 Reference implementation used to validate the filter, smoother and
-cross-probabilities at desk scale. Never called by the estimation path.
+cross-probabilities at desk scale, on random problems drawn as the log
+densities the recursions read, some so far apart that a relative density
+underflows to exactly 0. Never called by the estimation path.
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import DimensionMismatchError, InvalidArgumentError, TooLongError
+from .filtering import filter_smoother_pass
 from .types import RngHandle, StateProbabilities, TransitionMatrix, as_integer
 
 MAX_ENUM_T = 16
@@ -97,43 +100,21 @@ def enumerate_posterior(
 
 
 def random_instance(rng: np.random.Generator):
-    """One random small estimation problem for the equivalence suite.
+    """One random small problem for the equivalence suite.
 
-    Returns (log_eta, trans, xi0) with N in 1..4, T in 2..8 and parameters
-    drawn to keep every probability safely inside (0, 1).
+    Returns (log_eta, trans, xi0) with T in 2..8: the recursions read
+    nothing else. Each row of the T x 2 log densities is a common offset
+    split by a regime gap drawn log-uniform in [0.1, 1000], either regime
+    on top, so gaps run from near-ties to past 745, where the smaller
+    relative density underflows to exactly 0. Every transition and prior
+    probability lies in [0.05, 0.95].
     """
-    from .filtering import regime_log_densities
-    from .types import ModelParams, Panel, validate_panel
-
-    n = int(rng.integers(1, 5))
     t_len = int(rng.integers(2, 9))
-    k = int(rng.integers(1, 4))
-    g = rng.standard_normal((t_len, k))
-    params = ModelParams(
-        b1=rng.standard_normal((n, k)),
-        b2=rng.standard_normal((n, k)),
-        sigma_e1_diag=rng.uniform(0.5, 2.0, size=n),
-        sigma_e2_diag=rng.uniform(0.5, 2.0, size=n),
-        trans=TransitionMatrix(
-            np.array(
-                [
-                    [p := rng.uniform(0.05, 0.95), 1.0 - p],
-                    [1.0 - (q := rng.uniform(0.05, 0.95)), q],
-                ]
-            )
-        ),
-    )
-    x = g @ params.b1.T + rng.standard_normal((t_len, n))
-    if n == 1:
-        # validate_panel requires N >= 2; bypass it for the 1-series cases
-        # of the equivalence suite, where finiteness is all that matters.
-        panel = Panel(data=x)
-    else:
-        panel = validate_panel(x)
-    u = rng.uniform(0.05, 0.95)
-    xi0 = StateProbabilities(np.array([u, 1.0 - u]))
-    log_eta = regime_log_densities(panel, g, params)
-    return log_eta, params.trans, xi0
+    half_gap = rng.choice([-0.5, 0.5], size=t_len) * 10.0 ** rng.uniform(-1.0, 3.0, size=t_len)
+    log_eta = rng.uniform(-100.0, 100.0) + np.column_stack([half_gap, -half_gap])
+    p, q, u = rng.uniform(0.05, 0.95, size=3)
+    trans = TransitionMatrix(np.array([[p, 1.0 - p], [1.0 - q, q]]))
+    return log_eta, trans, StateProbabilities(np.array([u, 1.0 - u]))
 
 
 def equivalence_suite(instances: int = 200, seed: int = 0) -> dict[str, float]:
@@ -143,8 +124,6 @@ def equivalence_suite(instances: int = 200, seed: int = 0) -> dict[str, float]:
     log-likelihood, smoothed marginals and cross-probabilities against
     :func:`enumerate_posterior`.
     """
-    from .filtering import filter_smoother_pass
-
     instances = as_integer("instances", instances)
     if instances < 1:
         raise InvalidArgumentError(f"instances must be >= 1, got {instances}")

@@ -14,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from .blas import one_blas_thread
-from .exceptions import KTooLargeError, RankDeficientError, SecondMomentOverflowError
-from .types import FactorSpace, Panel, as_integer
+from .exceptions import KTooLargeError, NonFiniteError, RankDeficientError, SecondMomentOverflowError
+from .types import FactorSpace, Panel, as_integer, validate_panel
 
 #: Eigenvalues below this fraction of the largest one are treated as zero
 #: by the eigenvalue-ratio criterion.
@@ -23,10 +23,20 @@ EIGENVALUE_FLOOR_RATIO = 1e-12
 
 
 def demean_panel(panel: Panel) -> Panel:
-    """Subtract each column's sample mean; columns end up mean-zero."""
-    data = panel.data - panel.data.mean(axis=0)
-    data.setflags(write=False)
-    return Panel(data=data)
+    """Subtract each column's sample mean; columns end up mean-zero.
+
+    Raises :class:`NonFiniteError` where a column mean or a demeaned entry
+    overflows the largest double.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        data = panel.data - panel.data.mean(axis=0)
+    try:
+        return validate_panel(data)
+    except NonFiniteError as err:
+        raise NonFiniteError(
+            err.row, err.col, f"demeaning overflows the largest double at row {err.row}, "
+            f"col {err.col}; rescale the data"
+        ) from None
 
 
 def sample_covariance(panel: Panel) -> np.ndarray:

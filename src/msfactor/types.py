@@ -314,10 +314,6 @@ class FactorSpace:
         object.__setattr__(self, "g_hat", g)
         object.__setattr__(self, "eigvals", v)
 
-    @property
-    def n_factors(self) -> int:
-        return self.a_hat.shape[1]
-
 
 def check_gram(gram: np.ndarray, regime: int) -> None:
     """Raise :class:`SingularGramError` for ``regime`` when the condition

@@ -25,11 +25,13 @@ BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_TH
 def src_env(**variables: str) -> dict[str, str]:
     """The environment for a fresh interpreter: this checkout's package
     first on PYTHONPATH, none of :data:`BLAS_THREAD_VARIABLES` but those
-    given, as a user who set none would have."""
+    given, as a user who set none would have, and a RuntimeWarning (a
+    numpy overflow, say) an error unless PYTHONWARNINGS is given, as
+    pytest makes it in-process."""
     src = str(Path(msfactor.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
-    return {**env, "PYTHONPATH": path, **variables}
+    return {**env, "PYTHONPATH": path, "PYTHONWARNINGS": "error::RuntimeWarning", **variables}
 
 
 def numpy_uses_openblas() -> bool:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from msfactor.exceptions import (
     DegeneratePredictionError,
     DimensionMismatchError,
+    NonFiniteError,
     ZeroPredictedError,
 )
 from msfactor.filtering import (
@@ -127,6 +128,22 @@ class TestRegimeLogDensities:
         le = regime_log_densities(panel, g, params)
         at_mode = -0.5 * n * np.log(2 * np.pi) - 0.5 * n * np.log(floor)
         assert np.abs(le[:10, 0] - at_mode).max() < 1e-9
+
+    def test_overflowing_density_is_one_error(self):
+        # 1e20 / 1e-300 overflows the residual sums; with warnings as errors
+        # an overflow warning would escape before the guard
+        rng = np.random.default_rng(0)
+        panel = validate_panel(rng.standard_normal((5, 3)) * 1e10)
+        params = ModelParams(
+            b1=np.ones((3, 1)),
+            b2=np.ones((3, 1)),
+            sigma_e1_diag=np.full(3, 1e-300),
+            sigma_e2_diag=np.ones(3),
+            trans=P_EXAMPLE,
+        )
+        with pytest.raises(NonFiniteError, match="non-finite regime log density") as err:
+            regime_log_densities(panel, rng.standard_normal((5, 1)), params)
+        assert (err.value.row, err.value.col) == (0, 0)
 
     def test_dimension_mismatch(self):
         panel = validate_panel(np.zeros((3, 2)))

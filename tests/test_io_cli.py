@@ -308,6 +308,23 @@ class TestCliMonteCarlo:
         for block in ("mean", "std"):
             assert report[block] == {c: None for c in report["columns"]}
 
+    def test_huge_finite_statistics_are_strict_json(self, tmp_path):
+        # squaring mse_chi ~ 1e298 overflows numpy's std; with warnings as
+        # errors an overflow warning would escape main
+        out = tmp_path / "huge"
+        code = main(["montecarlo", "--n", "10", "--t", "40", "--r", "1", "--reps", "2",
+                     "--noise-to-signal", "1e300", "--out", str(out)])
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+        assert code == 0 and report["successful"] == 2
+        a, b = (rep["mse_chi"] for rep in report["per_replication"])
+        assert min(a, b) > 1e297
+        assert report["mean"]["mse_chi"] == pytest.approx(a / 2 + b / 2)
+        assert report["std"]["mse_chi"] == pytest.approx(abs(a - b) / np.sqrt(2))
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "mc.cfg"
         cfg.write_text("n = 20\nt = 80\nr = 1\nreps = 2\nseed = 11\n")
@@ -526,6 +543,17 @@ class TestCliRejectsSettings:
         assert err.startswith("msfactor estimate: error: the panel's second moments overflow")
         assert err.count("\n") == 1
         assert not (tmp_path / "e" / "params.json").exists()
+
+    def test_demean_overflow(self, tmp_path, capsys):
+        # the column sums of entries near 1e308 overflow
+        panel = tmp_path / "panel.csv"
+        data = np.random.default_rng(0).uniform(1.0, 1.7, (30, 3)) * 1e308
+        save_panel_csv(panel, validate_panel(data))
+        code, err = self._run(capsys, ["estimate", "--input", str(panel), "--k", "1",
+                                       "--demean", "--out", str(tmp_path / "e")])
+        assert code == 2
+        assert err.startswith("msfactor estimate: error: demeaning overflows")
+        assert err.endswith("; rescale the data\n") and err.count("\n") == 1
 
     def test_entries_near_the_overflow_edge_estimate(self, tmp_path, capsys):
         # the second moments fit a double but 1e5 times a residual sum does

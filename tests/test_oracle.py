@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from msfactor.exceptions import TooLongError
-from msfactor.oracle import enumerate_posterior, equivalence_suite
+from msfactor.oracle import enumerate_posterior, equivalence_suite, random_instance
 from msfactor.types import STATE_1, StateProbabilities, TransitionMatrix
 
 P_EXAMPLE = TransitionMatrix(np.array([[0.9, 0.1], [0.3, 0.7]]))
@@ -63,3 +63,11 @@ class TestEquivalenceSuite:
     def test_small_suite_is_tight(self):
         dev = equivalence_suite(instances=25, seed=123)
         assert max(dev.values()) < 1e-9
+
+    def test_instances_reach_an_underflowing_density_ratio(self):
+        # the draws of equivalence_suite(200, seed=0): some row's regime gap
+        # passes 745, so its smaller relative density exp(-gap) is exactly 0
+        rng = np.random.default_rng(0)
+        gaps = [np.abs(np.diff(random_instance(rng)[0], axis=1)).max() for _ in range(200)]
+        assert max(gaps) > 745
+        assert np.exp(-max(gaps)) == 0.0

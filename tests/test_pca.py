@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from msfactor.exceptions import KTooLargeError, RankDeficientError, SecondMomentOverflowError
+from msfactor.exceptions import (
+    KTooLargeError,
+    NonFiniteError,
+    RankDeficientError,
+    SecondMomentOverflowError,
+)
 from msfactor.pca import (
     demean_panel,
     estimate_factor_space,
@@ -34,6 +39,17 @@ class TestDemean:
     def test_column_means_zero(self):
         panel = demean_panel(_panel(np.random.default_rng(1).normal(5.0, 1.0, (50, 6))))
         assert np.abs(panel.data.mean(axis=0)).max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "column", [[1.7e308, 1.6e308, 1.5e308], [1.7e308, -1.7e308, 1.7e308]],
+        ids=["mean", "difference"],
+    )
+    def test_overflow_is_refused(self, column):
+        # the mean of the second column is finite, but -1.7e308 less it is
+        # not; warnings are errors here, so an overflow warning fails too
+        with pytest.raises(NonFiniteError, match="demeaning overflows") as err:
+            demean_panel(_panel(np.column_stack([[1.0, 2.0, 3.0], column])))
+        assert err.value.col == 1
 
 
 class TestSampleCovariance:
