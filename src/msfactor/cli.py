@@ -37,6 +37,7 @@ if __name__ == "__main__" and not any(
     os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read once, when numpy loads OpenBLAS
 
 import argparse
+import errno
 import sys
 from collections.abc import Callable
 from dataclasses import asdict
@@ -120,8 +121,15 @@ def _config(cls, opts: argparse.Namespace, **fixed):
 
 
 def _out_dir(out: str) -> Path:
+    """``out`` as a path, refused before any work if it or a parent names an
+    existing file, with the error making it would raise; a command makes
+    the directory only once it has results to write, so a refused run
+    leaves nothing behind."""
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    existing = next((p for p in (path, *path.parents) if p.exists()), path)
+    if existing.exists() and not existing.is_dir():
+        code = errno.EEXIST if existing == path else errno.ENOTDIR
+        raise OSError(code, os.strerror(code), out)
     return path
 
 
@@ -130,6 +138,7 @@ def _cmd_simulate(opts: argparse.Namespace) -> int:
     out = _out_dir(opts.out)
     truth = simulate_panel(cfg, RngHandle(seed=cfg.seed, stream=0))
 
+    out.mkdir(parents=True, exist_ok=True)
     save_panel_csv(out / "panel.csv", truth.panel)
     save_matrix_csv(
         out / "states.csv",
@@ -165,6 +174,7 @@ def _cmd_estimate(opts: argparse.Namespace) -> int:
 
     stationary = unconditional_probs(result.params.trans).values
     smoothed = result.path.smoothed
+    out.mkdir(parents=True, exist_ok=True)
     write_json(
         out / "params.json",
         {
@@ -213,6 +223,7 @@ def _cmd_montecarlo(opts: argparse.Namespace) -> int:
         },
         **report.to_json_dict(),
     }
+    out.mkdir(parents=True, exist_ok=True)
     write_json(out / "report.json", payload)
     print(report.format_table())
     print(f"report written to {out / 'report.json'}")

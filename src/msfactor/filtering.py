@@ -13,14 +13,14 @@ through the least-squares fit of :func:`anchor_fit`, computed once per
 panel and factor matrix, and expand their residual sums around it in one
 kernel, :func:`_residual_sums`, with one cancellation guard.
 
-One E step is one forward-backward pass: the filter appends Python floats
-to flat lists, the smoother reads those lists directly, each T x 2 array
-is built once from its list, and the cross probabilities follow
-vectorised. The EM loop takes its plain arrays; :func:`filter_smoother_pass`
-validates them as a :class:`ProbabilityPath`. :func:`hamilton_filter` and
-:func:`kim_smoother` wrap the two list-based stages for callers that want
-one stage alone; chained with :func:`smoothed_cross_probs` they give the
-same bits as the pass.
+One E step is one forward-backward pass, and there is one implementation
+of it: :func:`hamilton_filter` -> :func:`kim_smoother` ->
+:func:`smoothed_cross_probs`, on T x 2 arrays. Each recursion runs in
+Python floats and records only what the next stage needs; the filter's
+loop keeps the predictions alone, and its filtered rows, scale factors,
+log likelihood and degenerate-prediction test follow on whole arrays. The
+EM loop takes the chain's plain arrays from :func:`_forward_backward`;
+:func:`filter_smoother_pass` validates them as a :class:`ProbabilityPath`.
 """
 
 from __future__ import annotations
@@ -159,50 +159,6 @@ def _rows(flat: list[float]) -> np.ndarray:
     return np.array(flat, dtype=float).reshape(-1, 2)
 
 
-def _forward(
-    log_eta: np.ndarray, trans: TransitionMatrix, xi0: StateProbabilities
-) -> tuple[list[float], list[float], float]:
-    """The recursion of :func:`hamilton_filter`, with predicted and filtered
-    probabilities returned as flat lists (see :func:`_rows`)."""
-    log_eta = np.asarray(log_eta, dtype=float)
-    if log_eta.ndim != 2 or log_eta.shape[1] != 2:
-        raise DimensionMismatchError(f"log_eta must be T x 2, got {log_eta.shape}")
-    top = np.maximum(log_eta[:, 0], log_eta[:, 1])
-    eta = np.exp(log_eta - top[:, None])
-    # Python float arithmetic in the loop: IEEE addition is commutative, so
-    # writing each two-term sum explicitly makes swapping the regime labels
-    # swap the outputs bitwise, which matrix kernels do not guarantee.
-    p11, p12 = float(trans.p[0, 0]), float(trans.p[0, 1])
-    p21, p22 = float(trans.p[1, 0]), float(trans.p[1, 1])
-    predicted, filtered, scale = [], [], []
-    add_pred, add_filt, add_scale = predicted.append, filtered.append, scale.append
-    cur1, cur2 = float(xi0.values[0]), float(xi0.values[1])
-    flat = iter(eta.ravel().tolist())
-    for eta1, eta2 in zip(flat, flat):
-        pred1 = p11 * cur1 + p21 * cur2
-        pred2 = p12 * cur1 + p22 * cur2
-        if pred1 == 0.0 or pred2 == 0.0:
-            t = len(scale)
-            dead = 0 if pred1 == 0.0 else 1
-            if log_eta[t, dead] >= log_eta[t, 1 - dead]:
-                raise DegeneratePredictionError(
-                    f"predicted probability of state {dead + 1} underflowed "
-                    f"to 0 at t={t} while its density dominates"
-                )
-        num1 = eta1 * pred1
-        num2 = eta2 * pred2
-        norm = num1 + num2
-        cur1 = num1 / norm
-        cur2 = num2 / norm
-        add_pred(pred1)
-        add_pred(pred2)
-        add_filt(cur1)
-        add_filt(cur2)
-        add_scale(norm)
-    loglik = top.sum() + np.log(scale).sum()
-    return predicted, filtered, float(loglik)
-
-
 def hamilton_filter(
     log_eta: np.ndarray,
     trans: TransitionMatrix,
@@ -220,9 +176,57 @@ def hamilton_filter(
     Returns (predicted, filtered, loglik) with
 
         loglik = sum_t top_t + sum_t log c_t = sum_t log(eta_t' xi_{t|t-1}).
+
+    Raises :class:`DegeneratePredictionError` at the first t where a
+    state's predicted probability is exactly 0 while its density is at
+    least the other's.
     """
-    predicted, filtered, loglik = _forward(log_eta, trans, xi0)
-    return _rows(predicted), _rows(filtered), loglik
+    log_eta = np.asarray(log_eta, dtype=float)
+    if log_eta.ndim != 2 or log_eta.shape[1] != 2:
+        raise DimensionMismatchError(f"log_eta must be T x 2, got {log_eta.shape}")
+    top = np.maximum(log_eta[:, 0], log_eta[:, 1])
+    eta = np.exp(log_eta - top[:, None])
+    # Python float arithmetic in the loop: IEEE addition is commutative, so
+    # writing each two-term sum explicitly makes swapping the regime labels
+    # swap the outputs bitwise, which matrix kernels do not guarantee. The
+    # loop carries the recursion and keeps only the predictions; the update
+    # is redone below on whole arrays with the same operations, so the same
+    # bits.
+    p11, p12 = float(trans.p[0, 0]), float(trans.p[0, 1])
+    p21, p22 = float(trans.p[1, 0]), float(trans.p[1, 1])
+    pred = []
+    add = pred.append
+    cur1, cur2 = float(xi0.values[0]), float(xi0.values[1])
+    flat = iter(eta.ravel().tolist())
+    try:
+        for eta1, eta2 in zip(flat, flat):
+            pred1 = p11 * cur1 + p21 * cur2
+            pred2 = p12 * cur1 + p22 * cur2
+            add(pred1)
+            add(pred2)
+            num1 = eta1 * pred1
+            num2 = eta2 * pred2
+            norm = num1 + num2
+            cur1 = num1 / norm
+            cur2 = num2 / norm
+    except ZeroDivisionError:
+        # c_t = 0 only where the state with e_jt = 1 was predicted at 0, so
+        # the test below raises at this row or before it
+        pass
+    predicted = _rows(pred)
+    rows = predicted.shape[0]
+    dead = (predicted == 0.0) & (log_eta[:rows] >= log_eta[:rows, ::-1])
+    if dead.any():
+        t, j = map(int, np.argwhere(dead)[0])
+        raise DegeneratePredictionError(
+            f"predicted probability of state {j + 1} underflowed "
+            f"to 0 at t={t} while its density dominates"
+        )
+    num = eta * predicted
+    scale = num[:, 0] + num[:, 1]
+    filtered = num / scale[:, None]
+    loglik = top.sum() + np.log(scale).sum()
+    return predicted, filtered, float(loglik)
 
 
 def _check_predicted(predicted: np.ndarray, first_row: int) -> None:
@@ -234,30 +238,6 @@ def _check_predicted(predicted: np.ndarray, first_row: int) -> None:
         raise ZeroPredictedError(
             f"predicted probability below {_PRED_GUARD:g} at t={first_row + int(low[0])}"
         )
-
-
-def _backward(
-    predicted: list[float], filtered: list[float], trans: TransitionMatrix
-) -> list[float]:
-    """The recursion of :func:`kim_smoother` on flat lists (see :func:`_rows`);
-    returns the smoothed probabilities as a flat list in time order."""
-    # Python float arithmetic for bitwise label symmetry, as in _forward
-    p11, p12 = float(trans.p[0, 0]), float(trans.p[0, 1])
-    p21, p22 = float(trans.p[1, 0]), float(trans.p[1, 1])
-    s1, s2 = filtered[-2], filtered[-1]
-    smoothed = [s2, s1]  # built backwards, reversed at the end
-    add = smoothed.append
-    pred_back = iter(predicted[:1:-1])  # q2, q1 for t = T-1, ..., 1
-    filt_back = iter(filtered[-3::-1])  # f2, f1 for t = T-2, ..., 0
-    for q2, q1, f2, f1 in zip(pred_back, pred_back, filt_back, filt_back):
-        ratio1 = s1 / q1
-        ratio2 = s2 / q2
-        s1 = (p11 * ratio1 + p12 * ratio2) * f1
-        s2 = (p21 * ratio1 + p22 * ratio2) * f2
-        add(s2)
-        add(s1)
-    smoothed.reverse()
-    return smoothed
 
 
 def kim_smoother(
@@ -275,7 +255,25 @@ def kim_smoother(
     predicted = np.asarray(predicted, dtype=float)
     filtered = np.asarray(filtered, dtype=float)
     _check_predicted(predicted, 1)
-    return _rows(_backward(predicted.ravel().tolist(), filtered.ravel().tolist(), trans))
+    # Python float arithmetic for bitwise label symmetry, as in the filter
+    p11, p12 = float(trans.p[0, 0]), float(trans.p[0, 1])
+    p21, p22 = float(trans.p[1, 0]), float(trans.p[1, 1])
+    pred = predicted.ravel().tolist()
+    filt = filtered.ravel().tolist()
+    s1, s2 = filt[-2], filt[-1]
+    smoothed = [s2, s1]  # built backwards, reversed at the end
+    add = smoothed.append
+    pred_back = iter(pred[:1:-1])  # q2, q1 for t = T-1, ..., 1
+    filt_back = iter(filt[-3::-1])  # f2, f1 for t = T-2, ..., 0
+    for q2, q1, f2, f1 in zip(pred_back, pred_back, filt_back, filt_back):
+        ratio1 = s1 / q1
+        ratio2 = s2 / q2
+        s1 = (p11 * ratio1 + p12 * ratio2) * f1
+        s2 = (p21 * ratio1 + p22 * ratio2) * f2
+        add(s2)
+        add(s1)
+    smoothed.reverse()
+    return _rows(smoothed)
 
 
 def smoothed_cross_probs(
@@ -317,18 +315,11 @@ def _forward_backward(
     log_eta: np.ndarray, trans: TransitionMatrix, xi0: StateProbabilities
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
     """One full forward-backward pass as plain, unvalidated arrays:
-    (predicted, filtered, smoothed, cross, loglik).
-
-    Bitwise equal to the chain :func:`hamilton_filter` ->
-    :func:`kim_smoother` -> :func:`smoothed_cross_probs`, and raises at the
-    same t.
-    """
-    pred, filt, loglik = _forward(log_eta, trans, xi0)
-    predicted = _rows(pred)
-    _check_predicted(predicted, 1)
-    smoothed = _rows(_backward(pred, filt, trans))
-    filtered = _rows(filt)
-    # rows >= 1 passed above, so only row 0 can fail the guard in here
+    (predicted, filtered, smoothed, cross, loglik), from the chain
+    :func:`hamilton_filter` -> :func:`kim_smoother` ->
+    :func:`smoothed_cross_probs`."""
+    predicted, filtered, loglik = hamilton_filter(log_eta, trans, xi0)
+    smoothed = kim_smoother(predicted, filtered, trans)
     cross = smoothed_cross_probs(predicted, filtered, smoothed, trans, xi0)
     return predicted, filtered, smoothed, cross, loglik
 

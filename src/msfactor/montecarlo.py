@@ -97,6 +97,13 @@ def _mean_std(values: np.ndarray) -> tuple[float, float]:
     return mean, std
 
 
+def _cell(value: float) -> str:
+    """A table cell: ``9.4f``, or exponent form where that is wider than
+    the column."""
+    cell = f"{value:9.4f}"
+    return cell if len(cell) <= 9 else f"{value:9.2e}"
+
+
 @dataclass(frozen=True)
 class MonteCarloReport:
     """Aggregated Monte Carlo results.
@@ -136,8 +143,8 @@ class MonteCarloReport:
 
     def format_table(self) -> str:
         header = "  ".join(f"{c:>9s}" for c in REPORT_COLUMNS)
-        mean_row = "  ".join(f"{self.mean[c]:9.4f}" for c in REPORT_COLUMNS)
-        std_row = "  ".join(f"{self.std[c]:9.4f}" for c in REPORT_COLUMNS)
+        mean_row = "  ".join(_cell(self.mean[c]) for c in REPORT_COLUMNS)
+        std_row = "  ".join(_cell(self.std[c]) for c in REPORT_COLUMNS)
         lines = [
             header,
             mean_row + "   (mean)",

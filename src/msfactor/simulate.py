@@ -325,11 +325,12 @@ def simulate_idiosyncratic(
         nu[0] = w[0] / np.sqrt(1.0 - rho**2)
         for s in range(1, t_len):
             nu[s] = rho * nu[s - 1] + w[s]
+    del w
     sd = nu.std(axis=0)
     sd[sd == 0.0] = 1.0
     nu /= sd
     in_one = states == 1
-    e = np.empty((t_len, n))
+    e = nu  # mixed in place: the two regimes take disjoint rows
     e[in_one] = _mix(nu[in_one], sigma_e1, regime=1)
     e[~in_one] = _mix(nu[~in_one], sigma_e2, regime=2)
     return e

@@ -11,7 +11,8 @@ rows. A rewrite of PCA, the E step or the M steps that moves convergence
 shows up here as a failure.
 
 Also checks that every function the benchmark's tracer wraps, and every
-name the package exports, still exists.
+name the package exports, still exists, and that the tracer sees the
+filter and smoother of every EM pass.
 """
 
 import importlib.util
@@ -44,6 +45,24 @@ def workloads():
 def test_traced_targets_resolve():
     for module, attr, _ in _load_bench("tracing").TARGETS:
         assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+
+
+def test_tracer_sees_every_e_step():
+    # every EM pass, the closing one included, runs the public filter and
+    # smoother, so the tracer's per-layer E-step metrics are not blind
+    from msfactor import (
+        EmConfig, RngHandle, SimConfig, estimate_factor_space, run_em, simulate_panel
+    )
+
+    truth = simulate_panel(SimConfig(n=20, t=80, r=1), RngHandle(seed=0))
+    fs = estimate_factor_space(truth.panel, k=2)
+    with _load_bench("tracing").Tracer() as tracer:
+        result = run_em(truth.panel, fs, EmConfig())
+    names = [span.name for span in tracer.spans]
+    for name in ("filtering.filter", "filtering.smoother", "filtering.cross"):
+        assert names.count(name) == result.iterations + 1, name
+    periods = [span.counts["periods"] for span in tracer.spans if span.name == "filtering.filter"]
+    assert periods == [80] * (result.iterations + 1)
 
 
 @pytest.mark.parametrize("module", ["msfactor", "msfactor.em"])

@@ -197,6 +197,57 @@ class TestHamiltonFilter:
         )
         assert np.allclose(filtered[0], [1.0, 0.0])
 
+    # eye(2) from state 1 predicts state 2 at exactly 0 in every period
+    @pytest.mark.parametrize(
+        ("row", "raised"),
+        [
+            # state 1's density is still positive: the recursion runs on
+            ([-5.0, -1.0], DegeneratePredictionError),
+            # state 1's relative density underflows: the update is 0 / 0
+            ([-1000.0, -1.0], DegeneratePredictionError),
+            # state 2 does not dominate: the filter passes and the
+            # smoother's guard fires at its first row
+            ([-1.0, -5.0], ZeroPredictedError),
+        ],
+        ids=["runs-on", "zero-over-zero", "live-state-dominates"],
+    )
+    def test_dead_state_is_reported_at_its_first_dominant_row(self, row, raised):
+        absorbing = TransitionMatrix(np.eye(2))
+        log_eta = np.array([[-1.0, -5.0], [-1.0, -5.0], row, [-1.0, -5.0]])
+        if raised is DegeneratePredictionError:
+            message = (
+                "predicted probability of state 2 underflowed to 0 at t=2 "
+                "while its density dominates"
+            )
+            with pytest.raises(DegeneratePredictionError, match=f"^{message}$"):
+                hamilton_filter(log_eta, absorbing, STATE_1)
+        else:
+            predicted, filtered, _ = hamilton_filter(log_eta, absorbing, STATE_1)
+            assert predicted.shape == filtered.shape == (4, 2)
+            message = "predicted probability below 1e-300 at t=1"
+        with pytest.raises(raised, match=f"^{message}$"):
+            filter_smoother_pass(log_eta, absorbing, STATE_1)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        t_len=st.integers(min_value=1, max_value=12),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_never_returns_fewer_rows_than_periods(self, seed, t_len):
+        # absorbing and one-way chains with gaps that underflow a relative
+        # density: the filter either raises or returns every period
+        rng = np.random.default_rng(seed)
+        stay = rng.choice([0.0, 0.5, 1.0], 2)
+        trans = TransitionMatrix(np.array([[stay[0], 1 - stay[0]], [1 - stay[1], stay[1]]]))
+        xi0 = StateProbabilities(np.eye(2)[rng.integers(0, 2)])
+        log_eta = rng.normal(0.0, 1.0, (t_len, 2)) * rng.choice([1.0, 1e3], (t_len, 1))
+        try:
+            predicted, filtered, loglik = hamilton_filter(log_eta, trans, xi0)
+        except DegeneratePredictionError:
+            return
+        assert predicted.shape == filtered.shape == (t_len, 2)
+        assert np.isfinite(loglik)
+
     def test_loglik_decomposes_into_step_normalisers(self):
         # the accumulated loglik must equal the sum of the per-step
         # normalisers log(eta_t' xi_{t|t-1}), here recomputed in linear

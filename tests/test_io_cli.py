@@ -325,6 +325,21 @@ class TestCliMonteCarlo:
         assert report["mean"]["mse_chi"] == pytest.approx(a / 2 + b / 2)
         assert report["std"]["mse_chi"] == pytest.approx(abs(a - b) / np.sqrt(2))
 
+    def test_wide_statistic_keeps_seven_cells_per_row(self, tmp_path, capsys):
+        # mse_chi ~ 1e298 in fixed point would be a 300-digit cell
+        code = main(["montecarlo", "--n", "10", "--t", "40", "--r", "1", "--reps", "2",
+                     "--noise-to-signal", "1e300", "--out", str(tmp_path / "huge")])
+        assert code == 0
+        header, mean_row, std_row = capsys.readouterr().out.splitlines()[:3]
+        for row, label in ((mean_row, "(mean)"), (std_row, "(std)")):
+            cells = row.split()
+            assert len(cells) == 8 and cells[-1] == label
+            assert len(row) == len(header) + len("   " + label)
+            assert "e+29" in cells[5]
+        # the other cells keep their fixed-point form
+        cells = mean_row.split()
+        assert all(re.fullmatch(r"\d+\.\d{4}", c) for c in cells[:5] + cells[6:7])
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "mc.cfg"
         cfg.write_text("n = 20\nt = 80\nr = 1\nreps = 2\nseed = 11\n")
@@ -463,6 +478,41 @@ class TestCliRejectsSettings:
         assert code == 2
         assert err == f"msfactor {mode}: error: seed must fit an unsigned 64-bit integer\n"
         assert not (tmp_path / "o" / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (["simulate", "--n", "50", "--t", "40", "--tau", "0.9"],
+             "regime-1 idiosyncratic covariance has eigenvalue"),
+            (["estimate", "--input", "big.csv", "--k", "1", "--demean"],
+             "demeaning overflows the largest double"),
+        ],
+        ids=["simulate", "estimate"],
+    )
+    def test_refused_run_leaves_no_directory(self, tmp_path, capsys, argv, message):
+        big = np.random.default_rng(0).uniform(1.0, 1.7, (30, 3)) * 1e308
+        save_panel_csv(tmp_path / "big.csv", validate_panel(big))
+        argv = [str(tmp_path / a) if a == "big.csv" else a for a in argv]
+        code, err = self._run(capsys, [*argv, "--out", str(tmp_path / "o")])
+        assert code == 2 and message in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        ("name", "error"),
+        [("taken", "[Errno 17] File exists"), ("taken/sub", "[Errno 20] Not a directory")],
+    )
+    def test_out_through_a_file_is_refused_before_any_work(
+        self, tmp_path, capsys, monkeypatch, name, error
+    ):
+        def unreachable(*args):
+            raise AssertionError("simulated before the output was checked")
+
+        monkeypatch.setattr(cli, "simulate_panel", unreachable)
+        (tmp_path / "taken").write_text("")
+        out = tmp_path / name
+        code, err = self._run(capsys, ["simulate", "--n", "10", "--t", "40", "--out", str(out)])
+        assert code == 2
+        assert err == f"msfactor simulate: error: {error}: '{out}'\n"
 
     def test_simulate_without_out(self, capsys):
         code, err = self._run(capsys, ["simulate", "--n", "10", "--t", "40"])

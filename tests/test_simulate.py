@@ -491,5 +491,11 @@ class TestSimulationMemory:
         cfg = SimConfig(n=300, t=60, r=2, tau=0.5, rho_idio_max=0.5)
         assert self._peak_in_n_squared(cfg) <= 4.5
 
+    def test_wide_banded_design(self):
+        # N = 2T: each T x N array is 0.5 N^2, so neither the innovation
+        # draws nor a second T x N output may stay live beside the roots
+        cfg = SimConfig(n=600, t=300, r=2, p11=0.9, p22=0.7, rho_f=0.7, tau=0.5, rho_idio_max=0.5)
+        assert self._peak_in_n_squared(cfg) <= 4.3
+
     def test_diagonal_design(self):
         assert self._peak_in_n_squared(SimConfig(n=600, t=60)) <= 1.0
