@@ -27,9 +27,9 @@ _SUBMODULE = {
     **dict.fromkeys(["MonteCarloReport", "run_montecarlo", "run_replication"], "montecarlo"),
     **dict.fromkeys(["enumerate_posterior", "equivalence_suite"], "oracle"),
     **dict.fromkeys(["demean_panel", "estimate_factor_space", "select_num_factors_er"], "pca"),
-    **dict.fromkeys(["SimConfig", "SimTruth", "simulate_panel"], "simulate"),
+    **dict.fromkeys(["SimTruth", "simulate_panel"], "simulate"),
     **dict.fromkeys(
-        ["FactorSpace", "ModelParams", "Panel", "ProbabilityPath", "RngHandle",
+        ["FactorSpace", "ModelParams", "Panel", "ProbabilityPath", "RngHandle", "SimConfig",
          "StateProbabilities", "TransitionMatrix", "unconditional_probs", "validate_panel"],
         "types",
     ),

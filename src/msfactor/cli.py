@@ -9,32 +9,44 @@ Subcommands::
 
 Each subcommand's settings are declared once, in :data:`COMMANDS`: its own
 (``seed``, ``out``, ...) and the fields of
-:class:`~msfactor.simulate.SimConfig` and :class:`~msfactor.em.EmConfig`
+:class:`~msfactor.types.SimConfig` and :class:`~msfactor.em.EmConfig`
 with ``help`` metadata. Setting ``rho_f`` is the flag ``--rho-f`` and the
 key ``rho_f`` of a flat ``key = value`` file passed with ``--config``. A
 flag overrides the file and the file the default; either way the value is
 the same raw string, cast by one reader, and a flag's value may start with
-a dash (``--epsilon -1e-3``). A bad or missing value, an input the library
-rejects (any :class:`~msfactor.exceptions.MsfactorError`) and a file that
-cannot be read or written (any ``OSError``) end the command with one line
-on stderr and exit status 2; so does a command line argparse rejects.
+a dash (``--epsilon -1e-3``). A file key must be a setting of some
+command, so one file can serve both ``simulate`` and ``montecarlo``. A bad
+or missing value, an unknown file key, an input the library rejects (any
+:class:`~msfactor.exceptions.MsfactorError`) and a file that cannot be
+read or written (any ``OSError``) end the command with one line on stderr
+and exit status 2; so does a command line argparse rejects.
+
+The module imports what ``estimate`` runs; ``simulate``, ``montecarlo``
+and ``verify`` import their own modules when they start.
 
 Run as a program (``python -m msfactor.cli``, ``python -m msfactor`` or the
 ``msfactor`` script), the command starts numpy's OpenBLAS on one thread,
 unless the caller set one of the variables OpenBLAS reads for its thread
 count: the estimators run on one thread anyway, and a second thread would
-only spin from numpy's import on. Imported as a library, the module leaves
-the environment alone.
+only spin from numpy's import on. The program also keeps the cyclic
+garbage collector off through its imports, whose objects live as long as
+the process, then freezes them and turns it back on; it freezes again
+when the command returns, so no collection walks the imports' objects and
+the final one at exit walks nothing. Imported as a library, the module
+leaves the environment and the collector alone.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 
-if __name__ == "__main__" and not any(
-    name in os.environ for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-):
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read once, when numpy loads OpenBLAS
+if __name__ == "__main__":
+    if not any(
+        name in os.environ for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    ):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read once, when numpy loads OpenBLAS
+    gc.disable()
 
 import argparse
 import errno
@@ -49,11 +61,12 @@ import numpy as np
 from .em import EmConfig, run_em
 from .exceptions import InvalidArgumentError, MsfactorError
 from .io import load_panel_csv, parse_config_file, save_matrix_csv, save_panel_csv, write_json
-from .montecarlo import run_montecarlo
-from .oracle import EQUIVALENCE_TOLERANCE, equivalence_suite
 from .pca import demean_panel, estimate_factor_space, select_num_factors_er
-from .simulate import SimConfig, simulate_panel
-from .types import RngHandle, setting_fields, unconditional_probs
+from .types import RngHandle, SimConfig, setting_fields, unconditional_probs
+
+if __name__ == "__main__":
+    gc.freeze()
+    gc.enable()
 
 
 class Setting(NamedTuple):
@@ -134,6 +147,8 @@ def _out_dir(out: str) -> Path:
 
 
 def _cmd_simulate(opts: argparse.Namespace) -> int:
+    from .simulate import simulate_panel
+
     cfg = _config(SimConfig, opts, seed=opts.seed)
     out = _out_dir(opts.out)
     truth = simulate_panel(cfg, RngHandle(seed=cfg.seed, stream=0))
@@ -208,6 +223,8 @@ def _cmd_estimate(opts: argparse.Namespace) -> int:
 
 
 def _cmd_montecarlo(opts: argparse.Namespace) -> int:
+    from .montecarlo import run_montecarlo
+
     seed, reps = opts.seed, opts.reps
     sim_cfg = _config(SimConfig, opts, seed=seed)
     em_cfg = _config(EmConfig, opts)
@@ -231,6 +248,8 @@ def _cmd_montecarlo(opts: argparse.Namespace) -> int:
 
 
 def _cmd_verify(opts: argparse.Namespace) -> int:
+    from .oracle import EQUIVALENCE_TOLERANCE, equivalence_suite
+
     seed, instances = opts.seed, opts.instances
     dev = equivalence_suite(instances=instances, seed=seed)
     print(f"oracle equivalence over {instances} random instances (seed {seed}):")
@@ -273,6 +292,10 @@ COMMANDS: dict[str, tuple[str, list[Setting], Callable[[argparse.Namespace], int
         _cmd_verify,
     ),
 }
+
+
+#: Every command's setting names: the keys a config file may hold.
+_KEYS = {s.name for _, settings, _ in COMMANDS.values() for s in settings}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -323,7 +346,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(_join_values(sys.argv[1:] if argv is None else argv))
     _, settings, command = COMMANDS[args.mode]
     try:
-        file_cfg = parse_config_file(args.config) if args.config else {}
+        file_cfg = parse_config_file(args.config, _KEYS) if args.config else {}
         return command(_read(settings, args, file_cfg))
     except (MsfactorError, OSError) as exc:
         print(f"msfactor {args.mode}: error: {exc}", file=sys.stderr)
@@ -331,4 +354,6 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    status = main()
+    gc.freeze()
+    sys.exit(status)

@@ -30,8 +30,8 @@ from .metrics import (
     trace_r2,
 )
 from .pca import estimate_factor_space
-from .simulate import SimConfig, simulate_panel
-from .types import RngHandle, as_integer, marginal_deviation, row_sum_deviation
+from .simulate import simulate_panel
+from .types import RngHandle, SimConfig, as_integer, marginal_deviation, row_sum_deviation
 
 #: Fixed report schema, mirroring the Monte Carlo table layout.
 REPORT_COLUMNS = (

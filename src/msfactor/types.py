@@ -22,6 +22,7 @@ to 1 within 1e-10, and its cross marginalises to smoothed within 1e-10.
 
 from __future__ import annotations
 
+import math
 import numbers
 import operator
 from collections.abc import Callable, Hashable
@@ -383,3 +384,57 @@ class RngHandle:
         """A fresh generator positioned at the start of this stream."""
         seq = np.random.SeedSequence(entropy=int(self.seed), spawn_key=(int(self.stream),))
         return np.random.default_rng(seq)
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    """Knobs of the simulated two-regime factor panel.
+
+    ``r`` is the factor count per regime (r1 = r2 = r, shared factors);
+    ``tau`` controls the banded part of the idiosyncratic covariances;
+    ``rho_idio_max`` is the upper bound of the per-series idiosyncratic
+    AR coefficients (0 disables serial correlation).
+
+    Each field with ``help`` metadata (all but ``seed``) is a setting of
+    ``msfactor simulate`` and ``montecarlo``, under its own name in a config
+    file and as ``--rho-f`` for ``rho_f``, with the default's type.
+    """
+
+    n: int = field(default=100, metadata={"help": "number of series N"})
+    t: int = field(default=500, metadata={"help": "number of periods T"})
+    r: int = field(default=1, metadata={"help": "factors per regime"})
+    p11: float = field(default=0.9, metadata={"help": "stay probability of state 1"})
+    p22: float = field(default=0.7, metadata={"help": "stay probability of state 2"})
+    rho_f: float = field(default=0.0, metadata={"help": "factor AR(1) coefficient"})
+    tau: float = field(default=0.0, metadata={"help": "Toeplitz band decay"})
+    rho_idio_max: float = field(
+        default=0.0, metadata={"help": "upper bound of idiosyncratic AR coefficients"}
+    )
+    noise_to_signal: float = field(default=0.5, metadata={"help": "target noise-to-signal ratio"})
+    seed: int = 0
+
+    def __post_init__(self):
+        check_settings(self)
+        if self.r < 1:
+            raise InvalidArgumentError("r must be >= 1")
+        if self.n < 2 or self.t < 2:
+            raise InvalidArgumentError("need N >= 2 and T >= 2")
+        if self.n < self.r:
+            raise InvalidArgumentError(f"need n >= r, got n={self.n}, r={self.r}")
+        if not (0.0 < self.p11 < 1.0 and 0.0 < self.p22 < 1.0):
+            raise InvalidArgumentError("p11 and p22 must lie strictly in (0, 1)")
+        if not (0.0 <= self.rho_f < 1.0):
+            raise InvalidArgumentError("rho_f must lie in [0, 1)")
+        if not (0.0 <= self.tau < 1.0):
+            raise InvalidArgumentError("tau must lie in [0, 1)")
+        if not (0.0 <= self.rho_idio_max < 1.0):
+            raise InvalidArgumentError("rho_idio_max must lie in [0, 1)")
+        if not (0.0 < self.noise_to_signal < math.inf):
+            raise InvalidArgumentError("noise_to_signal must be finite and positive")
+        # numpy indexes an array's bytes with intp: check before allocating
+        sizes = {"N x T panel": self.n * self.t, "N x N covariance": self.n**2 * (self.tau > 0)}
+        for name, size in sizes.items():
+            if 8 * size > np.iinfo(np.intp).max:
+                raise InvalidArgumentError(
+                    f"the {name} would need {8 * size} bytes, more than an array can address"
+                )

@@ -1,6 +1,9 @@
 import csv
 import dataclasses
+import gc
+import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -8,21 +11,26 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import msfactor
 from conftest import BLAS_THREAD_VARIABLES, needs_openblas, src_env
-from msfactor import cli, montecarlo
+from msfactor import cli, montecarlo, simulate, types
 from msfactor.cli import main
 from msfactor.em import EmConfig, run_em
 from msfactor.exceptions import (
     CsvParseError,
     InvalidArgumentError,
+    MsfactorError,
     NonFiniteError,
     TooSmallError,
 )
 from msfactor.io import (
     load_panel_csv,
     parse_config_file,
+    save_matrix_csv,
     save_panel_csv,
     write_json,
 )
@@ -117,6 +125,33 @@ class TestPanelCsv:
         with pytest.raises(NonFiniteError):
             load_panel_csv(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize(("header", "col"), [("t,a,b", 3), ("1,2", 2)], ids=["index", "no-index"])
+    def test_non_finite_cell_at_its_file_coordinates(self, tmp_path, cell, header, col):
+        index = header.startswith("t,")
+        rows = [["1.0", "2.0"], ["3.0", cell], ["5.0", "6.0"]]
+        lines = [header] + [",".join([str(t)] * index + row) for t, row in enumerate(rows, 1)]
+        path = tmp_path / "panel.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(NonFiniteError) as err:
+            load_panel_csv(path)
+        assert (err.value.row, err.value.col) == (3, col)
+        assert str(err.value) == f"{path}: non-finite entry {cell!r} at row 3, col {col}"
+
+    def test_byte_order_mark_keeps_a_numeric_first_header(self, tmp_path):
+        # Excel's "CSV UTF-8" export starts the file with a BOM
+        path = tmp_path / "excel.csv"
+        path.write_bytes(b"\xef\xbb\xbf1,2,3\n1.0,2.0,3.0\n4.0,5.0,6.0\n")
+        panel = load_panel_csv(path)
+        assert panel.n_len == 3 and panel.data[1].tolist() == [4.0, 5.0, 6.0]
+
+    def test_byte_order_mark_keeps_file_offsets(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"\xef\xbb\xbft,a,b\n1,1.0,2.0\n2,3.0,4\xff\n")
+        with pytest.raises(CsvParseError, match="byte 0xff at offset 26 is not UTF-8") as err:
+            load_panel_csv(path)
+        assert err.value.row == 3 and err.value.col == 3
+
     def test_too_small_rejected(self, tmp_path):
         path = tmp_path / "small.csv"
         path.write_text("t,a,b\n1,1.0,2.0\n")
@@ -134,14 +169,14 @@ class TestConfigFile:
             "\n"
             "demean = true\n"
         )
-        cfg = parse_config_file(path)
+        cfg = parse_config_file(path, {"n", "rho_f", "demean"})
         assert cfg == {"n": "40", "rho_f": "0.7", "demean": "true"}
 
     def test_bad_line(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("this is not a setting\n")
         with pytest.raises(InvalidArgumentError):
-            parse_config_file(path)
+            parse_config_file(path, {"n"})
 
 
 class TestWriteJson:
@@ -152,6 +187,163 @@ class TestWriteJson:
         loaded = json.loads(path.read_text())
         assert loaded["value"] == payload["value"]
         assert loaded["vector"] == payload["vector"]
+
+
+def _is_float(cell):
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _reference_load_panel_csv(path):
+    """The panel CSV reader before the block parse moved to ``np.loadtxt``:
+    the ``csv`` module's rows, one ``np.array`` call on them, and the cell
+    loop wherever that fails."""
+    raw = path.read_bytes()
+    text = raw.decode("utf-8")
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    if not rows:
+        raise CsvParseError(1, 1, f"{path}: empty file")
+    header = rows[0]
+    if not header:
+        raise CsvParseError(1, 1, f"{path}: empty header row")
+    skip = 0 if _is_float(header[0]) else 1
+    width = len(header)
+    body = [row[skip:] for row in rows[1:]]
+    try:
+        data = np.array(body, dtype=float)
+    except ValueError:
+        data = None
+    if data is None or data.shape != (len(body), width - skip):
+        data = np.empty((len(rows) - 1, width - skip))
+        for r, row in enumerate(rows[1:], start=2):
+            if len(row) != width:
+                raise CsvParseError(
+                    r, min(len(row), width) + 1,
+                    f"{path}: row {r} has {len(row)} cells, header has {width}",
+                )
+            for c, cell in enumerate(row[skip:], start=skip + 1):
+                try:
+                    data[r - 2, c - 1 - skip] = float(cell)
+                except ValueError:
+                    raise CsvParseError(
+                        r, c, f"{path}: cannot parse {cell!r} at row {r}, col {c}"
+                    ) from None
+    return validate_panel(data)
+
+
+def _reference_save_matrix_csv(path, matrix, headers):
+    """The matrix writer before it joined each row itself: ``csv.writer``."""
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["t", *headers])
+        for t, row in enumerate(np.asarray(matrix, dtype=float), start=1):
+            writer.writerow([t, *[repr(float(v)) for v in row]])
+
+
+def _outcome(load):
+    """The data's bits, or the error's class, row, col and message."""
+    try:
+        panel = load()
+    except MsfactorError as exc:
+        return type(exc), getattr(exc, "row", None), getattr(exc, "col", None), str(exc)
+    return panel.data.shape, panel.data.tobytes()
+
+
+_NUMBER = st.one_of(
+    st.floats(),  # every magnitude, nan and inf; repr is the writer's form
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-10, 10), st.integers(-300, 300)),
+).map(repr)
+_ODD_CELL = st.sampled_from(
+    ["nan", "-inf", "inf", "1e400", "-1e400", "1_0", "#", "#1", "", "x", "0x10", "1.", ".5",
+     "+3", "1e5", "1 2", "Infinity", "-NaN", "2001-01", "\x00", "\x0c1", "1\x1f", "1\x85",
+     "\u0661"]
+)
+_PAD = st.sampled_from(["", " ", "\t", " \t "])
+_FIRST_HEADER = st.sampled_from(["t", "date", "", "1", "0.5", '"t"', "#", " t"])
+
+
+@st.composite
+def _panel_csv_text(draw):
+    """CSV text near a panel file: CR LF and lone CR line ends, blank lines
+    inside and at the end, quoted and padded cells, ``#`` and ``1_0``
+    cells, trailing commas, ragged rows and non-finite or huge values.
+    Each oddity has one chance in ``odds`` per cell or row, so many files
+    are clean panels."""
+    odds = draw(st.sampled_from([1000, 30, 4]))
+
+    def odd():
+        return draw(st.integers(1, odds)) == 1
+
+    def cell():
+        if not odd():
+            return draw(_NUMBER)
+        text = draw(st.one_of(_NUMBER, _ODD_CELL))
+        return draw(st.sampled_from(['"{}"', "{}", "{}"])).format(
+            draw(_PAD) + text + draw(_PAD)
+        )
+
+    width = draw(st.integers(1, 6))
+    header = [draw(_FIRST_HEADER)] + [f"x{i}" for i in range(1, width)]
+    lines = [",".join(header)]
+    for t in range(1, draw(st.integers(0, 8)) + 1):
+        index = draw(st.sampled_from([f"2001-{t:02d}", f'"{t}"'])) if odd() else str(t)
+        cells = [index] + [cell() for _ in range(width - 1)]
+        change = draw(st.sampled_from(["short", "long", "comma", "blank"])) if odd() else ""
+        if change == "short":
+            cells.pop()
+        elif change == "long":
+            cells.append(cell())
+        line = ",".join(cells) + ("," if change == "comma" else "")
+        lines += [line, ""] if change == "blank" else [line]
+    lines += [""] * odd()
+    ends = [draw(st.sampled_from(["\r\n", "\r"])) if odd() else "\n" for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if draw(st.booleans()) else text.removesuffix(ends[-1])
+
+
+class TestBlockReaderMatchesTheCellLoop:
+    """The block reader gives the reference reader's bits or its error, on
+    every input but those the two deliberate fixes change: a non-finite
+    cell is reported at its file coordinates (and a BOM, not drawn here, is
+    dropped; see TestPanelCsv)."""
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_panel_csv_text())
+    @example("t,a,b\n1,1.5,2.5\n2,3.5,4.5\n")
+    @example("a,b\r\n1,2\r\n\r\n3,4\r\n")
+    @example('t,a,b\n"1\n2",1,2\n3,4,5\n')
+    @example("t,a\n1,5\n2\n")
+    @example("1,2\n3,4\x1c\n5,6\n")
+    def test_same_bits_or_same_error(self, tmp_path, text):
+        path = tmp_path / "panel.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected = _outcome(lambda: _reference_load_panel_csv(path))
+        observed = _outcome(lambda: load_panel_csv(path))
+        if expected[0] is NonFiniteError:
+            # the reference gave 0-based coordinates of the data block
+            rows = list(csv.reader(io.StringIO(text, newline="")))
+            skip = 0 if _is_float(rows[0][0]) else 1
+            row, col = expected[1] + 2, expected[2] + 1 + skip
+            cell = rows[row - 1][col - 1]
+            assert not math.isfinite(float(cell))
+            message = f"{path}: non-finite entry {cell!r} at row {row}, col {col}"
+            assert observed == (NonFiniteError, row, col, message)
+        else:
+            assert observed == expected
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                      elements=st.one_of(st.floats(), _NUMBER.map(float))))
+    def test_writer_bytes_are_csv_writers(self, tmp_path, matrix):
+        headers = [f"x{i + 1}" for i in range(matrix.shape[1])]
+        save_matrix_csv(tmp_path / "new.csv", matrix, headers)
+        _reference_save_matrix_csv(tmp_path / "old.csv", matrix, headers)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 class TestCliSimulate:
@@ -166,6 +358,19 @@ class TestCliSimulate:
             assert (out / name).exists()
         panel = load_panel_csv(out / "panel.csv")
         assert panel.t_len == 30 and panel.n_len == 10
+
+    def test_config_file_with_byte_order_mark(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfn = 12\nt = 30\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]) == 0
+        config = json.loads((tmp_path / "sim" / "loadings.json").read_text())["config"]
+        assert (config["n"], config["t"]) == (12, 30)
+
+    def test_one_config_file_serves_montecarlo_too(self, tmp_path):
+        # a key of another command is no error
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 10\nt = 30\nreps = 2\njobs = 1\nmax_iter = 5\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]) == 0
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ["simulate", "--n", "8", "--t", "20", "--r", "1", "--seed", "9"]
@@ -401,6 +606,16 @@ class TestCliRejectsSettings:
         assert code == 2
         assert err == f"msfactor simulate: error: {cfg}:1: expected 'key = value', got 'n 20'\n"
 
+    def test_config_file_unknown_key(self, tmp_path, capsys):
+        cfg = tmp_path / "mc.cfg"
+        cfg.write_text("reps = 1\nnn = 20\n")
+        code, err = self._run(
+            capsys, ["montecarlo", "--config", str(cfg), "--out", str(tmp_path / "mc")]
+        )
+        assert code == 2
+        assert err == f"msfactor montecarlo: error: {cfg}:2: 'nn' is not a setting of any command\n"
+        assert not (tmp_path / "mc").exists()
+
     def test_config_file_boolean(self, tmp_path, capsys):
         panel = tmp_path / "panel.csv"
         save_panel_csv(panel, simulate_panel(SimConfig(n=10, t=40), RngHandle(seed=0)).panel)
@@ -507,7 +722,7 @@ class TestCliRejectsSettings:
         def unreachable(*args):
             raise AssertionError("simulated before the output was checked")
 
-        monkeypatch.setattr(cli, "simulate_panel", unreachable)
+        monkeypatch.setattr(simulate, "simulate_panel", unreachable)
         (tmp_path / "taken").write_text("")
         out = tmp_path / name
         code, err = self._run(capsys, ["simulate", "--n", "10", "--t", "40", "--out", str(out)])
@@ -635,6 +850,15 @@ class TestCliRejectsSettings:
         assert code == 2
         assert err == f"msfactor estimate: error: {panel}: byte 0xff at offset 0 is not UTF-8\n"
         assert not (tmp_path / "e" / "params.json").exists()
+
+    def test_input_non_finite(self, tmp_path, capsys):
+        panel = tmp_path / "panel.csv"
+        panel.write_text("t,a,b\n1,1.0,2.0\n2,3.0,inf\n3,5.0,6.0\n")
+        code, err = self._run(
+            capsys, ["estimate", "--input", str(panel), "--out", str(tmp_path / "e")]
+        )
+        assert code == 2
+        assert err == f"msfactor estimate: error: {panel}: non-finite entry 'inf' at row 3, col 3\n"
 
     def test_config_file_not_utf8(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -871,6 +1095,62 @@ def test_library_import_leaves_the_environment_alone():
 
 def test_package_import_loads_no_numpy():
     assert "numpy" not in _probe("import json, sys, msfactor; print(json.dumps(list(sys.modules)))")
+
+
+#: Runs ``msfactor estimate`` as a program and prints its exit status, the
+#: generation-1 and generation-2 collections it made, the objects the
+#: collector's young generations hold after it (what the final collection
+#: at exit walks) and the msfactor modules it loaded.
+_ESTIMATE_PROBE = """
+import gc, json, runpy, sys
+collections = [0, 0, 0]
+def count(phase, info):
+    if phase == "start":
+        collections[info["generation"]] += 1
+gc.callbacks.append(count)
+sys.argv = ["msfactor", "estimate", "--input", {panel!r}, "--k", "1", "--out", {out!r}]
+try:
+    runpy.run_module("msfactor.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exit_:
+    status = exit_.code
+young = len(gc.get_objects())
+modules = sorted(m for m in sys.modules if m.startswith("msfactor."))
+print(json.dumps([status, collections[1:], young, modules]))
+"""
+
+
+def test_program_estimate_is_lean(tmp_path):
+    panel = tmp_path / "panel.csv"
+    save_panel_csv(panel, simulate_panel(SimConfig(n=10, t=60), RngHandle(seed=1)).panel)
+    status, collections, young, modules = _probe(
+        _ESTIMATE_PROBE.format(panel=str(panel), out=str(tmp_path / "e"))
+    )
+    assert status == 0
+    # the collector stays off through the imports: no older generation fills
+    assert collections == [0, 0]
+    # frozen on return: the parent left ~20,000 objects to the exit collection
+    assert young < 100
+    assert {"msfactor.em", "msfactor.io", "msfactor.pca"} <= set(modules)
+    assert set(modules).isdisjoint(
+        ["msfactor.simulate", "msfactor.montecarlo", "msfactor.oracle", "msfactor.metrics"]
+    )
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_library_call_keeps_the_callers_collector(tmp_path, enabled):
+    panel = tmp_path / "panel.csv"
+    save_panel_csv(panel, simulate_panel(SimConfig(n=10, t=60), RngHandle(seed=1)).panel)
+    was_enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(["estimate", "--input", str(panel), "--k", "1", "--out", str(tmp_path / "e")]) == 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_sim_config_lives_in_types():
+    assert msfactor.SimConfig is simulate.SimConfig is types.SimConfig
 
 
 def test_package_names_load_on_first_use():
