@@ -347,7 +347,9 @@ def main(argv: list[str] | None = None) -> int:
     _, settings, command = COMMANDS[args.mode]
     try:
         file_cfg = parse_config_file(args.config, _KEYS) if args.config else {}
-        return command(_read(settings, args, file_cfg))
+        opts = _read(settings, args, file_cfg)
+        RngHandle(seed=opts.seed)  # every command's seed, checked before any work
+        return command(opts)
     except (MsfactorError, OSError) as exc:
         print(f"msfactor {args.mode}: error: {exc}", file=sys.stderr)
         return 2

@@ -7,10 +7,12 @@ transition counts for the chain. The factors stay fixed, so the start,
 the densities and the variances come from the least-squares fit of the
 panel on them (:func:`~msfactor.filtering.anchor_fit`, once per panel and
 factor matrix), the last two through one kernel, and no iteration builds
-a T x N residual. The M steps take the pass's plain arrays; only the
-closing pass is validated as a :class:`ProbabilityPath`. The regime labels
-are fixed once, after the last M step, so that state 1 is the more
-persistent one (p11 >= p22).
+a T x N residual. Every pass is one call of
+:func:`~msfactor.filtering.filter_smoother_pass`, whose plain arrays the M
+steps take; only the closing pass is checked, as
+``ProbabilityPath(*filter_smoother_pass(...))``. The regime labels are
+fixed once, after the last M step, so that state 1 is the more persistent
+one (p11 >= p22).
 """
 
 from __future__ import annotations
@@ -22,9 +24,7 @@ import numpy as np
 
 from .blas import one_blas_thread
 from .exceptions import EmptyRegimeError, InvalidArgumentError
-from .filtering import (
-    _forward_backward, _residual_sums, anchor_fit, filter_smoother_pass, regime_log_densities
-)
+from .filtering import _residual_sums, anchor_fit, filter_smoother_pass, regime_log_densities
 from .pca import FactorSpace
 from .types import (
     STATE_1,
@@ -249,7 +249,7 @@ def run_em(panel: Panel, fs: FactorSpace, cfg: EmConfig) -> EmResult:
     converged = False
     for k in range(cfg.max_iter):
         log_eta = regime_log_densities(panel, g_hat, params)
-        _, _, smoothed, cross, loglik = _forward_backward(log_eta, params.trans, STATE_1)
+        _, _, smoothed, cross, loglik = filter_smoother_pass(log_eta, params.trans, STATE_1)
         if k >= 1:
             # loglik is the value attained by the previous M step.
             trace.append(loglik)
@@ -274,7 +274,7 @@ def run_em(panel: Panel, fs: FactorSpace, cfg: EmConfig) -> EmResult:
     labeled = relabel_states(params)
     xi0 = STATE_1 if labeled is params else StateProbabilities(STATE_1.values[::-1])
     log_eta = regime_log_densities(panel, g_hat, labeled)
-    final_path = filter_smoother_pass(log_eta, labeled.trans, xi0)
+    final_path = ProbabilityPath(*filter_smoother_pass(log_eta, labeled.trans, xi0))
     trace.append(final_path.loglik)
     return EmResult(
         params=labeled,

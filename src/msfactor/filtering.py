@@ -18,9 +18,9 @@ of it: :func:`hamilton_filter` -> :func:`kim_smoother` ->
 :func:`smoothed_cross_probs`, on T x 2 arrays. Each recursion runs in
 Python floats and records only what the next stage needs; the filter's
 loop keeps the predictions alone, and its filtered rows, scale factors,
-log likelihood and degenerate-prediction test follow on whole arrays. The
-EM loop takes the chain's plain arrays from :func:`_forward_backward`;
-:func:`filter_smoother_pass` validates them as a :class:`ProbabilityPath`.
+log likelihood and degenerate-prediction test follow on whole arrays.
+:func:`filter_smoother_pass` runs the chain and returns its plain arrays;
+a checked path is ``ProbabilityPath(*filter_smoother_pass(...))``.
 """
 
 from __future__ import annotations
@@ -33,13 +33,7 @@ from .exceptions import (
     NonFiniteError,
     ZeroPredictedError,
 )
-from .types import (
-    ModelParams,
-    Panel,
-    ProbabilityPath,
-    StateProbabilities,
-    TransitionMatrix,
-)
+from .types import ModelParams, Panel, StateProbabilities, TransitionMatrix
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _PRED_GUARD = 1e-300
@@ -311,21 +305,14 @@ def smoothed_cross_probs(
     return cross
 
 
-def _forward_backward(
+def filter_smoother_pass(
     log_eta: np.ndarray, trans: TransitionMatrix, xi0: StateProbabilities
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
-    """One full forward-backward pass as plain, unvalidated arrays:
-    (predicted, filtered, smoothed, cross, loglik), from the chain
-    :func:`hamilton_filter` -> :func:`kim_smoother` ->
-    :func:`smoothed_cross_probs`."""
+    """One full forward-backward pass, :func:`hamilton_filter` ->
+    :func:`kim_smoother` -> :func:`smoothed_cross_probs`, as plain arrays:
+    (predicted, filtered, smoothed, cross, loglik). A checked path is
+    ``ProbabilityPath(*filter_smoother_pass(...))``."""
     predicted, filtered, loglik = hamilton_filter(log_eta, trans, xi0)
     smoothed = kim_smoother(predicted, filtered, trans)
     cross = smoothed_cross_probs(predicted, filtered, smoothed, trans, xi0)
     return predicted, filtered, smoothed, cross, loglik
-
-
-def filter_smoother_pass(
-    log_eta: np.ndarray, trans: TransitionMatrix, xi0: StateProbabilities
-) -> ProbabilityPath:
-    """One full forward-backward pass as a validated :class:`ProbabilityPath`."""
-    return ProbabilityPath(*_forward_backward(log_eta, trans, xi0))

@@ -53,7 +53,8 @@ def _spectrum(panel: Panel) -> tuple[np.ndarray, np.ndarray]:
     the same eigenvalue. Exact ties keep ascending-index order. Computed
     once per panel (so ``--k auto`` decomposes once); both arrays are
     read-only. Raises :class:`SecondMomentOverflowError` when that matrix
-    overflows, before it is decomposed.
+    overflows and :class:`RankDeficientError` when it underflows to all
+    zeros for a nonzero panel, both before it is decomposed.
     """
 
     def decompose():
@@ -66,6 +67,11 @@ def _spectrum(panel: Panel) -> tuple[np.ndarray, np.ndarray]:
         if not np.isfinite(second_moment).all():
             raise SecondMomentOverflowError(
                 f"the panel's second moments overflow the largest double (largest |entry| "
+                f"{np.abs(panel.data).max():.3e}); rescale the data"
+            )
+        if not second_moment.any() and panel.data.any():
+            raise RankDeficientError(
+                f"the panel's second moments underflow to 0 (largest |entry| "
                 f"{np.abs(panel.data).max():.3e}); rescale the data"
             )
         vals, vecs = np.linalg.eigh(second_moment)

@@ -48,8 +48,9 @@ def test_traced_targets_resolve():
 
 
 def test_tracer_sees_every_e_step():
-    # every EM pass, the closing one included, runs the public filter and
-    # smoother, so the tracer's per-layer E-step metrics are not blind
+    # every EM pass, the closing one included, is one call of the public
+    # filter_smoother_pass, which runs the public filter, smoother and cross
+    # probabilities, so the tracer's per-layer E-step metrics are not blind
     from msfactor import (
         EmConfig, RngHandle, SimConfig, estimate_factor_space, run_em, simulate_panel
     )
@@ -58,11 +59,28 @@ def test_tracer_sees_every_e_step():
     fs = estimate_factor_space(truth.panel, k=2)
     with _load_bench("tracing").Tracer() as tracer:
         result = run_em(truth.panel, fs, EmConfig())
+    passes = result.iterations + 1
+    expected = {
+        "em.init": 1,
+        "filtering.log_densities": passes,
+        "filtering.pass": passes,
+        "filtering.filter": passes,
+        "filtering.smoother": passes,
+        "filtering.cross": passes,
+        "em.m_loadings": result.iterations,
+        "em.m_variances": result.iterations,
+        "em.m_transition": result.iterations,
+        "em.relabel": 1,
+    }
     names = [span.name for span in tracer.spans]
-    for name in ("filtering.filter", "filtering.smoother", "filtering.cross"):
-        assert names.count(name) == result.iterations + 1, name
+    assert {name: names.count(name) for name in expected} == expected
+    assert set(names) == set(expected)
+    by_id = {span.id: span for span in tracer.spans}
+    for span in tracer.spans:
+        if span.name in ("filtering.filter", "filtering.smoother", "filtering.cross"):
+            assert by_id[span.parent].name == "filtering.pass"
     periods = [span.counts["periods"] for span in tracer.spans if span.name == "filtering.filter"]
-    assert periods == [80] * (result.iterations + 1)
+    assert periods == [80] * passes
 
 
 @pytest.mark.parametrize("module", ["msfactor", "msfactor.em"])

@@ -209,8 +209,8 @@ class TestMStepTransition:
         fs = estimate_factor_space(truth.panel, k=2)
         params = init_params(truth.panel, fs, EmConfig())
         log_eta = regime_log_densities(truth.panel, fs.g_hat, params)
-        path = filter_smoother_pass(log_eta, params.trans, STATE_1)
-        trans = m_step_transition(path.cross, path.smoothed)
+        _, _, smoothed, cross, _ = filter_smoother_pass(log_eta, params.trans, STATE_1)
+        trans = m_step_transition(cross, smoothed)
         assert np.abs(trans.p.sum(axis=1) - 1.0).max() < 1e-12
 
     def test_empty_regime_raises(self):
@@ -272,7 +272,7 @@ class TestExpectedLoglik:
         values = []
         for _ in range(6):
             log_eta = regime_log_densities(panel, fs.g_hat, params)
-            path = filter_smoother_pass(log_eta, params.trans, STATE_1)
+            path = ProbabilityPath(*filter_smoother_pass(log_eta, params.trans, STATE_1))
             b1, b2 = m_step_loadings(panel, fs.g_hat, path.smoothed)
             s1, s2 = m_step_variances(panel, fs.g_hat, b1, b2, path.smoothed)
             trans = m_step_transition(path.cross, path.smoothed)
@@ -337,7 +337,8 @@ def _soft_pass(cfg):
     fs = estimate_factor_space(truth.panel, k=2 * cfg.r)
     params = run_em(truth.panel, fs, EmConfig(max_iter=2)).params
     log_eta = regime_log_densities(truth.panel, fs.g_hat, params)
-    return truth.panel, fs.g_hat, filter_smoother_pass(log_eta, params.trans, STATE_1)
+    path = ProbabilityPath(*filter_smoother_pass(log_eta, params.trans, STATE_1))
+    return truth.panel, fs.g_hat, path
 
 
 class TestLabelsFixedOnce:
@@ -389,9 +390,8 @@ class TestLabelsFixedOnce:
             assert row_sum_deviation(getattr(result.path, name)) < 1e-10
         # the returned path is the pass under the loop's own parameters,
         # with its labels swapped when the parameters' were
-        loop_path = filter_smoother_pass(
-            regime_log_densities(truth.panel, fs.g_hat, loop_params), loop_params.trans, STATE_1
-        )
+        log_eta = regime_log_densities(truth.panel, fs.g_hat, loop_params)
+        loop_path = ProbabilityPath(*filter_smoother_pass(log_eta, loop_params.trans, STATE_1))
         assert loop_path.loglik == result.path.loglik
         flip = slice(None, None, -1 if swaps else 1)
         for name in ("predicted", "filtered", "smoothed", "cross"):
@@ -459,18 +459,18 @@ class TestRunEm:
 
 @pytest.fixture
 def validated_passes(monkeypatch):
-    """Every forward-backward pass inside ``run_em``, also built (and so
-    validated) as a :class:`ProbabilityPath`; the loop still gets the plain
-    arrays."""
+    """Every forward-backward pass inside ``run_em``, the closing one
+    included, also built (and so validated) as a :class:`ProbabilityPath`;
+    the loop still gets the plain arrays."""
     paths = []
-    forward_backward = em._forward_backward
+    forward_backward = em.filter_smoother_pass
 
     def validating(*args):
         arrays = forward_backward(*args)
         paths.append(ProbabilityPath(*arrays))
         return arrays
 
-    monkeypatch.setattr(em, "_forward_backward", validating)
+    monkeypatch.setattr(em, "filter_smoother_pass", validating)
     return paths
 
 
@@ -480,9 +480,9 @@ class TestPassesInsideRunEm:
         truth = simulate_panel(cfg, RngHandle(seed=0, stream=1))
         fs = estimate_factor_space(truth.panel, k=2 * cfg.r)
         result = run_em(truth.panel, fs, EmConfig())
-        assert len(validated_passes) == result.iterations
+        assert len(validated_passes) == result.iterations + 1
         # pass k >= 1 scores the (k)-th M step; the closing pass the last one
-        assert [path.loglik for path in validated_passes[1:]] == list(result.loglik_trace[:-1])
+        assert [path.loglik for path in validated_passes[1:]] == list(result.loglik_trace)
 
     def test_one_probability_path_per_run(self, monkeypatch, small_truth, small_factor_space):
         built = []
@@ -496,6 +496,10 @@ class TestPassesInsideRunEm:
         result = run_em(small_truth.panel, small_factor_space, EmConfig())
         assert result.iterations > 1
         assert len(built) == 1 and built[0] is result.path
+        for name in ("predicted", "filtered", "smoothed", "cross"):
+            arr = getattr(result.path, name)
+            assert arr.dtype == np.float64
+            assert not arr.flags.writeable and arr.flags.c_contiguous
 
 
 def _direct_log_densities(x, g, params):

@@ -451,14 +451,14 @@ class TestCliEstimate:
         controls = openblas_controls()
         get = controls[0] if controls else (lambda: 1)
         seen = []
-        forward_backward = em._forward_backward
+        forward_backward = em.filter_smoother_pass
 
         def recording_forward_backward(*args):
             seen.append(get())
             return forward_backward(*args)
 
         # recorded inside EM: the estimators hold the cap, not the CLI
-        monkeypatch.setattr(em, "_forward_backward", recording_forward_backward)
+        monkeypatch.setattr(em, "filter_smoother_pass", recording_forward_backward)
         truth = simulate_panel(SimConfig(n=15, t=50, r=1), RngHandle(seed=7))
         csv_path = tmp_path / "panel.csv"
         save_panel_csv(csv_path, truth.panel)
@@ -564,6 +564,22 @@ class TestCliMonteCarlo:
         captured = capsys.readouterr()
         assert captured.err == f"msfactor montecarlo: error: {name} must be >= 1, got 0\n"
         assert not (tmp_path / "mc" / "report.json").exists()
+
+    def test_replications_past_the_bound_are_refused_before_any_task(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_replication(task):
+            raise AssertionError("a replication ran past the bound")
+
+        # were the bound gone, this would build 10**6 + 1 tasks, then fail
+        monkeypatch.setattr(montecarlo, "_worker", no_replication)
+        reps = montecarlo.MAX_REPLICATIONS + 1
+        code = main(self.BASE + ["--reps", str(reps), "--out", str(tmp_path / "mc")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"msfactor montecarlo: error: replications must be <= 1000000, got {reps}\n"
+        )
+        assert not (tmp_path / "mc").exists()
 
 
 #: (mode, setting, type) of every int and float setting of every subcommand;
@@ -693,6 +709,36 @@ class TestCliRejectsSettings:
         assert code == 2
         assert err == f"msfactor {mode}: error: seed must fit an unsigned 64-bit integer\n"
         assert not (tmp_path / "o" / "report.json").exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_estimate_seed_out_of_range(self, tmp_path, capsys, seed):
+        # one seed range for every command, checked before the input is read
+        code, err = self._run(
+            capsys,
+            ["estimate", "--input", str(tmp_path / "absent.csv"), "--seed", seed,
+             "--out", str(tmp_path / "o")],
+        )
+        assert code == 2
+        assert err == "msfactor estimate: error: seed must fit an unsigned 64-bit integer\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("k", ["1", "auto"])
+    def test_underflowing_panel_is_not_called_rank_deficient(self, tmp_path, capsys, k):
+        # full rank, but every square of an entry below ~1e-162 underflows to 0
+        tiny = np.random.default_rng(0).standard_normal((60, 8)) * 1e-200
+        save_panel_csv(tmp_path / "tiny.csv", validate_panel(tiny))
+        code, err = self._run(
+            capsys,
+            ["estimate", "--input", str(tmp_path / "tiny.csv"), "--k", k,
+             "--out", str(tmp_path / "o")],
+        )
+        assert code == 2
+        largest = f"{np.abs(tiny).max():.3e}"
+        assert err == (
+            f"msfactor estimate: error: the panel's second moments underflow to 0 "
+            f"(largest |entry| {largest}); rescale the data\n"
+        )
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         ("argv", "message"),

@@ -129,10 +129,10 @@ class TestEstimatorsHoldTheCap:
             monkeypatch.setattr(module, name, recording)
 
         record(pca, "_spectrum")
-        record(em, "_forward_backward")
+        record(em, "filter_smoother_pass")
         _estimate(simulate_panel(TABLE1, RngHandle(seed=0)).panel.data)
         # both PCA estimators read the spectrum; EM runs the passes
-        assert [name for name, _ in seen[:3]] == ["_spectrum", "_spectrum", "_forward_backward"]
+        assert [name for name, _ in seen[:3]] == ["_spectrum", "_spectrum", "filter_smoother_pass"]
         assert all(count == 1 for _, count in seen)
         assert _blas_count() == 2
 

@@ -256,6 +256,29 @@ class TestSecondMomentOverflow:
                 estimate_factor_space(panel, k=1)
 
 
+class TestSecondMomentUnderflow:
+    """Entries below ~1e-162 square to 0: the panel has full rank, but its
+    second-moment matrix is all zeros, which both estimators name as such."""
+
+    @pytest.mark.parametrize("shape", [(60, 8), (6, 30)], ids=["covariance", "gram"])
+    def test_named_as_underflow(self, shape):
+        data = np.random.default_rng(0).standard_normal(shape) * 1e-200
+        message = (
+            f"^the panel's second moments underflow to 0 \\(largest \\|entry\\| "
+            f"{np.abs(data).max():.3e}\\); rescale the data$"
+        )
+        with pytest.raises(RankDeficientError, match=message):
+            select_num_factors_er(_panel(data), k_max=2)
+        with pytest.raises(RankDeficientError, match=message):
+            estimate_factor_space(_panel(data), k=1)
+
+    def test_all_zero_panel_keeps_the_rank_message(self):
+        panel = _panel(np.zeros((20, 4)))
+        assert select_num_factors_er(panel, k_max=2) == 1
+        with pytest.raises(RankDeficientError, match="^k=1 exceeds the numerical rank"):
+            estimate_factor_space(panel, k=1)
+
+
 class TestOneSpectrumPerPanel:
     def test_auto_k_decomposes_once(self, monkeypatch):
         panel = simulate_panel(SimConfig(n=30, t=120, r=1), RngHandle(seed=6)).panel
