@@ -33,6 +33,7 @@ from .types import (
     ProbabilityPath,
     StateProbabilities,
     TransitionMatrix,
+    as_cross,
     check_gram,
     check_settings,
 )
@@ -180,27 +181,24 @@ def m_step_variances(
 
 
 def m_step_transition(cross: np.ndarray, smoothed: np.ndarray) -> TransitionMatrix:
-    """Transition probabilities from smoothed transition counts.
+    """Transition probabilities from smoothed transition counts, for the
+    shapes :func:`~msfactor.types.as_cross` asks:
 
-        p_ij = sum_{t=1}^T cross[(j, i), t]
-               / (s0_i + sum_{t=1}^{T-1} smoothed[i, t]),
+        p_ij = sum_t cross[t, i, j] / (s0_i + sum_{t<T-1} smoothed[t, i]),
 
-    where s0_i = sum_j cross[(j, i), 1] is the t = 0 state probability
+    where s0_i = sum_j cross[0, i, j] is the t = 0 state probability
     implied by the first cross row (zero when that row carries no mass).
-    The adding-up identity sum_j cross[(j, i), t] = smoothed[i, t-1] then
+    The adding-up identity sum_j cross[t, i, j] = smoothed[t-1, i] then
     makes the rows sum to one by construction, and the estimator is the
     exact maximiser of the expected complete-data log-likelihood, which is
     what guarantees the EM ascent property of the likelihood trace.
     """
-    cross = np.asarray(cross, dtype=float)
-    smoothed = np.asarray(smoothed, dtype=float)
-    numer = cross.sum(axis=0)  # columns: (1,1), (2,1), (1,2), (2,2)
-    s0 = np.array([cross[0, 0] + cross[0, 1], cross[0, 2] + cross[0, 3]])
-    denom = s0 + smoothed[:-1].sum(axis=0)
+    cross, smoothed = as_cross(cross, smoothed)
+    denom = cross[0].sum(axis=1) + smoothed[:-1].sum(axis=0)
     if denom.min() <= 0.0:
         empty = int(np.argmin(denom)) + 1
         raise EmptyRegimeError(f"regime {empty} has zero smoothed weight over t < T")
-    p = numer.reshape(2, 2) / denom[:, None]
+    p = cross.sum(axis=0) / denom[:, None]
     return TransitionMatrix(np.clip(p, 0.0, 1.0))
 
 

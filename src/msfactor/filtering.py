@@ -15,10 +15,11 @@ kernel, :func:`_residual_sums`, with one cancellation guard.
 
 One E step is one forward-backward pass, and there is one implementation
 of it: :func:`hamilton_filter` -> :func:`kim_smoother` ->
-:func:`smoothed_cross_probs`, on T x 2 arrays. Each recursion runs in
-Python floats and records only what the next stage needs; the filter's
-loop keeps the predictions alone, and its filtered rows, scale factors,
-log likelihood and degenerate-prediction test follow on whole arrays.
+:func:`smoothed_cross_probs`, from T x 2 arrays to a T x 2 x 2 cross. Each
+recursion runs in Python floats and records only what the next stage
+needs; the filter's loop keeps the predictions alone, and its filtered
+rows, scale factors, log likelihood and degenerate-prediction test
+follow on whole arrays.
 :func:`filter_smoother_pass` runs the chain and returns its plain arrays;
 a checked path is ``ProbabilityPath(*filter_smoother_pass(...))``.
 """
@@ -33,7 +34,7 @@ from .exceptions import (
     NonFiniteError,
     ZeroPredictedError,
 )
-from .types import ModelParams, Panel, StateProbabilities, TransitionMatrix
+from .types import ModelParams, Panel, StateProbabilities, TransitionMatrix, as_periods
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _PRED_GUARD = 1e-300
@@ -171,14 +172,16 @@ def hamilton_filter(
 
         loglik = sum_t top_t + sum_t log c_t = sum_t log(eta_t' xi_{t|t-1}).
 
-    Raises :class:`DegeneratePredictionError` at the first t where a
-    state's predicted probability is exactly 0 while its density is at
-    least the other's.
+    Raises :class:`NonFiniteError` at the first row with no finite maximum,
+    and :class:`DegeneratePredictionError` at the first t where a state's
+    predicted probability is exactly 0 while its density dominates.
     """
-    log_eta = np.asarray(log_eta, dtype=float)
-    if log_eta.ndim != 2 or log_eta.shape[1] != 2:
-        raise DimensionMismatchError(f"log_eta must be T x 2, got {log_eta.shape}")
+    (log_eta,) = as_periods(log_eta)
     top = np.maximum(log_eta[:, 0], log_eta[:, 1])
+    if not np.isfinite(top).all():
+        t = int(np.argmin(np.isfinite(top)))
+        j = int(not log_eta[t, 1] < np.inf)  # the NaN or +inf entry, else 0
+        raise NonFiniteError(t, j, f"log_eta row {t} has no finite maximum: {log_eta[t].tolist()}")
     eta = np.exp(log_eta - top[:, None])
     # Python float arithmetic in the loop: IEEE addition is commutative, so
     # writing each two-term sum explicitly makes swapping the regime labels
@@ -246,8 +249,7 @@ def kim_smoother(
     Raises :class:`ZeroPredictedError` when a predicted probability that
     must be divided by is below 1e-300.
     """
-    predicted = np.asarray(predicted, dtype=float)
-    filtered = np.asarray(filtered, dtype=float)
+    predicted, filtered = as_periods(predicted, filtered)
     _check_predicted(predicted, 1)
     # Python float arithmetic for bitwise label symmetry, as in the filter
     p11, p12 = float(trans.p[0, 0]), float(trans.p[0, 1])
@@ -277,31 +279,25 @@ def smoothed_cross_probs(
     trans: TransitionMatrix,
     xi0: StateProbabilities,
 ) -> np.ndarray:
-    """Joint posterior of consecutive states, T x 4.
+    """Joint posterior of consecutive states, T x 2 x 2, indexed like the
+    transition matrix: cross[t, i, j] = P(s_{t-1} = i+1, s_t = j+1 | data),
 
-    Row t (t >= 2) holds P(s_t = j, s_{t-1} = i | data) in the order
-    (1,1), (2,1), (1,2), (2,2):
-
-        cross[(j, i), t] = p_ij (xi_{j,t|T} / xi_{j,t|t-1}) xi_{i,t-1|t-1}.
+        cross[t, i, j] = p_ij (xi_{j,t|T} / xi_{j,t|t-1}) xi_{i,t-1|t-1}.
 
     Row 0 pairs s_1 with the pre-sample state s_0 ~ ``xi0`` through the
-    same identity, so every row sums to 1 and marginalising over the
-    s_{t-1} index reproduces the smoothed probabilities at every t.
+    same identity, so every period sums to 1 and summing over i reproduces
+    the smoothed probabilities at every t.
     """
-    predicted = np.asarray(predicted, dtype=float)
-    filtered = np.asarray(filtered, dtype=float)
-    smoothed = np.asarray(smoothed, dtype=float)
-    t_len = predicted.shape[0]
+    predicted, filtered, smoothed = as_periods(predicted, filtered, smoothed)
     _check_predicted(predicted, 0)
     p = trans.p
     ratio = smoothed / predicted
-    prev = np.vstack([xi0.values, filtered[:-1]])
-    cross = np.empty((t_len, 4))
-    # columns: (j, i) = (1,1), (2,1), (1,2), (2,2)
-    cross[:, 0] = p[0, 0] * ratio[:, 0] * prev[:, 0]
-    cross[:, 1] = p[0, 1] * ratio[:, 1] * prev[:, 0]
-    cross[:, 2] = p[1, 0] * ratio[:, 0] * prev[:, 1]
-    cross[:, 3] = p[1, 1] * ratio[:, 1] * prev[:, 1]
+    prev = np.concatenate([xi0.values[None], filtered[:-1]])
+    cross = np.empty((len(predicted), 2, 2))
+    cross[:, 0, 0] = p[0, 0] * ratio[:, 0] * prev[:, 0]
+    cross[:, 0, 1] = p[0, 1] * ratio[:, 1] * prev[:, 0]
+    cross[:, 1, 0] = p[1, 0] * ratio[:, 0] * prev[:, 1]
+    cross[:, 1, 1] = p[1, 1] * ratio[:, 1] * prev[:, 1]
     return cross
 
 

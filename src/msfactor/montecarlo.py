@@ -63,11 +63,9 @@ class ReplicationResult:
     iterations: int
     converged: bool
     loglik_trace: tuple[float, ...]
-    #: max |row sum - 1| over the predicted/filtered/smoothed/cross rows of
-    #: the final probability path
+    #: max |period sum - 1| over the four probability arrays of the final path
     norm_deviation: float
-    #: max deviation of the cross-probability marginals from the smoothed
-    #: probabilities
+    #: max |cross summed over s_{t-1} - smoothed| of the final path
     marginal_deviation: float
 
     def column_values(self) -> dict[str, float]:

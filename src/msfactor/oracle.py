@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import DimensionMismatchError, InvalidArgumentError, TooLongError
+from .exceptions import InvalidArgumentError, TooLongError
 from .filtering import filter_smoother_pass
-from .types import RngHandle, StateProbabilities, TransitionMatrix, as_integer
+from .types import RngHandle, StateProbabilities, TransitionMatrix, as_integer, as_periods
 
 MAX_ENUM_T = 16
 EQUIVALENCE_TOLERANCE = 1e-9
@@ -41,19 +41,19 @@ def enumerate_posterior(
         Log of the total mixture likelihood.
     smoothed : (T, 2) array
         Marginal posteriors P(s_t = j | data).
-    cross : (T, 4) array
-        Pairwise posteriors P(s_t = j, s_{t-1} = i | data) in the order
-        (1,1), (2,1), (1,2), (2,2); row 0 pairs s_1 with s_0.
+    cross : (T, 2, 2) array
+        Pairwise posteriors cross[t, i, j] = P(s_{t-1} = i+1, s_t = j+1 | data),
+        indexed like the transition matrix; row 0 pairs s_1 with s_0.
 
     Raises
     ------
+    DimensionMismatchError
+        Unless ``log_eta`` is T x 2 with T >= 1.
     TooLongError
         If T exceeds 16 (2^T paths).
     """
-    log_eta = np.asarray(log_eta, dtype=float)
-    t_len = log_eta.shape[0]
-    if log_eta.ndim != 2 or log_eta.shape[1] != 2:
-        raise DimensionMismatchError(f"log_eta must be T x 2, got {log_eta.shape}")
+    (log_eta,) = as_periods(log_eta)
+    t_len = len(log_eta)
     if t_len > MAX_ENUM_T:
         raise TooLongError(f"T={t_len} > {MAX_ENUM_T}: enumeration would need 2^T paths")
 
@@ -78,24 +78,18 @@ def enumerate_posterior(
     with np.errstate(invalid="ignore"):
         weights = np.exp(logw - loglik)
 
-    smoothed = np.empty((t_len, 2))
-    for t in range(t_len):
-        smoothed[t, 1] = weights[paths[:, t] == 1].sum()
-        smoothed[t, 0] = weights[paths[:, t] == 0].sum()
+    smoothed = np.array([[weights[states == j].sum() for j in range(2)] for states in paths.T])
 
-    cross = np.zeros((t_len, 4))
-    # columns ordered (s_t, s_{t-1}) = (1,1), (2,1), (1,2), (2,2)
-    col_of = {(0, 0): 0, (1, 0): 1, (0, 1): 2, (1, 1): 3}
-    for t in range(1, t_len):
-        for (j, i), col in col_of.items():
-            mask = (paths[:, t] == j) & (paths[:, t - 1] == i)
-            cross[t, col] = weights[mask].sum()
-    # t = 1 row: split the prior of s_1 back over s_0. Given s_1 = j the
-    # posterior of s_0 is xi0_i p_ij / (P' xi0)_j, independent of the data.
+    cross = np.zeros((t_len, 2, 2))
     prior1 = trans.p.T @ xi0.values
-    for (j, i), col in col_of.items():
+    for i, j in np.ndindex(2, 2):
+        for t in range(1, t_len):
+            mask = (paths[:, t - 1] == i) & (paths[:, t] == j)
+            cross[t, i, j] = weights[mask].sum()
+        # row 0 splits the prior of s_1 back over s_0: given s_1 = j the
+        # posterior of s_0 is xi0_i p_ij / (P' xi0)_j, independent of the data
         if prior1[j] > 0.0:
-            cross[0, col] = smoothed[0, j] * xi0.values[i] * trans.p[i, j] / prior1[j]
+            cross[0, i, j] = smoothed[0, j] * xi0.values[i] * trans.p[i, j] / prior1[j]
     return loglik, smoothed, cross
 
 

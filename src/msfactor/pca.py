@@ -39,13 +39,6 @@ def demean_panel(panel: Panel) -> Panel:
         ) from None
 
 
-def sample_covariance(panel: Panel) -> np.ndarray:
-    """Uncentred N x N second-moment matrix T^-1 sum_t x_t x_t'."""
-    x = panel.data
-    s = x.T @ x / panel.t_len
-    return (s + s.T) / 2.0
-
-
 def _spectrum(panel: Panel) -> tuple[np.ndarray, np.ndarray]:
     """Descending eigenpairs of X'X/T when N <= T, else of the Gram XX'/T.
 
@@ -58,12 +51,11 @@ def _spectrum(panel: Panel) -> tuple[np.ndarray, np.ndarray]:
     """
 
     def decompose():
+        x = panel.data
+        narrow = x if panel.n_len <= panel.t_len else x.T
         with np.errstate(over="ignore", invalid="ignore"):
-            if panel.n_len <= panel.t_len:
-                second_moment = sample_covariance(panel)
-            else:
-                gram = panel.data @ panel.data.T / panel.t_len
-                second_moment = (gram + gram.T) / 2.0
+            m = narrow.T @ narrow / panel.t_len
+            second_moment = (m + m.T) / 2.0
         if not np.isfinite(second_moment).all():
             raise SecondMomentOverflowError(
                 f"the panel's second moments overflow the largest double (largest |entry| "

@@ -5,10 +5,9 @@ Conventions fixed here once for the whole package:
 * everything is time-major: row t of a panel / factor / probability array
   is period t;
 * regime probabilities are length-2 vectors ordered (state 1, state 2);
-* cross-probability 4-vectors are ordered by (s_t, s_{t-1}) as
-  (1,1), (2,1), (1,2), (2,2); component (j, i) goes with transition
-  probability p_ij, so the matching multiplier vector is the row-major
-  ravel (p11, p12, p21, p22) of the transition matrix;
+* cross probabilities are T x 2 x 2 arrays indexed like the transition
+  matrix: cross[t, i, j] = P(s_{t-1} = i+1, s_t = j+1 | data) goes with
+  p_ij = p[i, j], and swapping the labels reverses both state axes;
 * all containers are immutable after construction and safe to share
   across workers.
 
@@ -84,14 +83,15 @@ def check_settings(config) -> None:
 
 
 def row_sum_deviation(rows: np.ndarray) -> float:
-    """max_t |sum_j rows[t, j] - 1| of a 2-D probability array."""
-    return float(np.abs(rows.sum(axis=1) - 1.0).max())
+    """max_t |sum rows[t] - 1| of a probability array whose first axis is
+    time: each period sums over all of its entries."""
+    return float(np.abs(rows.sum(axis=tuple(range(1, rows.ndim))) - 1.0).max())
 
 
 def _check_probabilities(name, arr, shape, low, high, tol) -> None:
     """Reject ``arr`` unless it has ``shape`` with at least one row, is
-    finite, lies in [``low``, ``high``] and its rows (or, if 1-D, its
-    entries) sum to 1 within ``tol``."""
+    finite, lies in [``low``, ``high``] and each row (or, if 1-D, the
+    whole array) sums to 1 within ``tol``."""
     if arr.shape != shape:
         raise DimensionMismatchError(f"{name} must have shape {shape}, got {arr.shape}")
     if arr.size == 0:
@@ -100,7 +100,7 @@ def _check_probabilities(name, arr, shape, low, high, tol) -> None:
         raise InvalidArgumentError(f"{name} has non-finite entries")
     if arr.min() < low or arr.max() > high:
         raise InvalidArgumentError(f"{name} entries leave [0, 1]")
-    if row_sum_deviation(arr.reshape(-1, shape[-1])) > tol:
+    if row_sum_deviation(np.atleast_2d(arr)) > tol:
         raise InvalidArgumentError(f"{name} rows must sum to 1 within {tol:g}")
 
 
@@ -189,10 +189,7 @@ class TransitionMatrix:
 
     def relabeled(self) -> "TransitionMatrix":
         """The same chain with the two state labels swapped."""
-        q = self.p
-        return TransitionMatrix(
-            np.array([[q[1, 1], q[1, 0]], [q[0, 1], q[0, 0]]])
-        )
+        return TransitionMatrix(self.p[::-1, ::-1])
 
 
 @dataclass(frozen=True)
@@ -314,10 +311,33 @@ def check_gram(gram: np.ndarray, regime: int) -> None:
         raise SingularGramError(regime=regime, cond=float(cond))
 
 
+def as_periods(*arrays) -> list[np.ndarray]:
+    """``arrays`` as float arrays, all T x 2 for one T >= 1;
+    :class:`DimensionMismatchError` listing their shapes otherwise."""
+    arrays = [np.asarray(a, dtype=float) for a in arrays]
+    want = (len(arrays[0]) if arrays[0].ndim else 0, 2)
+    for arr in arrays:
+        if arr.shape != want or not want[0]:
+            shapes = ", ".join(str(a.shape) for a in arrays)
+            raise DimensionMismatchError(f"need T x 2 arrays for one T >= 1, got {shapes}")
+    return arrays
+
+
+def as_cross(cross: np.ndarray, smoothed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``cross`` and ``smoothed`` as float arrays, T x 2 x 2 and T x 2 for
+    one T >= 1; :class:`DimensionMismatchError` otherwise."""
+    (smoothed,) = as_periods(smoothed)
+    cross = np.asarray(cross, dtype=float)
+    if cross.shape != (want := (len(smoothed), 2, 2)):
+        raise DimensionMismatchError(f"cross must have shape {want}, got {cross.shape}")
+    return cross, smoothed
+
+
 def marginal_deviation(cross: np.ndarray, smoothed: np.ndarray) -> float:
     """Largest gap between the cross probabilities summed over s_{t-1} and
-    the smoothed probabilities."""
-    return float(np.abs(cross[:, :2] + cross[:, 2:] - smoothed).max())
+    the smoothed probabilities, shaped as :func:`as_cross` asks."""
+    cross, smoothed = as_cross(cross, smoothed)
+    return float(np.abs(cross[:, 0] + cross[:, 1] - smoothed).max())
 
 
 @dataclass(frozen=True)
@@ -325,10 +345,10 @@ class ProbabilityPath:
     """Per-period regime probabilities from one filter + smoother pass.
 
     ``predicted``, ``filtered`` and ``smoothed`` are T x 2; ``cross`` is
-    T x 4 in the (s_t, s_{t-1}) order of this module, where row t holds the joint
-    posterior of (s_t, s_{t-1}) and row 0 pairs s_1 with the filter prior
-    state s_0. ``loglik`` is the accumulated log of the per-step
-    normalisation constants.
+    T x 2 x 2 with cross[t, i, j] the joint posterior of s_{t-1} = i+1 and
+    s_t = j+1, where row 0 pairs s_1 with the filter prior state s_0.
+    ``loglik`` is the accumulated log of the per-step normalisation
+    constants.
     """
 
     predicted: np.ndarray
@@ -339,9 +359,10 @@ class ProbabilityPath:
 
     def __post_init__(self):
         rows = np.shape(self.predicted)[:1]  # () for a 0-d input: a shape error
-        for name, width in (("predicted", 2), ("filtered", 2), ("smoothed", 2), ("cross", 4)):
+        states = {"predicted": (2,), "filtered": (2,), "smoothed": (2,), "cross": (2, 2)}
+        for name, tail in states.items():
             arr = _frozen_array(getattr(self, name))
-            _check_probabilities(name, arr, (*rows, width), -1e-12, 1.0 + 1e-9, 1e-10)
+            _check_probabilities(name, arr, (*rows, *tail), -1e-12, 1.0 + 1e-9, 1e-10)
             object.__setattr__(self, name, arr)
         # summing the cross over s_{t-1} gives the smoothed row, t = 1 included
         if marginal_deviation(self.cross, self.smoothed) > 1e-10:

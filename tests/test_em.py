@@ -15,6 +15,7 @@ from msfactor.em import (
     run_em,
 )
 from msfactor.exceptions import (
+    DimensionMismatchError,
     EmptyRegimeError,
     InvalidArgumentError,
     MsfactorError,
@@ -50,16 +51,15 @@ def expected_loglik(log_eta, smoothed, cross, trans):
     the function the M step maximises:
 
         sum_t sum_j w_jt log eta_jt
-        + sum_{t>=2} sum_{i,j} cross[(j,i), t] log p_ij,
+        + sum_{t>=2} sum_{i,j} cross[t, i, j] log p_ij,
 
     where zero-weight terms contribute zero even when the log probability
     is -inf.
     """
     density_part = float((smoothed * log_eta).sum())
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_rho = np.log(trans.p.reshape(-1))  # (p11, p12, p21, p22)
         weights = cross[1:]
-        terms = np.where(weights > 0.0, weights * log_rho[None, :], 0.0)
+        terms = np.where(weights > 0.0, weights * np.log(trans.p), 0.0)
     return density_part + float(terms.sum())
 
 
@@ -176,7 +176,8 @@ class TestMStepVariances:
 
 class TestMStepTransition:
     def test_stationary_hand_arithmetic(self):
-        cross = np.tile([0.675, 0.075, 0.075, 0.175], (6, 1))
+        # p_ij xi_i at the stationary point xi = (0.75, 0.25)
+        cross = np.tile([[0.675, 0.075], [0.075, 0.175]], (6, 1, 1))
         smoothed = np.tile([0.75, 0.25], (6, 1))
         trans = m_step_transition(cross, smoothed)
         assert np.abs(trans.p - P_EXAMPLE.p).max() < 1e-12
@@ -185,20 +186,13 @@ class TestMStepTransition:
         # transition-count oracle for the hard path 1,1,2,2: from state 1
         # one self-transition and one switch; the first row carries no mass
         smoothed = np.array([[1, 0], [1, 0], [0, 1], [0, 1]], dtype=float)
-        cross = np.array(
-            [
-                [0, 0, 0, 0],
-                [1, 0, 0, 0],
-                [0, 1, 0, 0],
-                [0, 0, 0, 1],
-            ],
-            dtype=float,
-        )
+        cross = np.zeros((4, 2, 2))
+        cross[1, 0, 0] = cross[2, 0, 1] = cross[3, 1, 1] = 1.0
         trans = m_step_transition(cross, smoothed)
         assert np.allclose(trans.p, [[0.5, 0.5], [0.0, 1.0]])
 
     def test_exchangeable_states_give_equal_diagonal(self):
-        cross = np.tile([0.3, 0.2, 0.2, 0.3], (5, 1))
+        cross = np.tile([[0.3, 0.2], [0.2, 0.3]], (5, 1, 1))
         smoothed = np.tile([0.5, 0.5], (5, 1))
         trans = m_step_transition(cross, smoothed)
         assert abs(trans.p11 - trans.p22) < 1e-14
@@ -214,9 +208,25 @@ class TestMStepTransition:
         assert np.abs(trans.p.sum(axis=1) - 1.0).max() < 1e-12
 
     def test_empty_regime_raises(self):
-        cross = np.tile([1.0, 0.0, 0.0, 0.0], (4, 1))
+        cross = np.tile([[1.0, 0.0], [0.0, 0.0]], (4, 1, 1))
         smoothed = np.tile([1.0, 0.0], (4, 1))
         with pytest.raises(EmptyRegimeError):
+            m_step_transition(cross, smoothed)
+
+    @pytest.mark.parametrize(
+        ("cross", "smoothed"),
+        [
+            (np.full((30, 2, 2), 0.25)[:, :1], np.full((30, 2), 0.5)),
+            (np.full((30, 4), 0.25)[:, :3], np.full((30, 2), 0.5)),
+            (np.full((30, 4), 0.25), np.full((30, 2), 0.5)),
+            (np.full((10, 2, 2), 0.25), np.full((30, 2), 0.5)),
+            (np.empty((0, 2, 2)), np.empty((0, 2))),
+        ],
+        ids=["one-previous-state", "three-columns", "flat-columns", "ten-rows", "no-rows"],
+    )
+    def test_other_shapes_rejected(self, cross, smoothed):
+        message = "T x 2 arrays for one T >= 1|cross must have shape"
+        with pytest.raises(DimensionMismatchError, match=message):
             m_step_transition(cross, smoothed)
 
 
@@ -225,7 +235,7 @@ class TestExpectedLoglik:
         rng = np.random.default_rng(10)
         log_eta = rng.normal(-4.0, 1.0, (8, 2))
         smoothed = np.tile([1.0, 0.0], (8, 1))
-        cross = np.tile([1.0, 0.0, 0.0, 0.0], (8, 1))
+        cross = np.tile([[1.0, 0.0], [0.0, 0.0]], (8, 1, 1))
         trans = TransitionMatrix(np.array([[1.0, 0.0], [0.5, 0.5]]))
         value = expected_loglik(log_eta, smoothed, cross, trans)
         assert abs(value - log_eta[:, 0].sum()) < 1e-12
@@ -233,7 +243,7 @@ class TestExpectedLoglik:
     def test_zero_weight_annihilates_infinite_logs(self):
         log_eta = np.zeros((3, 2))
         smoothed = np.tile([1.0, 0.0], (3, 1))
-        cross = np.tile([1.0, 0.0, 0.0, 0.0], (3, 1))
+        cross = np.tile([[1.0, 0.0], [0.0, 0.0]], (3, 1, 1))
         trans = TransitionMatrix(np.array([[1.0, 0.0], [1.0, 0.0]]))  # log p12 = -inf
         value = expected_loglik(log_eta, smoothed, cross, trans)
         assert np.isfinite(value)
@@ -358,7 +368,7 @@ class TestLabelsFixedOnce:
             trans = m_step_transition(cross, w)
             swapped_b = m_step_loadings(panel, g, w[:, ::-1])
             swapped_s = m_step_variances(panel, g, b2, b1, w[:, ::-1])
-            swapped_trans = m_step_transition(cross[:, ::-1], w[:, ::-1])
+            swapped_trans = m_step_transition(cross[:, ::-1, ::-1], w[:, ::-1])
         assert [a.tobytes() for a in swapped_b] == [b2.tobytes(), b1.tobytes()]
         assert [a.tobytes() for a in swapped_s] == [s2.tobytes(), s1.tobytes()]
         assert swapped_trans.p.tobytes() == trans.relabeled().p.tobytes()
@@ -395,7 +405,8 @@ class TestLabelsFixedOnce:
         assert loop_path.loglik == result.path.loglik
         flip = slice(None, None, -1 if swaps else 1)
         for name in ("predicted", "filtered", "smoothed", "cross"):
-            expected = getattr(loop_path, name)[:, flip]
+            array = getattr(loop_path, name)
+            expected = array[(slice(None),) + (flip,) * (array.ndim - 1)]
             assert expected.tobytes() == getattr(result.path, name).tobytes()
 
 

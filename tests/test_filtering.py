@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from msfactor.filtering import (
     regime_log_densities,
     smoothed_cross_probs,
 )
-from msfactor.oracle import enumerate_posterior
+from msfactor.oracle import enumerate_posterior, random_instance
 from msfactor.types import (
     STATE_1,
     ModelParams,
@@ -302,9 +304,10 @@ class TestHamiltonFilter:
         *arrays_a, loglik_a = filter_smoother_pass(log_eta, trans, xi0)
         *arrays_b, loglik_b = filter_smoother_pass(log_eta[:, ::-1], trans.relabeled(), swapped)
         assert loglik_a == loglik_b
-        # predicted, filtered, smoothed, and cross: (1,1),(2,1),(1,2),(2,2) reverse
+        # predicted, filtered, smoothed and cross: every state axis reverses
         for rows_a, rows_b in zip(arrays_a, arrays_b):
-            assert np.array_equal(rows_a, rows_b[:, ::-1])
+            swap = (slice(None),) + (slice(None, None, -1),) * (rows_b.ndim - 1)
+            assert np.array_equal(rows_a, rows_b[swap])
 
 
 class TestKimSmoother:
@@ -340,15 +343,14 @@ class TestSmoothedCrossProbs:
         stat = np.tile([0.75, 0.25], (4, 1))
         xi0 = StateProbabilities(np.array([0.75, 0.25]))
         cross = smoothed_cross_probs(stat, stat, stat, P_EXAMPLE, xi0)
-        assert np.allclose(cross, np.tile([0.675, 0.075, 0.075, 0.175], (4, 1)), atol=1e-12)
+        want = np.tile([[0.675, 0.075], [0.075, 0.175]], (4, 1, 1))
+        assert np.allclose(cross, want, atol=1e-12)
 
     def test_marginal_over_current_state_gives_previous_smoothed(self):
         rng = np.random.default_rng(5)
         log_eta, params = _random_instance(rng, n=3, t=6)
         _, _, smoothed, cross, _ = filter_smoother_pass(log_eta, params.trans, STATE_1)
-        marg_prev = cross[1:, [0, 1]].sum(axis=1), cross[1:, [2, 3]].sum(axis=1)
-        expected = smoothed[:-1]
-        assert np.abs(np.column_stack(marg_prev) - expected).max() < 1e-10
+        assert np.abs(cross[1:].sum(axis=2) - smoothed[:-1]).max() < 1e-10
 
     def test_matches_enumeration_oracle(self):
         rng = np.random.default_rng(6)
@@ -361,7 +363,7 @@ class TestSmoothedCrossProbs:
         rng = np.random.default_rng(7)
         log_eta, params = _random_instance(rng, n=4, t=30)
         cross = filter_smoother_pass(log_eta, params.trans, STATE_1)[3]
-        assert np.abs(cross.sum(axis=1) - 1.0).max() < 1e-10
+        assert np.abs(cross.sum(axis=(1, 2)) - 1.0).max() < 1e-10
 
     def test_zero_predicted_guard(self):
         rows = np.array([[1.0, 0.0], [1.0, 0.0]])
@@ -381,8 +383,20 @@ class TestFilterSmootherPass:
         rng = np.random.default_rng(9)
         log_eta, params = _random_instance(rng, n=3, t=40)
         _, _, smoothed, cross, _ = filter_smoother_pass(log_eta, params.trans, STATE_1)
-        marg = cross[:, :2] + cross[:, 2:]
-        assert np.abs(marg - smoothed).max() < 1e-10
+        assert np.abs(cross.sum(axis=1) - smoothed).max() < 1e-10
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_cross_entries_and_both_marginals_match_the_oracle(self, seed):
+        log_eta, trans, xi0 = random_instance(np.random.default_rng(seed))
+        _, _, smoothed, cross, _ = filter_smoother_pass(log_eta, trans, xi0)
+        _, _, want = enumerate_posterior(log_eta, trans, xi0)
+        assert cross.shape == want.shape == (len(log_eta), 2, 2)
+        for i in range(2):
+            for j in range(2):
+                assert np.abs(cross[:, i, j] - want[:, i, j]).max() < 1e-9
+        # summing over s_{t-1} gives smoothed[t]; over s_t, smoothed[t-1]
+        assert np.abs(cross.sum(axis=1) - smoothed).max() < 1e-10
+        assert np.abs(cross[1:].sum(axis=2) - smoothed[:-1]).max() < 1e-10
 
 
 # p12 = 1e-305 puts the predicted probability of state 2 below the 1e-300
@@ -406,3 +420,60 @@ class TestSinglePass:
         message = f"predicted probability below 1e-300 at t={t}"
         with pytest.raises(ZeroPredictedError, match=message):
             filter_smoother_pass(log_eta, NEAR_ABSORBING, STATE_1)
+
+
+class TestInputChecks:
+    """Inputs the recursions cannot compute with raise an MsfactorError."""
+
+    @pytest.mark.parametrize("stage", ["filter", "smoother", "cross", "pass"])
+    def test_no_periods_rejected(self, stage):
+        empty = np.empty((0, 2))
+        calls = {
+            "filter": lambda: hamilton_filter(empty, P_EXAMPLE, STATE_1),
+            "smoother": lambda: kim_smoother(empty, empty, P_EXAMPLE),
+            "cross": lambda: smoothed_cross_probs(empty, empty, empty, P_EXAMPLE, STATE_1),
+            "pass": lambda: filter_smoother_pass(empty, P_EXAMPLE, STATE_1),
+        }
+        with pytest.raises(DimensionMismatchError, match="T >= 1"):
+            calls[stage]()
+
+    @pytest.mark.parametrize(
+        ("value", "col", "cell"),
+        [(np.nan, 1, (2, 1)), (np.inf, 0, (1, 0)), (-np.inf, 0, (3, slice(None)))],
+        ids=["nan", "plus-inf", "minus-inf-in-both"],
+    )
+    @pytest.mark.parametrize("run", [hamilton_filter, filter_smoother_pass])
+    def test_row_without_finite_maximum_rejected(self, run, value, col, cell):
+        log_eta = np.zeros((5, 2))
+        log_eta[cell] = value
+        with pytest.raises(NonFiniteError, match="no finite maximum") as err:
+            run(log_eta, P_EXAMPLE, STATE_1)
+        assert (err.value.row, err.value.col) == (cell[0], col)
+
+    def test_minus_infinity_in_one_column_is_legal(self):
+        log_eta = np.array([[0.0, -1.0], [-np.inf, 0.0], [0.0, -np.inf]])
+        *arrays, loglik = filter_smoother_pass(log_eta, P_EXAMPLE, STATE_1)
+        path = ProbabilityPath(*arrays, loglik)
+        assert np.array_equal(path.filtered[1:], [[0.0, 1.0], [1.0, 0.0]])
+
+    def test_smoother_rows_must_match(self):
+        rows = np.full((3, 2), 0.5)
+        message = r"^need T x 2 arrays for one T >= 1, got \(3, 2\), \(2, 2\)$"
+        with pytest.raises(DimensionMismatchError, match=message):
+            kim_smoother(rows, rows[:2], P_EXAMPLE)
+
+    @pytest.mark.parametrize("short", range(3), ids=["predicted", "filtered", "smoothed"])
+    def test_cross_rows_must_match(self, short):
+        rows = [np.full((2, 2) if k == short else (3, 2), 0.5) for k in range(3)]
+        shapes = ", ".join(str(r.shape) for r in rows)
+        with pytest.raises(DimensionMismatchError, match=re.escape(f"got {shapes}") + "$"):
+            smoothed_cross_probs(*rows, P_EXAMPLE, STATE_1)
+
+    @pytest.mark.parametrize("stage", ["smoother", "cross"])
+    def test_one_dimensional_rows_rejected(self, stage):
+        flat = np.full(4, 0.5)
+        with pytest.raises(DimensionMismatchError, match=r"got \(4,\), \(4,\)"):
+            if stage == "smoother":
+                kim_smoother(flat, flat, P_EXAMPLE)
+            else:
+                smoothed_cross_probs(flat, flat, flat, P_EXAMPLE, STATE_1)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from msfactor.exceptions import TooLongError
+from msfactor.exceptions import DimensionMismatchError, TooLongError
 from msfactor.oracle import enumerate_posterior, equivalence_suite, random_instance
 from msfactor.types import STATE_1, StateProbabilities, TransitionMatrix
 
@@ -34,7 +34,7 @@ class TestEnumeratePosterior:
         log_eta = rng.normal(-5.0, 2.0, (7, 2))
         _, smoothed, cross = enumerate_posterior(log_eta, P_EXAMPLE, STATE_1)
         assert np.abs(smoothed.sum(axis=1) - 1.0).max() < 1e-12
-        assert np.abs(cross.sum(axis=1) - 1.0).max() < 1e-12
+        assert np.abs(cross.sum(axis=(1, 2)) - 1.0).max() < 1e-12
 
     def test_label_permutation_symmetry(self):
         rng = np.random.default_rng(1)
@@ -47,7 +47,7 @@ class TestEnumeratePosterior:
         )
         assert abs(ll_a - ll_b) < 1e-12
         assert np.abs(sm_a - sm_b[:, ::-1]).max() < 1e-12
-        assert np.abs(cr_a - cr_b[:, ::-1]).max() < 1e-12
+        assert np.abs(cr_a - cr_b[:, ::-1, ::-1]).max() < 1e-12
 
     def test_all_paths_impossible_give_minus_infinite_loglik(self):
         with np.errstate(all="raise"):
@@ -57,6 +57,10 @@ class TestEnumeratePosterior:
     def test_too_long_guard(self):
         with pytest.raises(TooLongError):
             enumerate_posterior(np.zeros((17, 2)), P_EXAMPLE, STATE_1)
+
+    def test_no_periods_rejected(self):
+        with pytest.raises(DimensionMismatchError, match="T >= 1"):
+            enumerate_posterior(np.empty((0, 2)), P_EXAMPLE, STATE_1)
 
 
 class TestEquivalenceSuite:

@@ -10,7 +10,6 @@ from msfactor.exceptions import (
 from msfactor.pca import (
     demean_panel,
     estimate_factor_space,
-    sample_covariance,
     select_num_factors_er,
 )
 from msfactor.simulate import SimConfig, simulate_panel
@@ -52,28 +51,41 @@ class TestDemean:
         assert err.value.col == 1
 
 
+def _decomposed(monkeypatch, data):
+    """The matrix PCA hands to eigh for the panel ``data``: with N <= T,
+    the sample covariance X'X/T."""
+    seen = []
+    eigh = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        seen.append(a)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    estimate_factor_space(_panel(data), k=1)
+    return seen[0]
+
+
 class TestSampleCovariance:
-    def test_two_point_example(self):
-        cov = sample_covariance(_panel([[1.0, 0.0], [0.0, 1.0]]))
+    def test_two_point_example(self, monkeypatch):
+        cov = _decomposed(monkeypatch, [[1.0, 0.0], [0.0, 1.0]])
         assert np.allclose(cov, 0.5 * np.eye(2))
 
-    def test_symmetry(self):
-        panel = _panel(np.random.default_rng(2).standard_normal((30, 8)))
-        cov = sample_covariance(panel)
+    def test_symmetry(self, monkeypatch):
+        cov = _decomposed(monkeypatch, np.random.default_rng(2).standard_normal((30, 8)))
         assert np.abs(cov - cov.T).max() < 1e-14
 
-    def test_rank_one_outer_product(self):
+    def test_rank_one_outer_product(self, monkeypatch):
         # outer-product oracle: x_t = a * z_t gives (sum z^2 / T) a a'
         rng = np.random.default_rng(3)
         a = rng.standard_normal(5)
         z = rng.standard_normal(40)
-        panel = _panel(np.outer(z, a))
         expected = (z**2).sum() / 40 * np.outer(a, a)
-        assert np.abs(sample_covariance(panel) - expected).max() < 1e-12
+        assert np.abs(_decomposed(monkeypatch, np.outer(z, a)) - expected).max() < 1e-12
 
-    def test_no_centering(self):
-        panel = _panel(np.full((10, 3), 2.0))
-        assert np.allclose(sample_covariance(panel), 4.0 * np.ones((3, 3)))
+    def test_no_centering(self, monkeypatch):
+        cov = _decomposed(monkeypatch, np.full((10, 3), 2.0))
+        assert np.allclose(cov, 4.0 * np.ones((3, 3)))
 
 
 class TestEstimateFactorSpace:
@@ -96,7 +108,7 @@ class TestEstimateFactorSpace:
     def test_eigen_identity(self):
         panel = _panel(np.random.default_rng(6).standard_normal((50, 10)))
         fs = estimate_factor_space(panel, k=4)
-        cov = sample_covariance(panel)
+        cov = panel.data.T @ panel.data / 50
         lhs = cov @ (fs.a_hat / np.sqrt(10))
         rhs = (fs.a_hat / np.sqrt(10)) * fs.eigvals
         assert np.abs(lhs - rhs).max() < 1e-8 * max(fs.eigvals)
@@ -140,7 +152,7 @@ class TestEstimateFactorSpace:
 def _covariance_reference(panel, k):
     """PCA from the N x N covariance, whatever the shape: eigenvalues,
     loadings and factors of the top k components, largest entry positive."""
-    vals, vecs = np.linalg.eigh(sample_covariance(panel))
+    vals, vecs = np.linalg.eigh(panel.data.T @ panel.data / panel.t_len)
     order = np.argsort(-vals, kind="stable")
     vals, vecs = vals[order], vecs[:, order][:, :k]
     vecs = vecs * np.sign(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(k)])
@@ -172,7 +184,7 @@ class TestGramRoute:
         fs = estimate_factor_space(panel, k=4)
         n = panel.n_len
         assert np.abs(fs.a_hat.T @ fs.a_hat / n - np.eye(4)).max() < 1e-10
-        lhs = sample_covariance(panel) @ (fs.a_hat / np.sqrt(n))
+        lhs = panel.data.T @ panel.data / panel.t_len @ (fs.a_hat / np.sqrt(n))
         rhs = (fs.a_hat / np.sqrt(n)) * fs.eigvals
         assert np.abs(lhs - rhs).max() < 1e-10 * fs.eigvals[0]
 

@@ -28,6 +28,7 @@ from msfactor.types import (
     RngHandle,
     StateProbabilities,
     TransitionMatrix,
+    marginal_deviation,
     row_sum_deviation,
     unconditional_probs,
     validate_panel,
@@ -120,24 +121,25 @@ class TestProbabilityPath:
     @staticmethod
     def _uniform_path(t_len=4):
         half = np.full((t_len, 2), 0.5)
-        quarter = np.full((t_len, 4), 0.25)
+        quarter = np.full((t_len, 2, 2), 0.25)
         return ProbabilityPath(
             predicted=half, filtered=half, smoothed=half, cross=quarter, loglik=-1.0
         )
 
     def test_valid_path(self):
         path = self._uniform_path()
-        assert path.cross.shape == (4, 4)
+        assert path.cross.shape == (4, 2, 2)
 
     def test_row_sum_violation(self):
         half = np.full((3, 2), 0.5)
-        bad = np.full((3, 4), 0.3)
+        bad = np.full((3, 2, 2), 0.3)
         with pytest.raises(InvalidArgumentError):
             ProbabilityPath(predicted=half, filtered=half, smoothed=half, cross=bad, loglik=0.0)
 
     def test_marginalisation_violation(self):
         half = np.full((3, 2), 0.5)
-        cross = np.tile([0.5, 0.3, 0.1, 0.1], (3, 1))
+        # summed over s_{t-1}, each period gives (0.6, 0.4)
+        cross = np.tile([[0.5, 0.3], [0.1, 0.1]], (3, 1, 1))
         with pytest.raises(InvalidArgumentError):
             ProbabilityPath(predicted=half, filtered=half, smoothed=half, cross=cross, loglik=0.0)
 
@@ -149,12 +151,12 @@ class TestRowSumDeviation:
         cross=st.lists(st.floats(-2e-10, 2e-10), min_size=4, max_size=4),
     )
     def test_path_rejections_unchanged(self, predicted, cross):
-        # row-sum errors around the 1e-10 tolerance, on a width-2 and a width-4 array
+        # row-sum errors around the 1e-10 tolerance, on a T x 2 and a T x 2 x 2 array
         half = np.full((3, 2), 0.5)
         pred = half.copy()
         pred[1, 0] += predicted
-        quarter = np.full((3, 4), 0.25)
-        quarter[2] += cross
+        quarter = np.full((3, 2, 2), 0.25)
+        quarter[2] += np.reshape(cross, (2, 2))
         too_far = max(row_sum_deviation(pred), row_sum_deviation(quarter)) > 1e-10
         try:
             ProbabilityPath(predicted=pred, filtered=half, smoothed=half, cross=quarter, loglik=0.0)
@@ -162,6 +164,32 @@ class TestRowSumDeviation:
             assert ("must sum to 1" in str(err)) == too_far
         else:
             assert not too_far
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 10_000), t_len=st.integers(1, 50))
+    def test_period_sums_match_the_flat_rows_bitwise(self, seed, t_len):
+        # a T x 2 x 2 array sums each period's four entries as its T x 4 view does
+        cross = np.random.default_rng(seed).dirichlet(np.ones(4), t_len).reshape(t_len, 2, 2)
+        flat = float(np.abs(cross.reshape(t_len, 4).sum(axis=1) - 1.0).max())
+        assert row_sum_deviation(cross) == flat
+
+
+class TestMarginalDeviation:
+    def test_sums_over_the_previous_state(self):
+        cross = np.array([[[0.1, 0.2], [0.3, 0.4]]])
+        smoothed = np.array([[0.4, 0.5]])
+        assert abs(marginal_deviation(cross, smoothed) - 0.1) < 1e-15
+
+    @pytest.mark.parametrize(
+        "cross",
+        [np.full((10, 2, 2), 0.25), np.full((30, 4), 0.25), np.full((30, 2), 0.5)],
+        ids=["ten-rows", "flat-columns", "two-columns"],
+    )
+    def test_other_shapes_rejected(self, cross):
+        smoothed = np.full((30, 2), 0.5)
+        with pytest.raises(DimensionMismatchError, match=r"cross must have shape \(30, 2, 2\)"):
+            marginal_deviation(cross, smoothed)
 
 
 class TestVarianceFloor:
@@ -284,7 +312,7 @@ def test_integer_arguments(name, value):
 def _path(**bad):
     half = np.full((3, 2), 0.5)
     arrays = {"predicted": half, "filtered": half, "smoothed": half}
-    return ProbabilityPath(**{**arrays, "cross": np.full((3, 4), 0.25), **bad}, loglik=0.0)
+    return ProbabilityPath(**{**arrays, "cross": np.full((3, 2, 2), 0.25), **bad}, loglik=0.0)
 
 
 def _params(**bad):
@@ -315,18 +343,19 @@ _REJECTED = {
     "state-sum": (lambda: StateProbabilities(np.array([0.6, 0.5])), False),
     "path-length": (lambda: _path(filtered=np.full((4, 2), 0.5)), True),
     "path-width": (lambda: _path(cross=np.full((3, 2), 0.5)), True),
+    "path-flat-cross": (lambda: _path(cross=np.full((3, 4), 0.25)), True),
     "path-scalar": (lambda: _path(predicted=np.float64(0.5)), True),
     "path-empty": (
         lambda: ProbabilityPath(
             predicted=np.empty((0, 2)), filtered=np.empty((0, 2)),
-            smoothed=np.empty((0, 2)), cross=np.empty((0, 4)), loglik=0.0,
+            smoothed=np.empty((0, 2)), cross=np.empty((0, 2, 2)), loglik=0.0,
         ),
         True,
     ),
     "path-nonfinite": (lambda: _path(smoothed=np.full((3, 2), np.nan)), False),
     "path-range": (lambda: _path(predicted=np.tile([1.5, -0.5], (3, 1))), False),
-    "path-row-sum": (lambda: _path(cross=np.full((3, 4), 0.3)), False),
-    "path-marginal": (lambda: _path(cross=np.tile([0.5, 0.3, 0.1, 0.1], (3, 1))), False),
+    "path-row-sum": (lambda: _path(cross=np.full((3, 2, 2), 0.3)), False),
+    "path-marginal": (lambda: _path(cross=np.tile([[0.5, 0.3], [0.1, 0.1]], (3, 1, 1))), False),
     "params-loadings-shape": (lambda: _params(b2=np.ones((3, 1))), True),
     "params-variance-shape": (lambda: _params(sigma_e1_diag=np.ones(4)), True),
     "params-nonfinite": (lambda: _params(b1=np.full((3, 2), np.nan)), False),
