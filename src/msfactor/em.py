@@ -9,10 +9,9 @@ panel on them (:func:`~msfactor.filtering.anchor_fit`, once per panel and
 factor matrix), the last two through one kernel, and no iteration builds
 a T x N residual. Every pass is one call of
 :func:`~msfactor.filtering.filter_smoother_pass`, whose plain arrays the M
-steps take; only the closing pass is checked, as
-``ProbabilityPath(*filter_smoother_pass(...))``. The regime labels are
-fixed once, after the last M step, so that state 1 is the more persistent
-one (p11 >= p22).
+steps take; only the last pass is checked, as the result's
+:class:`ProbabilityPath`. The regime labels are fixed once, after the last
+M step, so that state 1 is the more persistent one (p11 >= p22).
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blas import one_blas_thread
-from .exceptions import EmptyRegimeError, InvalidArgumentError
+from .exceptions import DimensionMismatchError, EmptyRegimeError, InvalidArgumentError
 from .filtering import _residual_sums, anchor_fit, filter_smoother_pass, regime_log_densities
 from .pca import FactorSpace
 from .types import (
@@ -31,9 +30,9 @@ from .types import (
     ModelParams,
     Panel,
     ProbabilityPath,
-    StateProbabilities,
     TransitionMatrix,
     as_cross,
+    as_periods,
     check_gram,
     check_settings,
 )
@@ -86,12 +85,11 @@ class EmResult:
     """Final estimates of one EM run.
 
     ``params`` come from the last M step, relabeled so that p11 >= p22;
-    ``path`` from one extra filter/smoother pass under them, the run's only
-    validated pass. ``loglik_trace`` holds one log-likelihood per M step:
-    entry k is the one attained by the parameters of the (k+1)-th M step,
-    the last coming from the closing pass. The EM ascent property makes the
-    trace non-decreasing. Non-convergence within ``max_iter`` is reported
-    through ``converged``, not raised.
+    ``path`` is the loop's last pass, under them, the run's only validated
+    pass. ``loglik_trace`` holds one log-likelihood per M step: entry k is
+    the one attained by the parameters of the (k+1)-th M step. The EM
+    ascent property makes the trace non-decreasing. Non-convergence within
+    ``max_iter`` is reported through ``converged``, not raised.
     """
 
     params: ModelParams
@@ -124,6 +122,19 @@ def init_params(panel: Panel, fs: FactorSpace, cfg: EmConfig) -> ModelParams:
     )
 
 
+def _weights(panel: Panel, g_hat: np.ndarray, smoothed: np.ndarray):
+    """The factors and smoothed weights of an M step as float arrays, T x k
+    and T x 2 for the panel's T; :class:`DimensionMismatchError` otherwise."""
+    g = np.asarray(g_hat, dtype=float)
+    (w,) = as_periods(smoothed)
+    if g.ndim != 2 or len(g) != panel.t_len or len(w) != panel.t_len:
+        raise DimensionMismatchError(
+            f"need T x k factors and T x 2 weights for the panel's T={panel.t_len}, "
+            f"got {g.shape} and {w.shape}"
+        )
+    return g, w
+
+
 def m_step_loadings(
     panel: Panel, g_hat: np.ndarray, smoothed: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -136,7 +147,7 @@ def m_step_loadings(
     :class:`SingularGramError` when a weighted Gram matrix is (near)
     singular, which signals that the regime received no weight.
     """
-    g = np.asarray(g_hat, dtype=float)
+    g, smoothed = _weights(panel, g_hat, smoothed)
     k = g.shape[1]
     wg = np.hstack([g * smoothed[:, :1], g * smoothed[:, 1:2]])
     cross_moment = panel.data.T @ wg
@@ -166,7 +177,7 @@ def m_step_variances(
     the diagonal is returned: the exact-factor quasi-likelihood has no
     off-diagonal covariances.
     """
-    g = np.asarray(g_hat, dtype=float)
+    g, smoothed = _weights(panel, g_hat, smoothed)
     t_len = g.shape[0]
     floor = panel.variance_floor()
     totals = (smoothed[:, 0].sum(), smoothed[:, 1].sum())
@@ -233,51 +244,51 @@ def _relative_change(current: float, previous: float) -> float:
 def run_em(panel: Panel, fs: FactorSpace, cfg: EmConfig) -> EmResult:
     """Full EM loop with PCA factors held fixed.
 
-    Stops at the first iteration where the relative symmetric change of
-    two successive log-likelihoods drops below ``cfg.epsilon``, or at
-    ``cfg.max_iter``. On convergence one more M step is taken and the
-    final probability path comes from one extra E step under those
-    parameters, whose log-likelihood closes the trace. The loop's passes
-    start from ``STATE_1`` and never relabel; :func:`relabel_states` runs
-    once, after it, and a swap starts the closing pass from (0, 1).
+    Each pass after the first scores the previous M step. The first
+    iteration where the relative symmetric change of two successive
+    log-likelihoods drops below ``cfg.epsilon``, or the ``cfg.max_iter``-th,
+    takes the last M step, and the pass under it ends the loop and gives the
+    path. Every pass starts from ``STATE_1`` and none relabels;
+    :func:`relabel_states` runs once, after the loop, and a swap reverses
+    the path's state axes, as the filter is bitwise label-symmetric.
     """
     g_hat = fs.g_hat
     params = init_params(panel, fs, cfg)
     trace: list[float] = []
     converged = False
-    for k in range(cfg.max_iter):
+    for k in range(cfg.max_iter + 1):
         log_eta = regime_log_densities(panel, g_hat, params)
-        _, _, smoothed, cross, loglik = filter_smoother_pass(log_eta, params.trans, STATE_1)
+        predicted, filtered, smoothed, cross, loglik = filter_smoother_pass(
+            log_eta, params.trans, STATE_1
+        )
         if k >= 1:
             # loglik is the value attained by the previous M step.
             trace.append(loglik)
-            # The symmetric starting point (b1 = b2) is an exact EM fixed
-            # point, and the escape from it begins with tiny likelihood
-            # steps that then grow by orders of magnitude. Declaring
-            # convergence therefore also requires the step sizes to be
-            # shrinking, which holds near an optimum but not on the
-            # escape path.
-            if (
-                len(trace) >= 3
-                and _relative_change(trace[-1], trace[-2]) < cfg.epsilon
-                and abs(trace[-1] - trace[-2]) <= abs(trace[-2] - trace[-3])
-            ):
-                converged = True
+        if converged or k == cfg.max_iter:
+            break
+        # The symmetric starting point (b1 = b2) is an exact EM fixed
+        # point, and the escape from it begins with tiny likelihood
+        # steps that then grow by orders of magnitude. Declaring
+        # convergence therefore also requires the step sizes to be
+        # shrinking, which holds near an optimum but not on the
+        # escape path.
+        converged = (
+            len(trace) >= 3
+            and _relative_change(trace[-1], trace[-2]) < cfg.epsilon
+            and abs(trace[-1] - trace[-2]) <= abs(trace[-2] - trace[-3])
+        )
         b1, b2 = m_step_loadings(panel, g_hat, smoothed)
         s1, s2 = m_step_variances(panel, g_hat, b1, b2, smoothed)
         trans = m_step_transition(cross, smoothed)
         params = ModelParams(b1=b1, b2=b2, sigma_e1_diag=s1, sigma_e2_diag=s2, trans=trans)
-        if converged:
-            break
     labeled = relabel_states(params)
-    xi0 = STATE_1 if labeled is params else StateProbabilities(STATE_1.values[::-1])
-    log_eta = regime_log_densities(panel, g_hat, labeled)
-    final_path = ProbabilityPath(*filter_smoother_pass(log_eta, labeled.trans, xi0))
-    trace.append(final_path.loglik)
+    if labeled is not params:
+        predicted, filtered, smoothed = predicted[:, ::-1], filtered[:, ::-1], smoothed[:, ::-1]
+        cross = cross[:, ::-1, ::-1]
     return EmResult(
         params=labeled,
-        path=final_path,
+        path=ProbabilityPath(predicted, filtered, smoothed, cross, loglik),
         loglik_trace=tuple(trace),
-        iterations=k + 1,
+        iterations=k,
         converged=converged,
     )

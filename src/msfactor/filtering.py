@@ -50,9 +50,14 @@ def anchor_fit(panel: Panel, g_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     (an all-zero column, say) is fine; for PCA factors a0 equals a_hat.
     Computed once per (panel, g) and remembered on the panel under g's
     shape and bytes, read-only, so each distinct g adds 2 T N floats to
-    the panel.
+    the panel. Raises :class:`DimensionMismatchError` unless g is a matrix
+    with the panel's T rows.
     """
     g = np.asarray(g_hat, dtype=float)
+    if g.ndim != 2 or g.shape[0] != panel.t_len:
+        raise DimensionMismatchError(
+            f"factors must be a matrix with the panel's {panel.t_len} rows, got shape {g.shape}"
+        )
 
     def fit():
         x = panel.data
@@ -123,19 +128,14 @@ def regime_log_densities(
     With z and a0 from :func:`anchor_fit` and d_j = b_j - a0, the quadratic
     form is sum_i (z_it - g_t' d_ji)^2 / s2_ji, from :func:`_residual_sums`.
     """
-    x = panel.data
     g = np.asarray(g_hat, dtype=float)
-    t_len, n = x.shape
-    if g.shape[0] != t_len:
-        raise DimensionMismatchError(
-            f"factors have {g.shape[0]} rows but the panel has {t_len}"
-        )
+    a0, z, zz = anchor_fit(panel, g)
+    n = panel.n_len
     if params.n_series != n or params.n_factors != g.shape[1]:
         raise DimensionMismatchError(
             f"params are for N={params.n_series}, k={params.n_factors}; "
             f"got panel N={n}, factors k={g.shape[1]}"
         )
-    a0, z, zz = anchor_fit(panel, g)
     s2 = (params.sigma_e1_diag, params.sigma_e2_diag)
     # an overflow surfaces once, as the NonFiniteError below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -226,10 +226,16 @@ def hamilton_filter(
     return predicted, filtered, float(loglik)
 
 
-def _check_predicted(predicted: np.ndarray, first_row: int) -> None:
-    """Raise :class:`ZeroPredictedError` at the first t >= ``first_row``
-    whose predicted probabilities, which the smoother divides by, fall
-    below 1e-300."""
+def _check_rows(first_row: int, **rows: np.ndarray) -> None:
+    """Raise :class:`NonFiniteError` at the first non-finite entry (t, j)
+    of the T x 2 ``rows``, taken in order, and :class:`ZeroPredictedError`
+    at the first t >= ``first_row`` whose predicted probabilities, which
+    the smoother divides by, fall below 1e-300."""
+    for name, arr in rows.items():
+        if not np.isfinite(arr).all():
+            t, j = map(int, np.argwhere(~np.isfinite(arr))[0])
+            raise NonFiniteError(t, j, f"{name} probability at t={t}, state {j + 1} is {arr[t, j]}")
+    predicted = rows["predicted"]
     low = np.flatnonzero((predicted[first_row:] < _PRED_GUARD).any(axis=1))
     if low.size:
         raise ZeroPredictedError(
@@ -246,11 +252,12 @@ def kim_smoother(
 
         xi_{t|T} = [P (xi_{t+1|T} / xi_{t+1|t})] * xi_{t|t}.
 
-    Raises :class:`ZeroPredictedError` when a predicted probability that
-    must be divided by is below 1e-300.
+    Raises :class:`NonFiniteError` for a non-finite input and
+    :class:`ZeroPredictedError` when a predicted probability that must be
+    divided by is below 1e-300.
     """
     predicted, filtered = as_periods(predicted, filtered)
-    _check_predicted(predicted, 1)
+    _check_rows(1, predicted=predicted, filtered=filtered)
     # Python float arithmetic for bitwise label symmetry, as in the filter
     p11, p12 = float(trans.p[0, 0]), float(trans.p[0, 1])
     p21, p22 = float(trans.p[1, 0]), float(trans.p[1, 1])
@@ -286,10 +293,11 @@ def smoothed_cross_probs(
 
     Row 0 pairs s_1 with the pre-sample state s_0 ~ ``xi0`` through the
     same identity, so every period sums to 1 and summing over i reproduces
-    the smoothed probabilities at every t.
+    the smoothed probabilities at every t. Raises as
+    :func:`kim_smoother` does.
     """
     predicted, filtered, smoothed = as_periods(predicted, filtered, smoothed)
-    _check_predicted(predicted, 0)
+    _check_rows(0, predicted=predicted, filtered=filtered, smoothed=smoothed)
     p = trans.p
     ratio = smoothed / predicted
     prev = np.concatenate([xi0.values[None], filtered[:-1]])

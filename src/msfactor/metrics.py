@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import DimensionMismatchError, ZeroSignalError
-from .types import check_gram
+from .types import as_periods, check_gram
 
 
 def regime_blend_matrix(
@@ -46,7 +46,7 @@ def blended_loadings(
     b1 = np.asarray(b1_true, dtype=float)
     b2 = np.asarray(b2_true, dtype=float)
     m = np.asarray(blend, dtype=float)
-    if b1.shape != b2.shape or m.shape != (b1.shape[1], b1.shape[1]):
+    if b1.ndim != 2 or b1.shape != b2.shape or m.shape != (b1.shape[1], b1.shape[1]):
         raise DimensionMismatchError(
             f"incompatible shapes: {b1.shape}, {b2.shape}, {m.shape}"
         )
@@ -60,16 +60,20 @@ def trace_r2(b_hat: np.ndarray, b_target: np.ndarray) -> float:
 
     invariant to right-multiplication of ``b_hat`` by any invertible
     matrix, which makes it the right loading metric under rotational
-    indeterminacy. Lies in [0, 1] up to roundoff.
+    indeterminacy. Lies in [0, 1] up to roundoff. Raises
+    :class:`ZeroSignalError` for an all-zero target.
     """
     b = np.asarray(b_hat, dtype=float)
     bs = np.asarray(b_target, dtype=float)
-    if b.shape != bs.shape:
-        raise DimensionMismatchError(f"shape mismatch: {b.shape} vs {bs.shape}")
+    if b.ndim != 2 or b.shape != bs.shape:
+        raise DimensionMismatchError(f"need two N x k matrices of one shape: {b.shape} vs {bs.shape}")
     gram = b.T @ b
     check_gram(gram, regime=0)
     proj = bs.T @ b @ np.linalg.solve(gram, b.T @ bs)
-    return float(np.trace(proj) / np.trace(bs.T @ bs))
+    energy = np.trace(bs.T @ bs)
+    if energy == 0.0:
+        raise ZeroSignalError("target loadings are identically zero")
+    return float(np.trace(proj) / energy)
 
 
 def common_component_mse(chi_hat: np.ndarray, chi_true: np.ndarray) -> float:
@@ -92,12 +96,21 @@ def fitted_common_component(
     """Probability-weighted fit of the common component, T x N.
 
         chi_it = w_1t b_1i' g_t + w_2t b_2i' g_t.
+
+    Raises :class:`DimensionMismatchError` unless the loadings are N x k,
+    the factors T x k and the weights T x 2.
     """
+    b1, b2 = np.asarray(b1, dtype=float), np.asarray(b2, dtype=float)
     g = np.asarray(g_hat, dtype=float)
-    w = np.asarray(smoothed, dtype=float)
-    chi = g @ np.asarray(b1, float).T
+    (w,) = as_periods(smoothed)
+    if b1.ndim != 2 or b1.shape != b2.shape or g.shape != (len(w), b1.shape[1]):
+        raise DimensionMismatchError(
+            f"need N x k loadings, T x k factors and T x 2 weights, got "
+            f"{b1.shape}, {b2.shape}, {g.shape} and {w.shape}"
+        )
+    chi = g @ b1.T
     chi *= w[:, [0]]
-    second = g @ np.asarray(b2, float).T
+    second = g @ b2.T
     second *= w[:, [1]]
     chi += second
     return chi

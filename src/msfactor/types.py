@@ -48,9 +48,23 @@ VARIANCE_FLOOR_RATIO = 1e-10
 _GRAM_COND_LIMIT = 1e12
 
 
+def _real_array(x) -> np.ndarray:
+    """``x`` as a float array, not copied if it is one;
+    :class:`InvalidArgumentError` unless it holds real numbers only (not
+    strings, ragged rows or complex values)."""
+    try:
+        arr = np.asarray(x)
+        if arr.dtype.kind == "c":  # a cast to float would drop the imaginary part
+            raise TypeError(f"got {arr.dtype}")
+        return arr.astype(float, copy=False)
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgumentError(f"need an array of real numbers: {exc}") from None
+
+
 def _frozen_array(x) -> np.ndarray:
-    """Copy to a C-contiguous read-only float array."""
-    out = np.array(x, dtype=float, order="C")
+    """Copy to a C-contiguous read-only float array, as :func:`_real_array`
+    accepts."""
+    out = np.array(_real_array(x), order="C")
     out.setflags(write=False)
     return out
 
@@ -84,7 +98,17 @@ def check_settings(config) -> None:
 
 def row_sum_deviation(rows: np.ndarray) -> float:
     """max_t |sum rows[t] - 1| of a probability array whose first axis is
-    time: each period sums over all of its entries."""
+    time: each period sums over all of its entries.
+    :class:`DimensionMismatchError` for an array with no periods,
+    :class:`NonFiniteError` at the first period with a non-finite entry
+    (its column counted over the period's flattened entries)."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim == 0 or not len(rows):
+        raise DimensionMismatchError(f"need at least one period, got shape {rows.shape}")
+    flat = rows.reshape(len(rows), -1)
+    if not np.isfinite(flat).all():
+        t, col = map(int, np.argwhere(~np.isfinite(flat))[0])
+        raise NonFiniteError(t, col, f"non-finite probability in period {t}, entry {col}")
     return float(np.abs(rows.sum(axis=tuple(range(1, rows.ndim))) - 1.0).max())
 
 
@@ -149,13 +173,16 @@ def validate_panel(data) -> Panel:
 
     Raises
     ------
+    InvalidArgumentError
+        If the data are not real numbers (strings, ragged rows, complex
+        values).
     NonFiniteError
         If any entry is NaN or infinite (reports the first offending
         row/column, 0-based).
     TooSmallError
         If T < 2 or N < 2.
     """
-    arr = np.asarray(data, dtype=float)
+    arr = _real_array(data)
     if arr.ndim != 2:
         raise TooSmallError(f"panel must be 2-dimensional, got ndim={arr.ndim}")
     t_len, n_len = arr.shape
@@ -255,6 +282,10 @@ class ModelParams:
             )
         if not (np.isfinite(b1).all() and np.isfinite(b2).all()):
             raise InvalidArgumentError("loading matrices have non-finite entries")
+        if not isinstance(self.trans, TransitionMatrix):
+            raise InvalidArgumentError(
+                f"trans must be a TransitionMatrix, got {type(self.trans).__name__}"
+            )
         n = b1.shape[0]
         if s1.shape != (n,) or s2.shape != (n,):
             raise DimensionMismatchError("variance vectors must have length N")
@@ -305,8 +336,9 @@ class FactorSpace:
 
 def check_gram(gram: np.ndarray, regime: int) -> None:
     """Raise :class:`SingularGramError` for ``regime`` when the condition
-    number of ``gram`` is not finite or exceeds 1e12."""
-    cond = np.linalg.cond(gram)
+    number of ``gram`` is not finite or exceeds 1e12 (NaN for a Gram with a
+    non-finite entry)."""
+    cond = np.linalg.cond(gram) if np.isfinite(gram).all() else math.nan
     if not np.isfinite(cond) or cond > _GRAM_COND_LIMIT:
         raise SingularGramError(regime=regime, cond=float(cond))
 

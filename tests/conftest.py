@@ -1,4 +1,6 @@
+import importlib.util
 import os
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -16,6 +18,7 @@ from msfactor import (
 )
 from msfactor.blas import openblas_controls
 
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 ACCEPTANCE_SEED = 0
 ACCEPTANCE_REPS = 20
 #: The variables OpenBLAS reads for its thread count, in its order.
@@ -32,6 +35,20 @@ def src_env(**variables: str) -> dict[str, str]:
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
     return {**env, "PYTHONPATH": path, "PYTHONWARNINGS": "error::RuntimeWarning", **variables}
+
+
+def load_bench(name: str):
+    """The benchmark's module ``bench/<name>.py``, loaded without writing
+    a bytecode cache beside it, so that ``bench/`` stays as checked out."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
 
 
 def numpy_uses_openblas() -> bool:

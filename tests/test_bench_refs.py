@@ -15,40 +15,25 @@ name the package exports, still exists, and that the tracer sees the
 filter and smoother of every EM pass.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
+import importlib
 
 import pytest
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
-
-
-def _load_bench(name):
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    # leave bench/ exactly as checked out: no bytecode cache beside it
-    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = saved
-    return module
+from conftest import load_bench
 
 
 @pytest.fixture(scope="module")
 def workloads():
-    return _load_bench("workloads")
+    return load_bench("workloads")
 
 
 def test_traced_targets_resolve():
-    for module, attr, _ in _load_bench("tracing").TARGETS:
+    for module, attr, _ in load_bench("tracing").TARGETS:
         assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
 
 
 def test_tracer_sees_every_e_step():
-    # every EM pass, the closing one included, is one call of the public
+    # every EM pass, the last one included, is one call of the public
     # filter_smoother_pass, which runs the public filter, smoother and cross
     # probabilities, so the tracer's per-layer E-step metrics are not blind
     from msfactor import (
@@ -57,7 +42,7 @@ def test_tracer_sees_every_e_step():
 
     truth = simulate_panel(SimConfig(n=20, t=80, r=1), RngHandle(seed=0))
     fs = estimate_factor_space(truth.panel, k=2)
-    with _load_bench("tracing").Tracer() as tracer:
+    with load_bench("tracing").Tracer() as tracer:
         result = run_em(truth.panel, fs, EmConfig())
     passes = result.iterations + 1
     expected = {

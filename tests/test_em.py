@@ -174,6 +174,32 @@ class TestMStepVariances:
             m_step_variances(panel, g, b, b, weights)
 
 
+class TestMStepShapes:
+    """Both panel M steps check the factors and weights against the
+    panel's T; a mismatch used to be numpy's broadcast or matmul error."""
+
+    panel = validate_panel(np.random.default_rng(9).standard_normal((10, 4)))
+    steps = {
+        "loadings": lambda panel, g, w: m_step_loadings(panel, g, w),
+        "variances": lambda panel, g, w: m_step_variances(
+            panel, g, np.zeros((4, 2)), np.zeros((4, 2)), w
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        ("g_shape", "w_shape"),
+        [((10, 2), (9, 2)), ((10, 2), (11, 2)), ((9, 2), (9, 2)), ((10,), (10, 2)),
+         ((10, 2), (10,)), ((10, 2), (10, 3))],
+        ids=["short-weights", "long-weights", "short-both", "flat-factors", "flat-weights",
+             "three-states"],
+    )
+    @pytest.mark.parametrize("step", list(steps))
+    def test_mismatch_rejected(self, step, g_shape, w_shape):
+        g = np.random.default_rng(1).standard_normal(g_shape)
+        with pytest.raises(DimensionMismatchError):
+            self.steps[step](self.panel, g, np.full(w_shape, 0.5))
+
+
 class TestMStepTransition:
     def test_stationary_hand_arithmetic(self):
         # p_ij xi_i at the stationary point xi = (0.75, 0.25)
@@ -341,28 +367,38 @@ class TestRelabelStates:
 
 
 def _soft_pass(cfg):
-    """A panel, its factors and a pass with soft smoothed weights: the pass
-    under the parameters of two EM iterations."""
+    """A panel, its factors, the parameters of two EM iterations and the
+    pass under them, with soft smoothed weights."""
     truth = simulate_panel(cfg, RngHandle(seed=0, stream=1))
     fs = estimate_factor_space(truth.panel, k=2 * cfg.r)
     params = run_em(truth.panel, fs, EmConfig(max_iter=2)).params
     log_eta = regime_log_densities(truth.panel, fs.g_hat, params)
     path = ProbabilityPath(*filter_smoother_pass(log_eta, params.trans, STATE_1))
-    return truth.panel, fs.g_hat, path
+    return truth.panel, fs.g_hat, params, path
 
 
 class TestLabelsFixedOnce:
     """``run_em`` leaves the labels alone in its loop and relabels once at
     the end. That gives the numbers of relabeling every iteration because
-    the filter is bitwise label-symmetric and, on one BLAS thread, each M
-    step is bitwise label-equivariant."""
+    the filter is bitwise label-symmetric and, on one BLAS thread, the
+    densities and each M step are bitwise label-equivariant; so a swap
+    needs no pass of its own."""
 
     @pytest.mark.parametrize("cfg", [TABLE1, DESIGN4_WIDE], ids=["table1", "design4-wide"])
     def test_m_steps_are_bitwise_label_equivariant(self, cfg):
-        panel, g, path = _soft_pass(cfg)
+        panel, g, params, path = _soft_pass(cfg)
         w, cross = path.smoothed, path.cross
         assert ((w > 1e-3) & (w < 1 - 1e-3)).mean() > 0.9
+        # the same parameters under the other labels, which relabel_states swaps back
+        other = ModelParams(
+            b1=params.b2, b2=params.b1, sigma_e1_diag=params.sigma_e2_diag,
+            sigma_e2_diag=params.sigma_e1_diag, trans=params.trans.relabeled(),
+        )
+        swapped_params = relabel_states(other)
+        assert swapped_params is not other
         with on_blas_threads(1):
+            log_eta = regime_log_densities(panel, g, other)
+            swapped_eta = regime_log_densities(panel, g, swapped_params)
             b1, b2 = m_step_loadings(panel, g, w)
             s1, s2 = m_step_variances(panel, g, b1, b2, w)
             trans = m_step_transition(cross, w)
@@ -372,6 +408,7 @@ class TestLabelsFixedOnce:
         assert [a.tobytes() for a in swapped_b] == [b2.tobytes(), b1.tobytes()]
         assert [a.tobytes() for a in swapped_s] == [s2.tobytes(), s1.tobytes()]
         assert swapped_trans.p.tobytes() == trans.relabeled().p.tobytes()
+        assert swapped_eta.tobytes() == np.ascontiguousarray(log_eta[:, ::-1]).tobytes()
 
     @pytest.mark.parametrize(
         ("stream", "swaps"), [(0, True), (1, False)], ids=["final-swap", "no-swap"]
@@ -435,6 +472,24 @@ class TestRunEm:
         result = run_em(small_truth.panel, small_factor_space, EmConfig(max_iter=2))
         assert result.converged is False
         assert result.iterations == 2
+        assert len(result.loglik_trace) == 2
+
+    def test_factors_of_another_panel_rejected(self):
+        # the first product with the factors used to be numpy's matmul error
+        longer = simulate_panel(SimConfig(n=8, t=12, r=1), RngHandle(seed=3)).panel
+        panel = validate_panel(longer.data[:10])
+        fs = estimate_factor_space(longer, k=2)
+        with pytest.raises(DimensionMismatchError, match="panel's 10 rows"):
+            run_em(panel, fs, EmConfig())
+
+    @pytest.mark.parametrize(
+        ("current", "previous", "change"),
+        [(0.0, 0.0, 0.0), (1.0, -1.0, np.inf), (-3.0, -1.0, 1.0)],
+        ids=["both-zero", "zero-scale", "plain"],
+    )
+    def test_relative_change(self, current, previous, change):
+        # a zero mean scale converges only where nothing changed
+        assert em._relative_change(current, previous) == change
 
     @pytest.mark.parametrize("value", [1.0, 2.5])
     def test_constant_panel_converges_flat_on_one_and_two_blas_threads(self, value):
@@ -470,7 +525,7 @@ class TestRunEm:
 
 @pytest.fixture
 def validated_passes(monkeypatch):
-    """Every forward-backward pass inside ``run_em``, the closing one
+    """Every forward-backward pass inside ``run_em``, the last one
     included, also built (and so validated) as a :class:`ProbabilityPath`;
     the loop still gets the plain arrays."""
     paths = []
@@ -492,8 +547,11 @@ class TestPassesInsideRunEm:
         fs = estimate_factor_space(truth.panel, k=2 * cfg.r)
         result = run_em(truth.panel, fs, EmConfig())
         assert len(validated_passes) == result.iterations + 1
-        # pass k >= 1 scores the (k)-th M step; the closing pass the last one
+        # pass k >= 1 scores the (k)-th M step, and the last pass is the result's
         assert [path.loglik for path in validated_passes[1:]] == list(result.loglik_trace)
+        for name in ("predicted", "filtered", "smoothed", "cross"):
+            last = getattr(validated_passes[-1], name)
+            assert last.tobytes() == getattr(result.path, name).tobytes()
 
     def test_one_probability_path_per_run(self, monkeypatch, small_truth, small_factor_space):
         built = []

@@ -12,6 +12,7 @@ from msfactor.exceptions import (
     ZeroPredictedError,
 )
 from msfactor.filtering import (
+    anchor_fit,
     filter_smoother_pass,
     hamilton_filter,
     kim_smoother,
@@ -152,6 +153,29 @@ class TestRegimeLogDensities:
         panel = validate_panel(np.zeros((3, 2)))
         with pytest.raises(DimensionMismatchError):
             regime_log_densities(panel, np.zeros((4, 1)), _params(2, 1, np.random.default_rng(1)))
+
+    @pytest.mark.parametrize(
+        ("g_shape", "n", "k", "message"),
+        [
+            ((3,), 2, 1, "panel's 3 rows"),
+            ((3, 1), 3, 1, "params are for N=3, k=1"),
+            ((3, 2), 2, 1, "params are for N=2, k=1"),
+        ],
+        ids=["one-dimensional-factors", "series", "factors"],
+    )
+    def test_params_and_factors_must_fit_the_panel(self, g_shape, n, k, message):
+        panel = validate_panel(np.ones((3, 2)))
+        params = _params(n, k, np.random.default_rng(1))
+        with pytest.raises(DimensionMismatchError, match=message):
+            regime_log_densities(panel, np.ones(g_shape), params)
+
+    @pytest.mark.parametrize("g_shape", [(10, 2), (12,), (12, 2, 1)])
+    def test_anchor_fit_needs_the_panels_periods(self, g_shape):
+        # the first consumer of the factors, so run_em's first check of them
+        panel = validate_panel(np.random.default_rng(2).standard_normal((12, 4)))
+        with pytest.raises(DimensionMismatchError, match="panel's 12 rows"):
+            anchor_fit(panel, np.ones(g_shape))
+        assert not panel._memo
 
 
 class TestHamiltonFilter:
@@ -468,6 +492,24 @@ class TestInputChecks:
         shapes = ", ".join(str(r.shape) for r in rows)
         with pytest.raises(DimensionMismatchError, match=re.escape(f"got {shapes}") + "$"):
             smoothed_cross_probs(*rows, P_EXAMPLE, STATE_1)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", ["predicted", "filtered"])
+    def test_smoother_rejects_non_finite_rows(self, bad, value):
+        # a NaN passes the 1e-300 guard and used to come back as NaN rows
+        rows = {"predicted": np.full((4, 2), 0.5), "filtered": np.full((4, 2), 0.5)}
+        rows[bad][1, 0] = value
+        with pytest.raises(NonFiniteError, match=f"{bad} probability at t=1, state 1") as err:
+            kim_smoother(rows["predicted"], rows["filtered"], P_EXAMPLE)
+        assert (err.value.row, err.value.col) == (1, 0)
+
+    @pytest.mark.parametrize("bad", ["predicted", "filtered", "smoothed"])
+    def test_cross_rejects_non_finite_rows(self, bad):
+        rows = {name: np.full((4, 2), 0.5) for name in ("predicted", "filtered", "smoothed")}
+        rows[bad][2, 1] = np.nan
+        with pytest.raises(NonFiniteError, match=f"{bad} probability at t=2, state 2") as err:
+            smoothed_cross_probs(*rows.values(), P_EXAMPLE, STATE_1)
+        assert (err.value.row, err.value.col) == (2, 1)
 
     @pytest.mark.parametrize("stage", ["smoother", "cross"])
     def test_one_dimensional_rows_rejected(self, stage):

@@ -22,7 +22,14 @@ re-records the file with
 
     PYTHONPATH=src python tests/test_golden.py --record
 
-and says why in ``CHANGES.md``.
+and says why in ``CHANGES.md``. A change meant to keep every EM result
+bitwise can also compare, before and after it,
+
+    PYTHONPATH=src python tests/test_golden.py --pool
+
+which prints one SHA-256 over the ``EmResult`` of every input of the
+benchmark's ``mc_table1`` and ``mc_wide`` pools (224 runs), on one BLAS
+thread. It records nothing.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import numpy_uses_openblas, on_blas_threads, src_env
+from conftest import load_bench, numpy_uses_openblas, on_blas_threads, src_env
 from msfactor import (
     EmConfig,
     RngHandle,
@@ -121,26 +128,50 @@ def run_cases(work: Path) -> dict[str, str]:
     return digests
 
 
+def _em_runs(cfg: SimConfig, inputs):
+    """Each input panel of ``cfg`` and its EmResult, in the order of
+    ``inputs``, (RngHandle seed, stream id) pairs."""
+    for seed, stream in inputs:
+        panel = simulate_panel(cfg, RngHandle(seed=seed, stream=stream)).panel
+        yield panel, run_em(panel, estimate_factor_space(panel, k=2 * cfg.r), EmConfig())
+
+
+def _digest_result(digest, result) -> None:
+    """Feed every array and flag of an EmResult to ``digest``."""
+    params, path = result.params, result.path
+    for array in (
+        params.b1, params.b2, params.sigma_e1_diag, params.sigma_e2_diag, params.trans.p,
+        path.predicted, path.filtered, path.smoothed, path.cross,
+        np.array(result.loglik_trace),
+    ):
+        digest.update(np.ascontiguousarray(array).tobytes())
+    digest.update(f"{result.iterations} {result.converged}".encode())
+
+
 def em_digests() -> dict[str, str]:
     """SHA-256 of each input panel and its EmResult, keyed
     ``design/seed/stream``, on one BLAS thread."""
     digests = {}
     with on_blas_threads(1):
         for design, (cfg, inputs) in EM_INPUTS.items():
-            for seed, stream in inputs:
-                panel = simulate_panel(cfg, RngHandle(seed=seed, stream=stream)).panel
-                result = run_em(panel, estimate_factor_space(panel, k=2 * cfg.r), EmConfig())
-                params, path = result.params, result.path
-                digest = hashlib.sha256()
-                for array in (
-                    panel.data, params.b1, params.b2, params.sigma_e1_diag,
-                    params.sigma_e2_diag, params.trans.p, path.predicted, path.filtered,
-                    path.smoothed, path.cross, np.array(result.loglik_trace),
-                ):
-                    digest.update(np.ascontiguousarray(array).tobytes())
-                digest.update(f"{result.iterations} {result.converged}".encode())
+            for (seed, stream), (panel, result) in zip(inputs, _em_runs(cfg, inputs)):
+                digest = hashlib.sha256(np.ascontiguousarray(panel.data).tobytes())
+                _digest_result(digest, result)
                 digests[f"{design}/{seed}/{stream}"] = digest.hexdigest()
     return digests
+
+
+def pool_digest() -> str:
+    """One SHA-256 over the EmResults of the benchmark's ``mc_table1`` and
+    ``mc_wide`` pool inputs, in pool order, on one BLAS thread."""
+    workloads = load_bench("workloads")
+    digest = hashlib.sha256()
+    with on_blas_threads(1):
+        for cfg, pool in ((workloads.TABLE1, workloads.TABLE1_POOL),
+                          (workloads.WIDE, workloads.WIDE_POOL)):
+            for _, result in _em_runs(cfg, pool):
+                _digest_result(digest, result)
+    return digest.hexdigest()
 
 
 def _golden() -> dict:
@@ -212,8 +243,11 @@ def record() -> None:
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--pool"]:
+        print(pool_digest())
+        sys.exit()
     if sys.argv[1:] != ["--record"]:
-        sys.exit("usage: python tests/test_golden.py --record")
+        sys.exit("usage: python tests/test_golden.py --record | --pool")
     try:
         record()
     except LookupError as exc:

@@ -645,6 +645,19 @@ class TestCliRejectsSettings:
         assert err == "msfactor estimate: error: cannot interpret 'maybe' as a boolean\n"
         assert not (tmp_path / "e" / "params.json").exists()
 
+    @pytest.mark.parametrize(("value", "demeaned"), [("false", False), ("Off", False), ("yes", True)])
+    def test_config_file_boolean_read(self, tmp_path, capsys, value, demeaned):
+        panel = tmp_path / "panel.csv"
+        save_panel_csv(panel, simulate_panel(SimConfig(n=10, t=40), RngHandle(seed=0)).panel)
+        cfg = tmp_path / "est.cfg"
+        cfg.write_text(f"demean = {value}\n")
+        out = tmp_path / "e"
+        code, err = self._run(
+            capsys, ["estimate", "--config", str(cfg), "--input", str(panel), "--out", str(out)]
+        )
+        assert (code, err) == (0, "")
+        assert json.loads((out / "params.json").read_text())["demeaned"] is demeaned
+
     @pytest.mark.parametrize(
         ("line", "message"),
         [("n = abc", "n = 'abc' is not a valid int"), ("p11 = high", "p11 = 'high' is not a valid float")],
@@ -1019,6 +1032,23 @@ class TestCliVerify:
         assert code == 0
         captured = capsys.readouterr()
         assert "PASS" in captured.out
+
+    def test_verify_fails_past_the_tolerance(self, capsys, monkeypatch):
+        from msfactor import oracle
+
+        deviations = {"loglik": 2e-9, "smoothed": 1e-12, "cross": 1e-12}
+        monkeypatch.setattr(oracle, "equivalence_suite", lambda instances, seed: deviations)
+        code = main(["verify", "--instances", "3", "--seed", "4"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out.splitlines() == [
+            "oracle equivalence over 3 random instances (seed 4):",
+            "  max |loglik| deviation: 2.000e-09",
+            "  max |smoothed| deviation: 1.000e-12",
+            "  max |cross| deviation: 1.000e-12",
+            "FAIL (tolerance 1e-09)",
+        ]
+        assert captured.err == ""
 
     @pytest.mark.parametrize("instances", ["0", "-1"])
     def test_no_instances_rejected(self, capsys, instances):

@@ -100,6 +100,12 @@ class TestRegimeBlendMatrix:
         oracle = np.linalg.solve(gram_all.T, gram_in.T).T
         assert np.abs(blend - oracle).max() < 1e-10
 
+    @pytest.mark.parametrize("w_len, ind_len", [(9, 10), (10, 9)], ids=["weights", "indicator"])
+    def test_period_mismatch_rejected(self, w_len, ind_len):
+        g = np.random.default_rng(0).standard_normal((10, 2))
+        with pytest.raises(DimensionMismatchError, match="share T"):
+            regime_blend_matrix(np.full(w_len, 0.5), np.ones(ind_len), g)
+
 
 class TestBlendedLoadings:
     b1 = np.arange(8, dtype=float).reshape(4, 2)
@@ -114,6 +120,19 @@ class TestBlendedLoadings:
     def test_halfway_blend_is_midpoint(self):
         mid = blended_loadings(self.b1, self.b2, 0.5 * np.eye(2))
         assert np.allclose(mid, (self.b1 + self.b2) / 2)
+
+    @pytest.mark.parametrize(
+        "b1, b2, blend",
+        [
+            (b1, b2[:, :1], np.eye(2)),
+            (b1, b2, np.eye(3)),
+            (np.ones(4), np.ones(4), np.eye(1)),
+        ],
+        ids=["loadings", "blend", "one-dimensional"],
+    )
+    def test_incompatible_shapes_rejected(self, b1, b2, blend):
+        with pytest.raises(DimensionMismatchError, match="incompatible shapes"):
+            blended_loadings(b1, b2, blend)
 
 
 class TestTraceR2:
@@ -151,6 +170,20 @@ class TestTraceR2:
     def test_singular_gram(self):
         with pytest.raises(SingularGramError):
             trace_r2(np.zeros((5, 2)), np.ones((5, 2)))
+
+    @pytest.mark.parametrize(
+        "b_hat, b_star",
+        [(np.ones((5, 2)), np.ones((5, 3))), (np.arange(1.0, 6.0), np.ones(5))],
+        ids=["mismatch", "one-dimensional"],
+    )
+    def test_shapes_rejected(self, b_hat, b_star):
+        with pytest.raises(DimensionMismatchError, match="N x k matrices"):
+            trace_r2(b_hat, b_star)
+
+    def test_zero_target_rejected(self):
+        b_hat = np.random.default_rng(2).standard_normal((6, 2))
+        with pytest.raises(ZeroSignalError, match="target loadings"):
+            trace_r2(b_hat, np.zeros((6, 2)))
 
 
 class TestCommonComponentMse:
@@ -221,3 +254,15 @@ class TestFittedCommonComponent:
         fit = fitted_common_component(b1, b2, g, w)
         expected = w[:, [0]] * (g @ b1.T) + w[:, [1]] * (g @ b2.T)
         assert np.abs(fit - expected).max() < 1e-14
+
+    @pytest.mark.parametrize(
+        "b2_shape, g_shape, w_shape",
+        [((5, 3), (7, 2), (7, 2)), ((5, 2), (7, 3), (7, 2)), ((5, 2), (7, 2), (6, 2)),
+         ((5, 2), (6, 2), (7, 2))],
+        ids=["loadings", "factor-count", "weight-rows", "factor-rows"],
+    )
+    def test_mismatched_shapes_rejected(self, b2_shape, g_shape, w_shape):
+        with pytest.raises(DimensionMismatchError):
+            fitted_common_component(
+                np.ones((5, 2)), np.ones(b2_shape), np.ones(g_shape), np.full(w_shape, 0.5)
+            )

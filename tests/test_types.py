@@ -13,6 +13,7 @@ from msfactor.exceptions import (
     InvalidArgumentError,
     MsfactorError,
     NonFiniteError,
+    SingularGramError,
     TooSmallError,
 )
 from msfactor.montecarlo import run_montecarlo
@@ -28,6 +29,7 @@ from msfactor.types import (
     RngHandle,
     StateProbabilities,
     TransitionMatrix,
+    check_gram,
     marginal_deviation,
     row_sum_deviation,
     unconditional_probs,
@@ -60,11 +62,33 @@ class TestValidatePanel:
             validate_panel(np.ones((1, 5)))
         with pytest.raises(TooSmallError):
             validate_panel(np.ones((5, 1)))
+        with pytest.raises(TooSmallError, match="2-dimensional, got ndim=1"):
+            validate_panel(np.ones(5))
 
     def test_data_is_read_only(self):
         panel = validate_panel(np.zeros((2, 2)))
         with pytest.raises(ValueError, match="read-only"):
             panel.data[0, 0] = 1.0
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [["a", "b"], ["c", "d"]],
+            [[1.0, 2.0], [3.0]],
+            np.ones((3, 3)) + 1j,
+            np.ones((3, 3), dtype=complex),
+            [[1.0, 2.0], [3.0, 4.0 + 0.5j]],
+        ],
+        ids=["strings", "ragged", "complex", "complex-zero-imaginary", "complex-entry"],
+    )
+    def test_not_a_real_matrix_rejected(self, data):
+        # a cast to float would drop the imaginary part, even where it is zero
+        with pytest.raises(InvalidArgumentError, match="array of real numbers"):
+            validate_panel(data)
+
+    def test_integers_and_numeric_strings_still_read(self):
+        for data in ([[1, 2], [3, 4]], [["1", "2"], ["3", "4"]]):
+            assert validate_panel(data).data.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
 class TestTransitionMatrix:
@@ -173,6 +197,32 @@ class TestRowSumDeviation:
         cross = np.random.default_rng(seed).dirichlet(np.ones(4), t_len).reshape(t_len, 2, 2)
         flat = float(np.abs(cross.reshape(t_len, 4).sum(axis=1) - 1.0).max())
         assert row_sum_deviation(cross) == flat
+
+    @pytest.mark.parametrize(
+        "rows", [np.empty((0, 2)), np.empty((0, 2, 2)), np.float64(1.0)],
+        ids=["no-periods", "no-cross-periods", "scalar"],
+    )
+    def test_no_periods_rejected(self, rows):
+        with pytest.raises(DimensionMismatchError, match="at least one period"):
+            row_sum_deviation(rows)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_reported(self, value):
+        cross = np.full((3, 2, 2), 0.25)
+        cross[1, 1, 0] = value
+        with pytest.raises(NonFiniteError) as err:
+            row_sum_deviation(cross)
+        assert (err.value.row, err.value.col) == (1, 2)
+
+
+class TestCheckGram:
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_gram_is_singular(self, value):
+        gram = np.eye(2)
+        gram[0, 1] = value
+        with pytest.raises(SingularGramError) as err:
+            check_gram(gram, regime=2)
+        assert err.value.regime == 2 and np.isnan(err.value.cond)
 
 
 class TestMarginalDeviation:
@@ -337,10 +387,13 @@ _REJECTED = {
     "trans-nonfinite": (lambda: TransitionMatrix(np.array([[np.nan, 0.5], [0.5, 0.5]])), False),
     "trans-range": (lambda: TransitionMatrix(np.array([[1.2, -0.2], [0.3, 0.7]])), False),
     "trans-row-sum": (lambda: TransitionMatrix(np.array([[0.9, 0.2], [0.3, 0.7]])), False),
+    "trans-strings": (lambda: TransitionMatrix([["a", "b"], ["c", "d"]]), False),
+    "trans-complex": (lambda: TransitionMatrix(np.full((2, 2), 0.5 + 0j)), False),
     "state-shape": (lambda: StateProbabilities(np.full(3, 1 / 3)), True),
     "state-nonfinite": (lambda: StateProbabilities(np.array([np.inf, 0.0])), False),
     "state-range": (lambda: StateProbabilities(np.array([1.5, -0.5])), False),
     "state-sum": (lambda: StateProbabilities(np.array([0.6, 0.5])), False),
+    "state-ragged": (lambda: StateProbabilities([1.0, [0.0]]), False),
     "path-length": (lambda: _path(filtered=np.full((4, 2), 0.5)), True),
     "path-width": (lambda: _path(cross=np.full((3, 2), 0.5)), True),
     "path-flat-cross": (lambda: _path(cross=np.full((3, 4), 0.25)), True),
@@ -360,10 +413,15 @@ _REJECTED = {
     "params-variance-shape": (lambda: _params(sigma_e1_diag=np.ones(4)), True),
     "params-nonfinite": (lambda: _params(b1=np.full((3, 2), np.nan)), False),
     "params-variance-zero": (lambda: _params(sigma_e2_diag=np.zeros(3)), False),
+    "params-plain-trans": (lambda: _params(trans=np.full((2, 2), 0.5)), False),
     "space-factor-dim": (lambda: _space(g_hat=np.ones((5, 3))), True),
     "space-eigvals-length": (lambda: _space(eigvals=np.ones(3)), True),
     "space-eigvals-order": (lambda: _space(eigvals=np.array([1.0, 2.0])), False),
+    "space-strings": (lambda: _space(eigvals=["2", "one"]), False),
     "rng-negative-stream": (lambda: RngHandle(seed=0, stream=-1), False),
+    "sim-no-factors": (lambda: SimConfig(r=0), False),
+    "sim-one-series": (lambda: SimConfig(n=1), False),
+    "sim-one-period": (lambda: SimConfig(t=1), False),
 }
 
 
