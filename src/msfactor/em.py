@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blas import one_blas_thread
-from .exceptions import DimensionMismatchError, EmptyRegimeError, InvalidArgumentError
+from .exceptions import EmptyRegimeError, InvalidArgumentError
 from .filtering import _residual_sums, anchor_fit, filter_smoother_pass, regime_log_densities
 from .pca import FactorSpace
 from .types import (
@@ -32,7 +32,8 @@ from .types import (
     ProbabilityPath,
     TransitionMatrix,
     as_cross,
-    as_periods,
+    as_shaped,
+    check_finite,
     check_gram,
     check_settings,
 )
@@ -122,19 +123,6 @@ def init_params(panel: Panel, fs: FactorSpace, cfg: EmConfig) -> ModelParams:
     )
 
 
-def _weights(panel: Panel, g_hat: np.ndarray, smoothed: np.ndarray):
-    """The factors and smoothed weights of an M step as float arrays, T x k
-    and T x 2 for the panel's T; :class:`DimensionMismatchError` otherwise."""
-    g = np.asarray(g_hat, dtype=float)
-    (w,) = as_periods(smoothed)
-    if g.ndim != 2 or len(g) != panel.t_len or len(w) != panel.t_len:
-        raise DimensionMismatchError(
-            f"need T x k factors and T x 2 weights for the panel's T={panel.t_len}, "
-            f"got {g.shape} and {w.shape}"
-        )
-    return g, w
-
-
 def m_step_loadings(
     panel: Panel, g_hat: np.ndarray, smoothed: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -144,10 +132,14 @@ def m_step_loadings(
 
     with w_jt the smoothed probability of regime j at t. The cross moment
     is x' (w_j g), both regimes from one product. Raises
+    :class:`NonFiniteError` at the first non-finite weight and
     :class:`SingularGramError` when a weighted Gram matrix is (near)
     singular, which signals that the regime received no weight.
     """
-    g, smoothed = _weights(panel, g_hat, smoothed)
+    g, smoothed = as_shaped(
+        {"T": panel.t_len}, g_hat=(g_hat, ("T", "k")), smoothed=(smoothed, ("T", 2))
+    )
+    check_finite("state", smoothed=smoothed)
     k = g.shape[1]
     wg = np.hstack([g * smoothed[:, :1], g * smoothed[:, 1:2]])
     cross_moment = panel.data.T @ wg
@@ -175,9 +167,14 @@ def m_step_variances(
     d_j = b_j - a0, the numerator is sum_t w_jt (z_it - d_ji' g_t)^2, from
     :func:`~msfactor.filtering._residual_sums` on the transposed fit. Only
     the diagonal is returned: the exact-factor quasi-likelihood has no
-    off-diagonal covariances.
+    off-diagonal covariances. Raises :class:`NonFiniteError` at the first
+    non-finite weight.
     """
-    g, smoothed = _weights(panel, g_hat, smoothed)
+    g, b1, b2, smoothed = as_shaped(
+        {"T": panel.t_len, "N": panel.n_len}, g_hat=(g_hat, ("T", "k")),
+        b1=(b1, ("N", "k")), b2=(b2, ("N", "k")), smoothed=(smoothed, ("T", 2)),
+    )
+    check_finite("state", smoothed=smoothed)
     t_len = g.shape[0]
     floor = panel.variance_floor()
     totals = (smoothed[:, 0].sum(), smoothed[:, 1].sum())

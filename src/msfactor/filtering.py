@@ -22,19 +22,26 @@ rows, scale factors, log likelihood and degenerate-prediction test
 follow on whole arrays.
 :func:`filter_smoother_pass` runs the chain and returns its plain arrays;
 a checked path is ``ProbabilityPath(*filter_smoother_pass(...))``.
+A ``trans`` that is not a :class:`~msfactor.types.TransitionMatrix`, or an
+``xi0`` that is not a :class:`~msfactor.types.StateProbabilities`, raises
+:class:`~msfactor.exceptions.InvalidArgumentError`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import (
-    DegeneratePredictionError,
-    DimensionMismatchError,
-    NonFiniteError,
-    ZeroPredictedError,
+from .exceptions import DegeneratePredictionError, NonFiniteError, ZeroPredictedError
+from .types import (
+    ModelParams,
+    Panel,
+    StateProbabilities,
+    TransitionMatrix,
+    as_periods,
+    as_shaped,
+    check_finite,
+    check_instance,
 )
-from .types import ModelParams, Panel, StateProbabilities, TransitionMatrix, as_periods
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _PRED_GUARD = 1e-300
@@ -51,15 +58,13 @@ def anchor_fit(panel: Panel, g_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     Computed once per (panel, g) and remembered on the panel under g's
     shape and bytes, read-only, so each distinct g adds 2 T N floats to
     the panel. Raises :class:`DimensionMismatchError` unless g is a matrix
-    with the panel's T rows.
+    with the panel's T rows, and :class:`NonFiniteError` at its first
+    non-finite entry, before anything is remembered.
     """
-    g = np.asarray(g_hat, dtype=float)
-    if g.ndim != 2 or g.shape[0] != panel.t_len:
-        raise DimensionMismatchError(
-            f"factors must be a matrix with the panel's {panel.t_len} rows, got shape {g.shape}"
-        )
+    (g,) = as_shaped({"T": panel.t_len}, g_hat=(g_hat, ("T", "k")))
 
     def fit():
+        check_finite("factor", g_hat=g)
         x = panel.data
         a0 = x.T @ np.linalg.pinv(g).T
         z = x - g @ a0.T
@@ -128,14 +133,11 @@ def regime_log_densities(
     With z and a0 from :func:`anchor_fit` and d_j = b_j - a0, the quadratic
     form is sum_i (z_it - g_t' d_ji)^2 / s2_ji, from :func:`_residual_sums`.
     """
-    g = np.asarray(g_hat, dtype=float)
+    g, _ = as_shaped(
+        {"T": panel.t_len, "N": panel.n_len}, g_hat=(g_hat, ("T", "k")), b1=(params.b1, ("N", "k"))
+    )
     a0, z, zz = anchor_fit(panel, g)
     n = panel.n_len
-    if params.n_series != n or params.n_factors != g.shape[1]:
-        raise DimensionMismatchError(
-            f"params are for N={params.n_series}, k={params.n_factors}; "
-            f"got panel N={n}, factors k={g.shape[1]}"
-        )
     s2 = (params.sigma_e1_diag, params.sigma_e2_diag)
     # an overflow surfaces once, as the NonFiniteError below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -152,6 +154,13 @@ def regime_log_densities(
 def _rows(flat: list[float]) -> np.ndarray:
     """T x 2 array from a flat list [x_{1,0}, x_{2,0}, x_{1,1}, x_{2,1}, ...]."""
     return np.array(flat, dtype=float).reshape(-1, 2)
+
+
+def _unbounded_row(log_eta: np.ndarray, t: int) -> NonFiniteError:
+    """The error for row t of the T x 2 ``log_eta``, which holds a NaN or
+    +inf entry or two -inf ones, at its NaN or +inf entry, else column 0."""
+    j = int(not log_eta[t, 1] < np.inf)
+    return NonFiniteError(t, j, f"log_eta row {t} has no finite maximum: {log_eta[t].tolist()}")
 
 
 def hamilton_filter(
@@ -177,11 +186,11 @@ def hamilton_filter(
     predicted probability is exactly 0 while its density dominates.
     """
     (log_eta,) = as_periods(log_eta)
+    check_instance("trans", trans, TransitionMatrix)
+    check_instance("xi0", xi0, StateProbabilities)
     top = np.maximum(log_eta[:, 0], log_eta[:, 1])
     if not np.isfinite(top).all():
-        t = int(np.argmin(np.isfinite(top)))
-        j = int(not log_eta[t, 1] < np.inf)  # the NaN or +inf entry, else 0
-        raise NonFiniteError(t, j, f"log_eta row {t} has no finite maximum: {log_eta[t].tolist()}")
+        raise _unbounded_row(log_eta, int(np.argmin(np.isfinite(top))))
     eta = np.exp(log_eta - top[:, None])
     # Python float arithmetic in the loop: IEEE addition is commutative, so
     # writing each two-term sum explicitly makes swapping the regime labels
@@ -231,10 +240,7 @@ def _check_rows(first_row: int, **rows: np.ndarray) -> None:
     of the T x 2 ``rows``, taken in order, and :class:`ZeroPredictedError`
     at the first t >= ``first_row`` whose predicted probabilities, which
     the smoother divides by, fall below 1e-300."""
-    for name, arr in rows.items():
-        if not np.isfinite(arr).all():
-            t, j = map(int, np.argwhere(~np.isfinite(arr))[0])
-            raise NonFiniteError(t, j, f"{name} probability at t={t}, state {j + 1} is {arr[t, j]}")
+    check_finite("state", **rows)
     predicted = rows["predicted"]
     low = np.flatnonzero((predicted[first_row:] < _PRED_GUARD).any(axis=1))
     if low.size:
@@ -257,6 +263,7 @@ def kim_smoother(
     divided by is below 1e-300.
     """
     predicted, filtered = as_periods(predicted, filtered)
+    check_instance("trans", trans, TransitionMatrix)
     _check_rows(1, predicted=predicted, filtered=filtered)
     # Python float arithmetic for bitwise label symmetry, as in the filter
     p11, p12 = float(trans.p[0, 0]), float(trans.p[0, 1])
@@ -297,6 +304,8 @@ def smoothed_cross_probs(
     :func:`kim_smoother` does.
     """
     predicted, filtered, smoothed = as_periods(predicted, filtered, smoothed)
+    check_instance("trans", trans, TransitionMatrix)
+    check_instance("xi0", xi0, StateProbabilities)
     _check_rows(0, predicted=predicted, filtered=filtered, smoothed=smoothed)
     p = trans.p
     ratio = smoothed / predicted

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import CsvParseError, InvalidArgumentError, NonFiniteError
-from .types import Panel, validate_panel
+from .types import Panel, as_real, validate_panel
 
 
 def _decode(raw: bytes) -> str:
@@ -151,7 +151,7 @@ def save_matrix_csv(path: str | Path, matrix: np.ndarray, headers: list[str]) ->
 
     The bytes are those ``csv.writer`` writes with ``lineterminator="\\n"``
     for plain headers, which need no quotes, and ``repr`` of each value."""
-    matrix = np.asarray(matrix, dtype=float)
+    matrix = as_real("matrix", matrix)
     path = Path(path)
     with path.open("w", newline="") as fh:
         fh.write(",".join(["t", *headers]) + "\n")

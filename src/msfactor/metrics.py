@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import DimensionMismatchError, ZeroSignalError
-from .types import as_periods, check_gram
+from .exceptions import ZeroSignalError
+from .types import as_shaped, check_gram
 
 
 def regime_blend_matrix(
@@ -28,11 +28,10 @@ def regime_blend_matrix(
     identity; total confusion gives 0, and the estimated loadings then
     target a blend of the two regimes' true loadings.
     """
-    w = np.asarray(smoothed_col, dtype=float).reshape(-1)
-    ind = np.asarray(in_regime, dtype=float).reshape(-1)
-    g = np.asarray(g_hat, dtype=float)
-    if w.shape[0] != g.shape[0] or ind.shape[0] != g.shape[0]:
-        raise DimensionMismatchError("weights, indicator and factors must share T")
+    w, ind, g = as_shaped(
+        {}, smoothed_col=(smoothed_col, ("T",)), in_regime=(in_regime, ("T",)),
+        g_hat=(g_hat, ("T", "k")),
+    )
     denom = (g * w[:, None]).T @ g
     check_gram(denom, regime=0)
     numer = (g * (w * ind)[:, None]).T @ g
@@ -43,13 +42,9 @@ def blended_loadings(
     b1_true: np.ndarray, b2_true: np.ndarray, blend: np.ndarray
 ) -> np.ndarray:
     """Bias-adjusted loading target b1 @ blend + b2 @ (I - blend)."""
-    b1 = np.asarray(b1_true, dtype=float)
-    b2 = np.asarray(b2_true, dtype=float)
-    m = np.asarray(blend, dtype=float)
-    if b1.ndim != 2 or b1.shape != b2.shape or m.shape != (b1.shape[1], b1.shape[1]):
-        raise DimensionMismatchError(
-            f"incompatible shapes: {b1.shape}, {b2.shape}, {m.shape}"
-        )
+    b1, b2, m = as_shaped(
+        {}, b1_true=(b1_true, ("N", "k")), b2_true=(b2_true, ("N", "k")), blend=(blend, ("k", "k"))
+    )
     return b1 @ m + b2 @ (np.eye(m.shape[0]) - m)
 
 
@@ -63,10 +58,7 @@ def trace_r2(b_hat: np.ndarray, b_target: np.ndarray) -> float:
     indeterminacy. Lies in [0, 1] up to roundoff. Raises
     :class:`ZeroSignalError` for an all-zero target.
     """
-    b = np.asarray(b_hat, dtype=float)
-    bs = np.asarray(b_target, dtype=float)
-    if b.ndim != 2 or b.shape != bs.shape:
-        raise DimensionMismatchError(f"need two N x k matrices of one shape: {b.shape} vs {bs.shape}")
+    b, bs = as_shaped({}, b_hat=(b_hat, ("N", "k")), b_target=(b_target, ("N", "k")))
     gram = b.T @ b
     check_gram(gram, regime=0)
     proj = bs.T @ b @ np.linalg.solve(gram, b.T @ bs)
@@ -78,10 +70,7 @@ def trace_r2(b_hat: np.ndarray, b_target: np.ndarray) -> float:
 
 def common_component_mse(chi_hat: np.ndarray, chi_true: np.ndarray) -> float:
     """Squared error of the common component relative to its total energy."""
-    ch = np.asarray(chi_hat, dtype=float)
-    ct = np.asarray(chi_true, dtype=float)
-    if ch.shape != ct.shape:
-        raise DimensionMismatchError(f"shape mismatch: {ch.shape} vs {ct.shape}")
+    ch, ct = as_shaped({}, chi_hat=(chi_hat, ("T", "N")), chi_true=(chi_true, ("T", "N")))
     energy = (ct**2).sum()
     if energy == 0.0:
         raise ZeroSignalError("true common component is identically zero")
@@ -100,14 +89,10 @@ def fitted_common_component(
     Raises :class:`DimensionMismatchError` unless the loadings are N x k,
     the factors T x k and the weights T x 2.
     """
-    b1, b2 = np.asarray(b1, dtype=float), np.asarray(b2, dtype=float)
-    g = np.asarray(g_hat, dtype=float)
-    (w,) = as_periods(smoothed)
-    if b1.ndim != 2 or b1.shape != b2.shape or g.shape != (len(w), b1.shape[1]):
-        raise DimensionMismatchError(
-            f"need N x k loadings, T x k factors and T x 2 weights, got "
-            f"{b1.shape}, {b2.shape}, {g.shape} and {w.shape}"
-        )
+    b1, b2, g, w = as_shaped(
+        {}, b1=(b1, ("N", "k")), b2=(b2, ("N", "k")), g_hat=(g_hat, ("T", "k")),
+        smoothed=(smoothed, ("T", 2)),
+    )
     chi = g @ b1.T
     chi *= w[:, [0]]
     second = g @ b2.T

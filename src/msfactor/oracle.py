@@ -11,8 +11,15 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import InvalidArgumentError, TooLongError
-from .filtering import filter_smoother_pass
-from .types import RngHandle, StateProbabilities, TransitionMatrix, as_integer, as_periods
+from .filtering import _unbounded_row, filter_smoother_pass
+from .types import (
+    RngHandle,
+    StateProbabilities,
+    TransitionMatrix,
+    as_integer,
+    as_periods,
+    check_instance,
+)
 
 MAX_ENUM_T = 16
 EQUIVALENCE_TOLERANCE = 1e-9
@@ -49,10 +56,20 @@ def enumerate_posterior(
     ------
     DimensionMismatchError
         Unless ``log_eta`` is T x 2 with T >= 1.
+    NonFiniteError
+        At the first row with a NaN or +inf entry, as the filter does; a
+        row of two -inf densities is an impossible period, not an error.
+    InvalidArgumentError
+        Unless ``trans`` and ``xi0`` are chain types.
     TooLongError
         If T exceeds 16 (2^T paths).
     """
     (log_eta,) = as_periods(log_eta)
+    check_instance("trans", trans, TransitionMatrix)
+    check_instance("xi0", xi0, StateProbabilities)
+    bounded = (log_eta < np.inf).all(axis=1)
+    if not bounded.all():
+        raise _unbounded_row(log_eta, int(np.argmin(bounded)))
     t_len = len(log_eta)
     if t_len > MAX_ENUM_T:
         raise TooLongError(f"T={t_len} > {MAX_ENUM_T}: enumeration would need 2^T paths")

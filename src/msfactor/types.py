@@ -11,6 +11,11 @@ Conventions fixed here once for the whole package:
 * all containers are immutable after construction and safe to share
   across workers.
 
+Array intake goes through two functions: :func:`as_real`, the package's
+one float conversion, which rejects strings, ragged rows and complex
+values, and :func:`as_shaped`, in which each public function states the
+shapes of its array arguments, T x k factors as ``("T", "k")`` say.
+
 Every constructor copies its arrays read-only and validates them: a wrong
 shape raises :class:`DimensionMismatchError`, any other bad value
 :class:`InvalidArgumentError`. Probability arrays share one check: chain
@@ -48,23 +53,48 @@ VARIANCE_FLOOR_RATIO = 1e-10
 _GRAM_COND_LIMIT = 1e12
 
 
-def _real_array(x) -> np.ndarray:
+def as_real(name: str, x) -> np.ndarray:
     """``x`` as a float array, not copied if it is one;
-    :class:`InvalidArgumentError` unless it holds real numbers only (not
-    strings, ragged rows or complex values)."""
+    :class:`InvalidArgumentError` naming ``name`` unless it holds real
+    numbers only (not strings, ragged rows or complex values)."""
     try:
         arr = np.asarray(x)
         if arr.dtype.kind == "c":  # a cast to float would drop the imaginary part
             raise TypeError(f"got {arr.dtype}")
         return arr.astype(float, copy=False)
     except (TypeError, ValueError) as exc:
-        raise InvalidArgumentError(f"need an array of real numbers: {exc}") from None
+        raise InvalidArgumentError(f"{name} must be an array of real numbers: {exc}") from None
 
 
-def _frozen_array(x) -> np.ndarray:
-    """Copy to a C-contiguous read-only float array, as :func:`_real_array`
+def as_shaped(sizes: dict[str, int], /, **arrays: tuple[Any, tuple]) -> list[np.ndarray]:
+    """The arrays given as ``name=(array, shape)``, in order, through
+    :func:`as_real`. An int in ``shape`` fixes an axis's size; a letter
+    names a size of at least 1 that the call's arrays share, fixed by
+    ``sizes`` or else by the first array to use it. Otherwise
+    :class:`DimensionMismatchError` names each array with its required and
+    its actual shape."""
+    bound, out, fits = dict(sizes), [], True
+    for name, (x, shape) in arrays.items():
+        out.append(arr := as_real(name, x))
+        fits = fits and arr.ndim == len(shape)
+        for want, got in zip(shape, arr.shape):
+            if isinstance(want, str):
+                want = bound.setdefault(want, got)
+            fits = fits and got == want > 0
+    if not fits:
+        specs = {name: shape for name, (_, shape) in arrays.items()}
+        letters = dict.fromkeys(a for s in specs.values() for a in s if isinstance(a, str))
+        rule = ", ".join(f"{a} = {sizes[a]}" if a in sizes else f"{a} >= 1" for a in letters)
+        need = ", ".join(f"{name} {s}".replace("'", "") for name, s in specs.items())
+        got = ", ".join(f"{name} {arr.shape}" for name, arr in zip(arrays, out))
+        raise DimensionMismatchError(f"need {need} for {rule}; got {got}")
+    return out
+
+
+def _frozen_array(name: str, x) -> np.ndarray:
+    """Copy to a C-contiguous read-only float array, as :func:`as_real`
     accepts."""
-    out = np.array(_real_array(x), order="C")
+    out = np.array(as_real(name, x), order="C")
     out.setflags(write=False)
     return out
 
@@ -77,6 +107,23 @@ def as_integer(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise InvalidArgumentError(f"{name} must be an integer") from None
+
+
+def check_instance(name: str, value, cls: type) -> None:
+    """:class:`InvalidArgumentError` naming ``name`` unless ``value`` is a
+    ``cls``."""
+    if not isinstance(value, cls):
+        raise InvalidArgumentError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+
+
+def check_finite(column: str, **arrays: np.ndarray) -> None:
+    """Raise :class:`NonFiniteError` at the first non-finite entry (t, j)
+    of the 2-D ``arrays``, taken in order, calling column j its
+    ``column`` j + 1."""
+    for name, arr in arrays.items():
+        if not np.isfinite(arr).all():
+            t, j = map(int, np.argwhere(~np.isfinite(arr))[0])
+            raise NonFiniteError(t, j, f"{name} at t={t}, {column} {j + 1} is {arr[t, j]}")
 
 
 def setting_fields(cls) -> list[Field]:
@@ -102,7 +149,7 @@ def row_sum_deviation(rows: np.ndarray) -> float:
     :class:`DimensionMismatchError` for an array with no periods,
     :class:`NonFiniteError` at the first period with a non-finite entry
     (its column counted over the period's flattened entries)."""
-    rows = np.asarray(rows, dtype=float)
+    rows = as_real("rows", rows)
     if rows.ndim == 0 or not len(rows):
         raise DimensionMismatchError(f"need at least one period, got shape {rows.shape}")
     flat = rows.reshape(len(rows), -1)
@@ -182,7 +229,7 @@ def validate_panel(data) -> Panel:
     TooSmallError
         If T < 2 or N < 2.
     """
-    arr = _real_array(data)
+    arr = as_real("panel", data)
     if arr.ndim != 2:
         raise TooSmallError(f"panel must be 2-dimensional, got ndim={arr.ndim}")
     t_len, n_len = arr.shape
@@ -192,7 +239,7 @@ def validate_panel(data) -> Panel:
     if bad.any():
         row, col = np.argwhere(bad)[0]
         raise NonFiniteError(int(row), int(col))
-    return Panel(data=_frozen_array(arr))
+    return Panel(data=_frozen_array("panel", arr))
 
 
 @dataclass(frozen=True)
@@ -202,7 +249,7 @@ class TransitionMatrix:
     p: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen_array(self.p)
+        arr = _frozen_array("transition matrix", self.p)
         _check_probabilities("transition matrix", arr, (2, 2), 0.0, 1.0, 1e-12)
         object.__setattr__(self, "p", arr)
 
@@ -226,7 +273,7 @@ class StateProbabilities:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen_array(self.values).reshape(-1)
+        arr = _frozen_array("state probabilities", self.values).reshape(-1)
         _check_probabilities("state probabilities", arr, (2,), 0.0, 1.0, 1e-12)
         object.__setattr__(self, "values", arr)
 
@@ -242,9 +289,12 @@ def unconditional_probs(trans: TransitionMatrix) -> StateProbabilities:
 
     Raises
     ------
+    InvalidArgumentError
+        Unless ``trans`` is a :class:`TransitionMatrix`.
     DegenerateChainError
         If p11 = p22 = 1 (two absorbing states, no unique stationary law).
     """
+    check_instance("trans", trans, TransitionMatrix)
     leave2 = 1.0 - trans.p22
     leave1 = 1.0 - trans.p11
     denom = leave1 + leave2
@@ -272,20 +322,17 @@ class ModelParams:
     trans: TransitionMatrix
 
     def __post_init__(self):
-        b1 = _frozen_array(self.b1)
-        b2 = _frozen_array(self.b2)
-        s1 = _frozen_array(self.sigma_e1_diag).reshape(-1)
-        s2 = _frozen_array(self.sigma_e2_diag).reshape(-1)
+        b1 = _frozen_array("b1", self.b1)
+        b2 = _frozen_array("b2", self.b2)
+        s1 = _frozen_array("sigma_e1_diag", self.sigma_e1_diag).reshape(-1)
+        s2 = _frozen_array("sigma_e2_diag", self.sigma_e2_diag).reshape(-1)
         if b1.ndim != 2 or b1.shape != b2.shape:
             raise DimensionMismatchError(
                 f"loading matrices must share an N x k shape, got {b1.shape} vs {b2.shape}"
             )
-        if not (np.isfinite(b1).all() and np.isfinite(b2).all()):
-            raise InvalidArgumentError("loading matrices have non-finite entries")
-        if not isinstance(self.trans, TransitionMatrix):
-            raise InvalidArgumentError(
-                f"trans must be a TransitionMatrix, got {type(self.trans).__name__}"
-            )
+        if not all(np.isfinite(arr).all() for arr in (b1, b2, s1, s2)):
+            raise InvalidArgumentError("loadings and variances must be finite")
+        check_instance("trans", self.trans, TransitionMatrix)
         n = b1.shape[0]
         if s1.shape != (n,) or s2.shape != (n,):
             raise DimensionMismatchError("variance vectors must have length N")
@@ -320,13 +367,15 @@ class FactorSpace:
     eigvals: np.ndarray
 
     def __post_init__(self):
-        a = _frozen_array(self.a_hat)
-        g = _frozen_array(self.g_hat)
-        v = _frozen_array(self.eigvals).reshape(-1)
+        a = _frozen_array("a_hat", self.a_hat)
+        g = _frozen_array("g_hat", self.g_hat)
+        v = _frozen_array("eigvals", self.eigvals).reshape(-1)
         if a.ndim != 2 or g.ndim != 2 or a.shape[1] != g.shape[1]:
             raise DimensionMismatchError("loadings and factors must share the factor dimension")
         if v.shape != (a.shape[1],):
             raise DimensionMismatchError("eigenvalue vector length must equal the factor count")
+        if not all(np.isfinite(arr).all() for arr in (a, g, v)):
+            raise InvalidArgumentError("factor space has non-finite entries")
         if (np.diff(v) > 0).any():
             raise InvalidArgumentError("eigenvalues must be in descending order")
         object.__setattr__(self, "a_hat", a)
@@ -344,25 +393,16 @@ def check_gram(gram: np.ndarray, regime: int) -> None:
 
 
 def as_periods(*arrays) -> list[np.ndarray]:
-    """``arrays`` as float arrays, all T x 2 for one T >= 1;
-    :class:`DimensionMismatchError` listing their shapes otherwise."""
-    arrays = [np.asarray(a, dtype=float) for a in arrays]
-    want = (len(arrays[0]) if arrays[0].ndim else 0, 2)
-    for arr in arrays:
-        if arr.shape != want or not want[0]:
-            shapes = ", ".join(str(a.shape) for a in arrays)
-            raise DimensionMismatchError(f"need T x 2 arrays for one T >= 1, got {shapes}")
-    return arrays
+    """``arrays`` through :func:`as_shaped`, all T x 2 for one T >= 1,
+    named by position: "argument 1" first, as the recursions pass their
+    leading arguments."""
+    return as_shaped({}, **{f"argument {i + 1}": (a, ("T", 2)) for i, a in enumerate(arrays)})
 
 
-def as_cross(cross: np.ndarray, smoothed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``cross`` and ``smoothed`` as float arrays, T x 2 x 2 and T x 2 for
-    one T >= 1; :class:`DimensionMismatchError` otherwise."""
-    (smoothed,) = as_periods(smoothed)
-    cross = np.asarray(cross, dtype=float)
-    if cross.shape != (want := (len(smoothed), 2, 2)):
-        raise DimensionMismatchError(f"cross must have shape {want}, got {cross.shape}")
-    return cross, smoothed
+def as_cross(cross: np.ndarray, smoothed: np.ndarray) -> list[np.ndarray]:
+    """``cross`` and ``smoothed`` through :func:`as_shaped`, T x 2 x 2 and
+    T x 2 for one T >= 1."""
+    return as_shaped({}, cross=(cross, ("T", 2, 2)), smoothed=(smoothed, ("T", 2)))
 
 
 def marginal_deviation(cross: np.ndarray, smoothed: np.ndarray) -> float:
@@ -393,7 +433,7 @@ class ProbabilityPath:
         rows = np.shape(self.predicted)[:1]  # () for a 0-d input: a shape error
         states = {"predicted": (2,), "filtered": (2,), "smoothed": (2,), "cross": (2, 2)}
         for name, tail in states.items():
-            arr = _frozen_array(getattr(self, name))
+            arr = _frozen_array(name, getattr(self, name))
             _check_probabilities(name, arr, (*rows, *tail), -1e-12, 1.0 + 1e-9, 1e-10)
             object.__setattr__(self, name, arr)
         # summing the cross over s_{t-1} gives the smoothed row, t = 1 included

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +21,7 @@ from msfactor.exceptions import (
     EmptyRegimeError,
     InvalidArgumentError,
     MsfactorError,
+    NonFiniteError,
     SingularGramError,
 )
 from msfactor.filtering import anchor_fit, filter_smoother_pass, regime_log_densities
@@ -199,6 +202,31 @@ class TestMStepShapes:
         with pytest.raises(DimensionMismatchError):
             self.steps[step](self.panel, g, np.full(w_shape, 0.5))
 
+    @pytest.mark.parametrize("b_shape", [(3, 2), (4, 1), (4, 2, 1)])
+    def test_variances_check_the_loadings(self, b_shape):
+        # (3, 2) used to be numpy's broadcast error; (4, 1) broadcast
+        # against k = 2 factors and went through
+        g = np.random.default_rng(1).standard_normal((10, 2))
+        message = (
+            "need g_hat (T, k), b1 (N, k), b2 (N, k), smoothed (T, 2) for T = 10, k >= 1, N = 4; "
+            f"got g_hat (10, 2), b1 (4, 2), b2 {b_shape}, smoothed (10, 2)"
+        )
+        w = np.full((10, 2), 0.5)
+        with pytest.raises(DimensionMismatchError, match=f"^{re.escape(message)}$"):
+            m_step_variances(self.panel, g, np.zeros((4, 2)), np.zeros(b_shape), w)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("step", list(steps))
+    def test_non_finite_weight_rejected(self, step, value):
+        # NaN weights used to give all-NaN variances, or a singular Gram
+        # "with condition number nan"
+        g = np.random.default_rng(1).standard_normal((10, 2))
+        w = np.full((10, 2), 0.5)
+        w[3] = value
+        with pytest.raises(NonFiniteError, match=f"^smoothed at t=3, state 1 is {value}$") as err:
+            self.steps[step](self.panel, g, w)
+        assert (err.value.row, err.value.col) == (3, 0)
+
 
 class TestMStepTransition:
     def test_stationary_hand_arithmetic(self):
@@ -251,8 +279,11 @@ class TestMStepTransition:
         ids=["one-previous-state", "three-columns", "flat-columns", "ten-rows", "no-rows"],
     )
     def test_other_shapes_rejected(self, cross, smoothed):
-        message = "T x 2 arrays for one T >= 1|cross must have shape"
-        with pytest.raises(DimensionMismatchError, match=message):
+        message = (
+            f"need cross (T, 2, 2), smoothed (T, 2) for T >= 1; "
+            f"got cross {cross.shape}, smoothed {smoothed.shape}"
+        )
+        with pytest.raises(DimensionMismatchError, match=f"^{re.escape(message)}$"):
             m_step_transition(cross, smoothed)
 
 
@@ -479,7 +510,8 @@ class TestRunEm:
         longer = simulate_panel(SimConfig(n=8, t=12, r=1), RngHandle(seed=3)).panel
         panel = validate_panel(longer.data[:10])
         fs = estimate_factor_space(longer, k=2)
-        with pytest.raises(DimensionMismatchError, match="panel's 10 rows"):
+        message = r"^need g_hat \(T, k\) for T = 10, k >= 1; got g_hat \(12, 2\)$"
+        with pytest.raises(DimensionMismatchError, match=message):
             run_em(panel, fs, EmConfig())
 
     @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from msfactor.exceptions import (
     DegeneratePredictionError,
     DimensionMismatchError,
+    InvalidArgumentError,
     NonFiniteError,
     ZeroPredictedError,
 )
@@ -27,6 +28,7 @@ from msfactor.types import (
     ProbabilityPath,
     StateProbabilities,
     TransitionMatrix,
+    unconditional_probs,
     validate_panel,
 )
 
@@ -157,24 +159,38 @@ class TestRegimeLogDensities:
     @pytest.mark.parametrize(
         ("g_shape", "n", "k", "message"),
         [
-            ((3,), 2, 1, "panel's 3 rows"),
-            ((3, 1), 3, 1, "params are for N=3, k=1"),
-            ((3, 2), 2, 1, "params are for N=2, k=1"),
+            ((3,), 2, 1, "got g_hat (3,), b1 (2, 1)"),
+            ((3, 1), 3, 1, "got g_hat (3, 1), b1 (3, 1)"),
+            ((3, 2), 2, 1, "got g_hat (3, 2), b1 (2, 1)"),
         ],
         ids=["one-dimensional-factors", "series", "factors"],
     )
     def test_params_and_factors_must_fit_the_panel(self, g_shape, n, k, message):
         panel = validate_panel(np.ones((3, 2)))
         params = _params(n, k, np.random.default_rng(1))
-        with pytest.raises(DimensionMismatchError, match=message):
+        message = f"need g_hat (T, k), b1 (N, k) for T = 3, k >= 1, N = 2; {message}"
+        with pytest.raises(DimensionMismatchError, match=f"^{re.escape(message)}$"):
             regime_log_densities(panel, np.ones(g_shape), params)
 
     @pytest.mark.parametrize("g_shape", [(10, 2), (12,), (12, 2, 1)])
     def test_anchor_fit_needs_the_panels_periods(self, g_shape):
         # the first consumer of the factors, so run_em's first check of them
         panel = validate_panel(np.random.default_rng(2).standard_normal((12, 4)))
-        with pytest.raises(DimensionMismatchError, match="panel's 12 rows"):
+        message = f"need g_hat (T, k) for T = 12, k >= 1; got g_hat {g_shape}"
+        with pytest.raises(DimensionMismatchError, match=f"^{re.escape(message)}$"):
             anchor_fit(panel, np.ones(g_shape))
+        assert not panel._memo
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_anchor_fit_rejects_a_non_finite_factor(self, value):
+        # NaN used to end in numpy's "SVD did not converge", inf in a
+        # remembered non-finite fit
+        panel = validate_panel(np.random.default_rng(2).standard_normal((12, 4)))
+        g = np.ones((12, 2))
+        g[5, 1] = value
+        with pytest.raises(NonFiniteError, match=f"^g_hat at t=5, factor 2 is {value}$") as err:
+            anchor_fit(panel, g)
+        assert (err.value.row, err.value.col) == (5, 1)
         assert not panel._memo
 
 
@@ -458,7 +474,8 @@ class TestInputChecks:
             "cross": lambda: smoothed_cross_probs(empty, empty, empty, P_EXAMPLE, STATE_1),
             "pass": lambda: filter_smoother_pass(empty, P_EXAMPLE, STATE_1),
         }
-        with pytest.raises(DimensionMismatchError, match="T >= 1"):
+        message = r"^need argument 1 \(T, 2\).* for T >= 1; got argument 1 \(0, 2\)"
+        with pytest.raises(DimensionMismatchError, match=message):
             calls[stage]()
 
     @pytest.mark.parametrize(
@@ -474,6 +491,30 @@ class TestInputChecks:
             run(log_eta, P_EXAMPLE, STATE_1)
         assert (err.value.row, err.value.col) == (cell[0], col)
 
+    @pytest.mark.parametrize(
+        ("run", "plain"),
+        [(run, "trans") for run in ("filter", "smoother", "cross", "pass", "oracle")]
+        + [("unconditional", "trans")]
+        + [(run, "xi0") for run in ("filter", "cross", "pass", "oracle")],
+    )
+    def test_chain_arguments_must_be_chain_types(self, run, plain):
+        # a plain array used to end in "'numpy.ndarray' object has no attribute 'p'"
+        rows = np.full((3, 2), 0.5)
+        chain = {"trans": P_EXAMPLE, "xi0": STATE_1}
+        chain[plain] = np.asarray({"trans": P_EXAMPLE.p, "xi0": STATE_1.values}[plain])
+        calls = {
+            "filter": lambda: hamilton_filter(rows, chain["trans"], chain["xi0"]),
+            "smoother": lambda: kim_smoother(rows, rows, chain["trans"]),
+            "cross": lambda: smoothed_cross_probs(rows, rows, rows, chain["trans"], chain["xi0"]),
+            "pass": lambda: filter_smoother_pass(rows, chain["trans"], chain["xi0"]),
+            "oracle": lambda: enumerate_posterior(rows, chain["trans"], chain["xi0"]),
+            "unconditional": lambda: unconditional_probs(chain["trans"]),
+        }
+        kind = {"trans": "TransitionMatrix", "xi0": "StateProbabilities"}[plain]
+        message = f"^{plain} must be a {kind}, got ndarray$"
+        with pytest.raises(InvalidArgumentError, match=message):
+            calls[run]()
+
     def test_minus_infinity_in_one_column_is_legal(self):
         log_eta = np.array([[0.0, -1.0], [-np.inf, 0.0], [0.0, -np.inf]])
         *arrays, loglik = filter_smoother_pass(log_eta, P_EXAMPLE, STATE_1)
@@ -482,15 +523,19 @@ class TestInputChecks:
 
     def test_smoother_rows_must_match(self):
         rows = np.full((3, 2), 0.5)
-        message = r"^need T x 2 arrays for one T >= 1, got \(3, 2\), \(2, 2\)$"
+        message = (
+            r"^need argument 1 \(T, 2\), argument 2 \(T, 2\) for T >= 1; "
+            r"got argument 1 \(3, 2\), argument 2 \(2, 2\)$"
+        )
         with pytest.raises(DimensionMismatchError, match=message):
             kim_smoother(rows, rows[:2], P_EXAMPLE)
 
     @pytest.mark.parametrize("short", range(3), ids=["predicted", "filtered", "smoothed"])
     def test_cross_rows_must_match(self, short):
         rows = [np.full((2, 2) if k == short else (3, 2), 0.5) for k in range(3)]
-        shapes = ", ".join(str(r.shape) for r in rows)
-        with pytest.raises(DimensionMismatchError, match=re.escape(f"got {shapes}") + "$"):
+        shapes = ", ".join(f"argument {k + 1} {r.shape}" for k, r in enumerate(rows))
+        message = re.escape(f"for T >= 1; got {shapes}") + "$"
+        with pytest.raises(DimensionMismatchError, match=message):
             smoothed_cross_probs(*rows, P_EXAMPLE, STATE_1)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -499,7 +544,7 @@ class TestInputChecks:
         # a NaN passes the 1e-300 guard and used to come back as NaN rows
         rows = {"predicted": np.full((4, 2), 0.5), "filtered": np.full((4, 2), 0.5)}
         rows[bad][1, 0] = value
-        with pytest.raises(NonFiniteError, match=f"{bad} probability at t=1, state 1") as err:
+        with pytest.raises(NonFiniteError, match=f"^{bad} at t=1, state 1 is {value}$") as err:
             kim_smoother(rows["predicted"], rows["filtered"], P_EXAMPLE)
         assert (err.value.row, err.value.col) == (1, 0)
 
@@ -507,14 +552,15 @@ class TestInputChecks:
     def test_cross_rejects_non_finite_rows(self, bad):
         rows = {name: np.full((4, 2), 0.5) for name in ("predicted", "filtered", "smoothed")}
         rows[bad][2, 1] = np.nan
-        with pytest.raises(NonFiniteError, match=f"{bad} probability at t=2, state 2") as err:
+        with pytest.raises(NonFiniteError, match=f"^{bad} at t=2, state 2 is nan$") as err:
             smoothed_cross_probs(*rows.values(), P_EXAMPLE, STATE_1)
         assert (err.value.row, err.value.col) == (2, 1)
 
     @pytest.mark.parametrize("stage", ["smoother", "cross"])
     def test_one_dimensional_rows_rejected(self, stage):
         flat = np.full(4, 0.5)
-        with pytest.raises(DimensionMismatchError, match=r"got \(4,\), \(4,\)"):
+        message = r"got argument 1 \(4,\), argument 2 \(4,\)"
+        with pytest.raises(DimensionMismatchError, match=message):
             if stage == "smoother":
                 kim_smoother(flat, flat, P_EXAMPLE)
             else:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -100,10 +102,24 @@ class TestRegimeBlendMatrix:
         oracle = np.linalg.solve(gram_all.T, gram_in.T).T
         assert np.abs(blend - oracle).max() < 1e-10
 
+    @pytest.mark.parametrize("g_shape", [(10,), (10, 2, 1)], ids=["one-dim", "three-dim"])
+    def test_factors_must_be_a_matrix(self, g_shape):
+        # 1-D factors used to end in numpy's LinAlgError, 3-D ones in a broadcast error
+        message = (
+            "need smoothed_col (T,), in_regime (T,), g_hat (T, k) for T >= 1, k >= 1; "
+            f"got smoothed_col (10,), in_regime (10,), g_hat {g_shape}"
+        )
+        with pytest.raises(DimensionMismatchError, match=f"^{re.escape(message)}$"):
+            regime_blend_matrix(np.full(10, 0.5), np.ones(10), np.ones(g_shape))
+
     @pytest.mark.parametrize("w_len, ind_len", [(9, 10), (10, 9)], ids=["weights", "indicator"])
     def test_period_mismatch_rejected(self, w_len, ind_len):
         g = np.random.default_rng(0).standard_normal((10, 2))
-        with pytest.raises(DimensionMismatchError, match="share T"):
+        message = (
+            "need smoothed_col (T,), in_regime (T,), g_hat (T, k) for T >= 1, k >= 1; "
+            f"got smoothed_col ({w_len},), in_regime ({ind_len},), g_hat (10, 2)"
+        )
+        with pytest.raises(DimensionMismatchError, match=f"^{re.escape(message)}$"):
             regime_blend_matrix(np.full(w_len, 0.5), np.ones(ind_len), g)
 
 
@@ -131,7 +147,11 @@ class TestBlendedLoadings:
         ids=["loadings", "blend", "one-dimensional"],
     )
     def test_incompatible_shapes_rejected(self, b1, b2, blend):
-        with pytest.raises(DimensionMismatchError, match="incompatible shapes"):
+        message = (
+            "need b1_true (N, k), b2_true (N, k), blend (k, k) for N >= 1, k >= 1; "
+            f"got b1_true {b1.shape}, b2_true {b2.shape}, blend {blend.shape}"
+        )
+        with pytest.raises(DimensionMismatchError, match=f"^{re.escape(message)}$"):
             blended_loadings(b1, b2, blend)
 
 
@@ -177,7 +197,11 @@ class TestTraceR2:
         ids=["mismatch", "one-dimensional"],
     )
     def test_shapes_rejected(self, b_hat, b_star):
-        with pytest.raises(DimensionMismatchError, match="N x k matrices"):
+        message = (
+            "need b_hat (N, k), b_target (N, k) for N >= 1, k >= 1; "
+            f"got b_hat {b_hat.shape}, b_target {b_star.shape}"
+        )
+        with pytest.raises(DimensionMismatchError, match=f"^{re.escape(message)}$"):
             trace_r2(b_hat, b_star)
 
     def test_zero_target_rejected(self):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from msfactor.exceptions import DimensionMismatchError, TooLongError
+from msfactor.exceptions import DimensionMismatchError, NonFiniteError, TooLongError
+from msfactor.filtering import hamilton_filter
 from msfactor.oracle import enumerate_posterior, equivalence_suite, random_instance
 from msfactor.types import STATE_1, StateProbabilities, TransitionMatrix
 
@@ -54,12 +55,28 @@ class TestEnumeratePosterior:
             loglik, _, _ = enumerate_posterior(np.full((3, 2), -np.inf), P_EXAMPLE, STATE_1)
         assert loglik == -np.inf
 
+    @pytest.mark.parametrize("t_len", [1, 2, 3, 5])
+    @pytest.mark.parametrize(
+        "row", [[np.nan, np.nan], [np.inf, 0.0], [-np.inf, np.inf], [0.0, np.nan]],
+        ids=["nan", "plus-inf", "minus-and-plus-inf", "one-nan"],
+    )
+    def test_rejects_the_rows_the_filter_rejects(self, t_len, row):
+        # these used to give a NaN or +inf log likelihood
+        log_eta = np.zeros((t_len, 2))
+        log_eta[t_len - 1] = row
+        with pytest.raises(NonFiniteError) as want:
+            hamilton_filter(log_eta, P_EXAMPLE, STATE_1)
+        with pytest.raises(NonFiniteError, match="no finite maximum") as err:
+            enumerate_posterior(log_eta, P_EXAMPLE, STATE_1)
+        assert (err.value.row, err.value.col) == (want.value.row, want.value.col)
+
     def test_too_long_guard(self):
         with pytest.raises(TooLongError):
             enumerate_posterior(np.zeros((17, 2)), P_EXAMPLE, STATE_1)
 
     def test_no_periods_rejected(self):
-        with pytest.raises(DimensionMismatchError, match="T >= 1"):
+        message = r"^need argument 1 \(T, 2\) for T >= 1; got argument 1 \(0, 2\)$"
+        with pytest.raises(DimensionMismatchError, match=message):
             enumerate_posterior(np.empty((0, 2)), P_EXAMPLE, STATE_1)
 
 

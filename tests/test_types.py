@@ -1,12 +1,13 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msfactor.em import EmConfig
+from msfactor.em import EmConfig, m_step_loadings, m_step_variances
 from msfactor.exceptions import (
     DegenerateChainError,
     DimensionMismatchError,
@@ -15,6 +16,14 @@ from msfactor.exceptions import (
     NonFiniteError,
     SingularGramError,
     TooSmallError,
+)
+from msfactor.filtering import anchor_fit, regime_log_densities
+from msfactor.metrics import (
+    blended_loadings,
+    common_component_mse,
+    fitted_common_component,
+    regime_blend_matrix,
+    trace_r2,
 )
 from msfactor.montecarlo import run_montecarlo
 from msfactor.oracle import equivalence_suite
@@ -29,6 +38,8 @@ from msfactor.types import (
     RngHandle,
     StateProbabilities,
     TransitionMatrix,
+    as_cross,
+    as_periods,
     check_gram,
     marginal_deviation,
     row_sum_deviation,
@@ -238,7 +249,11 @@ class TestMarginalDeviation:
     )
     def test_other_shapes_rejected(self, cross):
         smoothed = np.full((30, 2), 0.5)
-        with pytest.raises(DimensionMismatchError, match=r"cross must have shape \(30, 2, 2\)"):
+        message = (
+            "need cross (T, 2, 2), smoothed (T, 2) for T >= 1; "
+            f"got cross {cross.shape}, smoothed (30, 2)"
+        )
+        with pytest.raises(DimensionMismatchError, match=f"^{re.escape(message)}$"):
             marginal_deviation(cross, smoothed)
 
 
@@ -394,6 +409,8 @@ _REJECTED = {
     "state-range": (lambda: StateProbabilities(np.array([1.5, -0.5])), False),
     "state-sum": (lambda: StateProbabilities(np.array([0.6, 0.5])), False),
     "state-ragged": (lambda: StateProbabilities([1.0, [0.0]]), False),
+    "state-strings": (lambda: StateProbabilities(["x", "y"]), False),
+    "state-complex": (lambda: StateProbabilities([0.5 + 1j, 0.5]), False),
     "path-length": (lambda: _path(filtered=np.full((4, 2), 0.5)), True),
     "path-width": (lambda: _path(cross=np.full((3, 2), 0.5)), True),
     "path-flat-cross": (lambda: _path(cross=np.full((3, 4), 0.25)), True),
@@ -413,11 +430,16 @@ _REJECTED = {
     "params-variance-shape": (lambda: _params(sigma_e1_diag=np.ones(4)), True),
     "params-nonfinite": (lambda: _params(b1=np.full((3, 2), np.nan)), False),
     "params-variance-zero": (lambda: _params(sigma_e2_diag=np.zeros(3)), False),
+    "params-variance-nan": (lambda: _params(sigma_e1_diag=[1.0, np.nan, 1.0]), False),
+    "params-variance-inf": (lambda: _params(sigma_e2_diag=[1.0, 1.0, np.inf]), False),
     "params-plain-trans": (lambda: _params(trans=np.full((2, 2), 0.5)), False),
     "space-factor-dim": (lambda: _space(g_hat=np.ones((5, 3))), True),
     "space-eigvals-length": (lambda: _space(eigvals=np.ones(3)), True),
     "space-eigvals-order": (lambda: _space(eigvals=np.array([1.0, 2.0])), False),
     "space-strings": (lambda: _space(eigvals=["2", "one"]), False),
+    "space-nan-loadings": (lambda: _space(a_hat=np.full((4, 2), np.nan)), False),
+    "space-inf-factors": (lambda: _space(g_hat=np.full((5, 2), np.inf)), False),
+    "space-nan-eigvals": (lambda: _space(eigvals=np.array([2.0, np.nan])), False),
     "rng-negative-stream": (lambda: RngHandle(seed=0, stream=-1), False),
     "sim-no-factors": (lambda: SimConfig(r=0), False),
     "sim-one-series": (lambda: SimConfig(n=1), False),
@@ -431,3 +453,113 @@ def test_rejections_are_msfactor_errors(case):
     with pytest.raises(MsfactorError) as err:
         build()
     assert isinstance(err.value, DimensionMismatchError) == shape_error
+
+
+
+_RNG = np.random.default_rng(3)
+_G = _RNG.standard_normal((6, 2))
+_B = _RNG.standard_normal((4, 2))
+_W = np.full((6, 2), 0.5)
+_CROSS = np.full((6, 2, 2), 0.25)
+_TRANS = TransitionMatrix(np.full((2, 2), 0.5))
+_PANEL_6X4 = validate_panel(_G @ _B.T + _RNG.standard_normal((6, 4)))
+_PARAMS_4X2 = ModelParams(_B, _B, np.ones(4), np.ones(4), _TRANS)
+
+#: Each array-taking public function and constructor that keeps its array's
+#: axes: the call, good arguments by name, the argument made bad and a
+#: wrong size of it (one its other arguments or its own role contradict).
+_INTAKE = {
+    "as_periods": (lambda x, y: as_periods(x, y), {"x": _W, "y": _W}, "y", _W[:-1]),
+    "as_cross": (as_cross, {"cross": _CROSS, "smoothed": _W}, "cross", _CROSS[:-1]),
+    "anchor_fit": (anchor_fit, {"panel": _PANEL_6X4, "g_hat": _G}, "g_hat", _G[:-1]),
+    "regime_log_densities": (
+        regime_log_densities,
+        {"panel": _PANEL_6X4, "g_hat": _G, "params": _PARAMS_4X2},
+        "g_hat",
+        _G[:, :1],
+    ),
+    "m_step_loadings": (
+        m_step_loadings, {"panel": _PANEL_6X4, "g_hat": _G, "smoothed": _W}, "smoothed", _W[:-1]
+    ),
+    "m_step_variances": (
+        m_step_variances,
+        {"panel": _PANEL_6X4, "g_hat": _G, "b1": _B, "b2": _B, "smoothed": _W},
+        "b2",
+        _B[:-1],
+    ),
+    "regime_blend_matrix": (
+        regime_blend_matrix,
+        {"smoothed_col": _W[:, 0], "in_regime": np.arange(6) % 2 == 0, "g_hat": _G},
+        "in_regime",
+        np.ones(5),
+    ),
+    "blended_loadings": (
+        blended_loadings, {"b1_true": _B, "b2_true": _B, "blend": np.eye(2)}, "blend", np.eye(3)
+    ),
+    "trace_r2": (trace_r2, {"b_hat": _B, "b_target": _B}, "b_target", _B[:-1]),
+    "common_component_mse": (
+        common_component_mse, {"chi_hat": _G @ _B.T, "chi_true": _G @ _B.T}, "chi_true", _G
+    ),
+    "fitted_common_component": (
+        fitted_common_component,
+        {"b1": _B, "b2": _B, "g_hat": _G, "smoothed": _W},
+        "g_hat",
+        _G[:-1],
+    ),
+    "validate_panel": (validate_panel, {"data": _PANEL_6X4.data}, "data", np.ones((1, 4))),
+    "TransitionMatrix": (TransitionMatrix, {"p": _TRANS.p}, "p", np.full((2, 3), 1 / 3)),
+    "ModelParams": (
+        ModelParams,
+        {"b1": _B, "b2": _B, "sigma_e1_diag": np.ones(4), "sigma_e2_diag": np.ones(4),
+         "trans": _TRANS},
+        "b2",
+        _B[:-1],
+    ),
+    "FactorSpace": (
+        FactorSpace,
+        {"a_hat": _B, "g_hat": _G, "eigvals": np.array([2.0, 1.0])},
+        "g_hat",
+        _G[:, :1],
+    ),
+    "ProbabilityPath": (
+        ProbabilityPath,
+        {"predicted": _W, "filtered": _W, "smoothed": _W, "cross": _CROSS, "loglik": 0.0},
+        "smoothed",
+        _W[:-1],
+    ),
+}
+
+
+def _ragged(arr: np.ndarray) -> list:
+    """``arr`` as nested lists whose last row is one entry short, or for a
+    1-D ``arr`` one entry long."""
+    rows = arr.tolist()
+    rows[-1] = [1.0, 1.0] if arr.ndim == 1 else np.asarray(rows[-1])[..., :-1].tolist()
+    return rows
+
+
+#: bad input kind -> the bad argument made from the good one and its wrong size
+_BAD_ARRAYS = {
+    "strings": lambda arr, _: np.full(arr.shape, "x"),
+    "complex": lambda arr, _: arr + 1j,
+    "ragged": lambda arr, _: _ragged(arr),
+    "extra-axis": lambda arr, _: arr[..., None],
+    "wrong-size": lambda _, wrong: wrong,
+}
+
+
+@pytest.mark.parametrize("kind", list(_BAD_ARRAYS))
+@pytest.mark.parametrize("case", list(_INTAKE))
+def test_bad_arrays_are_msfactor_errors(case, kind):
+    """Every array argument comes in through one conversion and one shape
+    check: a bad one raises an MsfactorError and no warning (the suite
+    turns warnings into errors), where numpy's bare errors or a
+    ComplexWarning used to come through."""
+    call, good, target, wrong = _INTAKE[case]
+    call(**good)
+    if kind in ("strings", "complex", "ragged"):
+        error = InvalidArgumentError
+    else:  # a panel has no size to share; its shape errors say it is too small
+        error = TooSmallError if case == "validate_panel" else DimensionMismatchError
+    with pytest.raises(error):
+        call(**{**good, target: _BAD_ARRAYS[kind](np.asarray(good[target]), wrong)})
