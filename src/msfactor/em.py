@@ -35,6 +35,7 @@ from .types import (
     as_shaped,
     check_finite,
     check_gram,
+    check_instance,
     check_settings,
 )
 
@@ -109,6 +110,9 @@ def init_params(panel: Panel, fs: FactorSpace, cfg: EmConfig) -> ModelParams:
     PCA factors. The initial transition matrix is
     [[0.5+w1, 0.5-w1], [0.5-w2, 0.5+w2]].
     """
+    check_instance("panel", panel, Panel)
+    check_instance("fs", fs, FactorSpace)
+    check_instance("cfg", cfg, EmConfig)
     floor = panel.variance_floor()  # before the fit: its T x N temporary is gone by then
     _, _, zz = anchor_fit(panel, fs.g_hat)
     sigma = np.maximum(zz.mean(axis=0), floor)
@@ -136,6 +140,7 @@ def m_step_loadings(
     :class:`SingularGramError` when a weighted Gram matrix is (near)
     singular, which signals that the regime received no weight.
     """
+    check_instance("panel", panel, Panel)
     g, smoothed = as_shaped(
         {"T": panel.t_len}, g_hat=(g_hat, ("T", "k")), smoothed=(smoothed, ("T", 2))
     )
@@ -170,6 +175,7 @@ def m_step_variances(
     off-diagonal covariances. Raises :class:`NonFiniteError` at the first
     non-finite weight.
     """
+    check_instance("panel", panel, Panel)
     g, b1, b2, smoothed = as_shaped(
         {"T": panel.t_len, "N": panel.n_len}, g_hat=(g_hat, ("T", "k")),
         b1=(b1, ("N", "k")), b2=(b2, ("N", "k")), smoothed=(smoothed, ("T", 2)),
@@ -248,9 +254,10 @@ def run_em(panel: Panel, fs: FactorSpace, cfg: EmConfig) -> EmResult:
     path. Every pass starts from ``STATE_1`` and none relabels;
     :func:`relabel_states` runs once, after the loop, and a swap reverses
     the path's state axes, as the filter is bitwise label-symmetric.
+    :func:`init_params` checks the argument types.
     """
-    g_hat = fs.g_hat
     params = init_params(panel, fs, cfg)
+    g_hat = fs.g_hat
     trace: list[float] = []
     converged = False
     for k in range(cfg.max_iter + 1):

@@ -22,8 +22,10 @@ rows, scale factors, log likelihood and degenerate-prediction test
 follow on whole arrays.
 :func:`filter_smoother_pass` runs the chain and returns its plain arrays;
 a checked path is ``ProbabilityPath(*filter_smoother_pass(...))``.
-A ``trans`` that is not a :class:`~msfactor.types.TransitionMatrix`, or an
-``xi0`` that is not a :class:`~msfactor.types.StateProbabilities`, raises
+A ``trans`` that is not a :class:`~msfactor.types.TransitionMatrix`, an
+``xi0`` that is not a :class:`~msfactor.types.StateProbabilities`, a
+``panel`` that is not a :class:`~msfactor.types.Panel` or ``params`` that
+are not :class:`~msfactor.types.ModelParams` raise
 :class:`~msfactor.exceptions.InvalidArgumentError`.
 """
 
@@ -61,6 +63,7 @@ def anchor_fit(panel: Panel, g_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     with the panel's T rows, and :class:`NonFiniteError` at its first
     non-finite entry, before anything is remembered.
     """
+    check_instance("panel", panel, Panel)
     (g,) = as_shaped({"T": panel.t_len}, g_hat=(g_hat, ("T", "k")))
 
     def fit():
@@ -133,6 +136,8 @@ def regime_log_densities(
     With z and a0 from :func:`anchor_fit` and d_j = b_j - a0, the quadratic
     form is sum_i (z_it - g_t' d_ji)^2 / s2_ji, from :func:`_residual_sums`.
     """
+    check_instance("panel", panel, Panel)
+    check_instance("params", params, ModelParams)
     g, _ = as_shaped(
         {"T": panel.t_len, "N": panel.n_len}, g_hat=(g_hat, ("T", "k")), b1=(params.b1, ("N", "k"))
     )

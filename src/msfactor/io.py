@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import CsvParseError, InvalidArgumentError, NonFiniteError
-from .types import Panel, as_real, validate_panel
+from .types import Panel, as_shaped, validate_panel
 
 
 def _decode(raw: bytes) -> str:
@@ -147,11 +147,12 @@ def load_panel_csv(path: str | Path) -> Panel:
 
 
 def save_matrix_csv(path: str | Path, matrix: np.ndarray, headers: list[str]) -> None:
-    """Write a T x N matrix with a leading 1-based integer index column ``t``.
+    """Write a T x N matrix, N the number of ``headers``, with a leading
+    1-based integer index column ``t``.
 
     The bytes are those ``csv.writer`` writes with ``lineterminator="\\n"``
     for plain headers, which need no quotes, and ``repr`` of each value."""
-    matrix = as_real("matrix", matrix)
+    (matrix,) = as_shaped({}, matrix=(matrix, ("T", len(headers))))
     path = Path(path)
     with path.open("w", newline="") as fh:
         fh.write(",".join(["t", *headers]) + "\n")

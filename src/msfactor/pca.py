@@ -15,7 +15,7 @@ import numpy as np
 
 from .blas import one_blas_thread
 from .exceptions import KTooLargeError, NonFiniteError, RankDeficientError, SecondMomentOverflowError
-from .types import FactorSpace, Panel, as_integer, validate_panel
+from .types import FactorSpace, Panel, as_integer, check_instance, validate_panel
 
 #: Eigenvalues below this fraction of the largest one are treated as zero
 #: by the eigenvalue-ratio criterion.
@@ -28,6 +28,7 @@ def demean_panel(panel: Panel) -> Panel:
     Raises :class:`NonFiniteError` where a column mean or a demeaned entry
     overflows the largest double.
     """
+    check_instance("panel", panel, Panel)
     with np.errstate(over="ignore", invalid="ignore"):
         data = panel.data - panel.data.mean(axis=0)
     try:
@@ -89,6 +90,7 @@ def estimate_factor_space(panel: Panel, k: int) -> FactorSpace:
     1e-12 times the largest: k exceeds the panel's numerical rank or, when
     that eigenvalue still tops eigh's rounding error, its dynamic range.
     """
+    check_instance("panel", panel, Panel)
     k = as_integer("k", k)
     n, t_len = panel.n_len, panel.t_len
     if not (1 <= k <= min(n, t_len)):
@@ -129,6 +131,7 @@ def select_num_factors_er(panel: Panel, k_max: int) -> int:
     1e-12 of the largest count as zero; a zero denominator under a nonzero
     numerator wins outright.
     """
+    check_instance("panel", panel, Panel)
     k_max = as_integer("k_max", k_max)
     n, t_len = panel.n_len, panel.t_len
     if k_max < 1 or k_max + 1 > min(n, t_len):

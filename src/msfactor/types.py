@@ -13,8 +13,11 @@ Conventions fixed here once for the whole package:
 
 Array intake goes through two functions: :func:`as_real`, the package's
 one float conversion, which rejects strings, ragged rows and complex
-values, and :func:`as_shaped`, in which each public function states the
-shapes of its array arguments, T x k factors as ``("T", "k")`` say.
+values, and :func:`as_shaped`, in which each public function and
+constructor states the shapes of its array arguments, T x k factors as
+``("T", "k")`` say; nothing is flattened. :mod:`msfactor.blas` is exempt:
+``eigh_in_place`` must not copy the buffer it overwrites, and
+``tridiagonal_eigh``'s subdiagonal has n - 1 entries, a size no letter names.
 
 Every constructor copies its arrays read-only and validates them: a wrong
 shape raises :class:`DimensionMismatchError`, any other bad value
@@ -87,16 +90,18 @@ def as_shaped(sizes: dict[str, int], /, **arrays: tuple[Any, tuple]) -> list[np.
         rule = ", ".join(f"{a} = {sizes[a]}" if a in sizes else f"{a} >= 1" for a in letters)
         need = ", ".join(f"{name} {s}".replace("'", "") for name, s in specs.items())
         got = ", ".join(f"{name} {arr.shape}" for name, arr in zip(arrays, out))
-        raise DimensionMismatchError(f"need {need} for {rule}; got {got}")
+        raise DimensionMismatchError(f"need {need}{f' for {rule}' if rule else ''}; got {got}")
     return out
 
 
-def _frozen_array(name: str, x) -> np.ndarray:
-    """Copy to a C-contiguous read-only float array, as :func:`as_real`
-    accepts."""
-    out = np.array(as_real(name, x), order="C")
-    out.setflags(write=False)
-    return out
+def _freeze(obj, **arrays: np.ndarray):
+    """``obj``, a frozen dataclass, with each of ``arrays`` stored under its
+    name as a C-contiguous read-only copy."""
+    for name, arr in arrays.items():
+        arr = np.array(arr, order="C")
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
+    return obj
 
 
 def as_integer(name: str, value) -> int:
@@ -159,14 +164,9 @@ def row_sum_deviation(rows: np.ndarray) -> float:
     return float(np.abs(rows.sum(axis=tuple(range(1, rows.ndim))) - 1.0).max())
 
 
-def _check_probabilities(name, arr, shape, low, high, tol) -> None:
-    """Reject ``arr`` unless it has ``shape`` with at least one row, is
-    finite, lies in [``low``, ``high``] and each row (or, if 1-D, the
-    whole array) sums to 1 within ``tol``."""
-    if arr.shape != shape:
-        raise DimensionMismatchError(f"{name} must have shape {shape}, got {arr.shape}")
-    if arr.size == 0:
-        raise DimensionMismatchError(f"{name} must have at least one row, got shape {arr.shape}")
+def _check_probabilities(name, arr, low, high, tol) -> None:
+    """Reject ``arr`` unless it is finite, lies in [``low``, ``high``] and
+    each row (or, if 1-D, the whole array) sums to 1 within ``tol``."""
     if not np.isfinite(arr).all():
         raise InvalidArgumentError(f"{name} has non-finite entries")
     if arr.min() < low or arr.max() > high:
@@ -239,7 +239,7 @@ def validate_panel(data) -> Panel:
     if bad.any():
         row, col = np.argwhere(bad)[0]
         raise NonFiniteError(int(row), int(col))
-    return Panel(data=_frozen_array("panel", arr))
+    return _freeze(Panel(data=arr), data=arr)
 
 
 @dataclass(frozen=True)
@@ -249,9 +249,9 @@ class TransitionMatrix:
     p: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen_array("transition matrix", self.p)
-        _check_probabilities("transition matrix", arr, (2, 2), 0.0, 1.0, 1e-12)
-        object.__setattr__(self, "p", arr)
+        (p,) = as_shaped({}, p=(self.p, (2, 2)))
+        _check_probabilities("transition matrix", p, 0.0, 1.0, 1e-12)
+        _freeze(self, p=p)
 
     @property
     def p11(self) -> float:
@@ -273,9 +273,9 @@ class StateProbabilities:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen_array("state probabilities", self.values).reshape(-1)
-        _check_probabilities("state probabilities", arr, (2,), 0.0, 1.0, 1e-12)
-        object.__setattr__(self, "values", arr)
+        (values,) = as_shaped({}, values=(self.values, (2,)))
+        _check_probabilities("state probabilities", values, 0.0, 1.0, 1e-12)
+        _freeze(self, values=values)
 
 
 #: Deterministic filter initialisation xi_{0|0}: the chain starts in state 1.
@@ -322,26 +322,16 @@ class ModelParams:
     trans: TransitionMatrix
 
     def __post_init__(self):
-        b1 = _frozen_array("b1", self.b1)
-        b2 = _frozen_array("b2", self.b2)
-        s1 = _frozen_array("sigma_e1_diag", self.sigma_e1_diag).reshape(-1)
-        s2 = _frozen_array("sigma_e2_diag", self.sigma_e2_diag).reshape(-1)
-        if b1.ndim != 2 or b1.shape != b2.shape:
-            raise DimensionMismatchError(
-                f"loading matrices must share an N x k shape, got {b1.shape} vs {b2.shape}"
-            )
+        b1, b2, s1, s2 = as_shaped(
+            {}, b1=(self.b1, ("N", "k")), b2=(self.b2, ("N", "k")),
+            sigma_e1_diag=(self.sigma_e1_diag, ("N",)), sigma_e2_diag=(self.sigma_e2_diag, ("N",)),
+        )
         if not all(np.isfinite(arr).all() for arr in (b1, b2, s1, s2)):
             raise InvalidArgumentError("loadings and variances must be finite")
         check_instance("trans", self.trans, TransitionMatrix)
-        n = b1.shape[0]
-        if s1.shape != (n,) or s2.shape != (n,):
-            raise DimensionMismatchError("variance vectors must have length N")
         if (s1 <= 0).any() or (s2 <= 0).any():
             raise InvalidArgumentError("idiosyncratic variances must be strictly positive")
-        object.__setattr__(self, "b1", b1)
-        object.__setattr__(self, "b2", b2)
-        object.__setattr__(self, "sigma_e1_diag", s1)
-        object.__setattr__(self, "sigma_e2_diag", s2)
+        _freeze(self, b1=b1, b2=b2, sigma_e1_diag=s1, sigma_e2_diag=s2)
 
     @property
     def n_series(self) -> int:
@@ -367,20 +357,15 @@ class FactorSpace:
     eigvals: np.ndarray
 
     def __post_init__(self):
-        a = _frozen_array("a_hat", self.a_hat)
-        g = _frozen_array("g_hat", self.g_hat)
-        v = _frozen_array("eigvals", self.eigvals).reshape(-1)
-        if a.ndim != 2 or g.ndim != 2 or a.shape[1] != g.shape[1]:
-            raise DimensionMismatchError("loadings and factors must share the factor dimension")
-        if v.shape != (a.shape[1],):
-            raise DimensionMismatchError("eigenvalue vector length must equal the factor count")
+        a, g, v = as_shaped(
+            {}, a_hat=(self.a_hat, ("N", "k")), g_hat=(self.g_hat, ("T", "k")),
+            eigvals=(self.eigvals, ("k",)),
+        )
         if not all(np.isfinite(arr).all() for arr in (a, g, v)):
             raise InvalidArgumentError("factor space has non-finite entries")
         if (np.diff(v) > 0).any():
             raise InvalidArgumentError("eigenvalues must be in descending order")
-        object.__setattr__(self, "a_hat", a)
-        object.__setattr__(self, "g_hat", g)
-        object.__setattr__(self, "eigvals", v)
+        _freeze(self, a_hat=a, g_hat=g, eigvals=v)
 
 
 def check_gram(gram: np.ndarray, regime: int) -> None:
@@ -430,16 +415,21 @@ class ProbabilityPath:
     loglik: float
 
     def __post_init__(self):
-        rows = np.shape(self.predicted)[:1]  # () for a 0-d input: a shape error
-        states = {"predicted": (2,), "filtered": (2,), "smoothed": (2,), "cross": (2, 2)}
-        for name, tail in states.items():
-            arr = _frozen_array(name, getattr(self, name))
-            _check_probabilities(name, arr, (*rows, *tail), -1e-12, 1.0 + 1e-9, 1e-10)
-            object.__setattr__(self, name, arr)
+        *rows, loglik = as_shaped(
+            {}, predicted=(self.predicted, ("T", 2)), filtered=(self.filtered, ("T", 2)),
+            smoothed=(self.smoothed, ("T", 2)), cross=(self.cross, ("T", 2, 2)),
+            loglik=(self.loglik, ()),
+        )
+        probabilities = dict(zip(("predicted", "filtered", "smoothed", "cross"), rows))
+        for name, arr in probabilities.items():
+            _check_probabilities(name, arr, -1e-12, 1.0 + 1e-9, 1e-10)
+        _freeze(self, **probabilities)
         # summing the cross over s_{t-1} gives the smoothed row, t = 1 included
         if marginal_deviation(self.cross, self.smoothed) > 1e-10:
             raise InvalidArgumentError("cross probabilities do not marginalise to smoothed")
-        object.__setattr__(self, "loglik", float(self.loglik))
+        if not np.isfinite(loglik):
+            raise InvalidArgumentError(f"loglik must be finite, got {loglik}")
+        object.__setattr__(self, "loglik", float(loglik))
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from msfactor.cli import main
 from msfactor.em import EmConfig, run_em
 from msfactor.exceptions import (
     CsvParseError,
+    DimensionMismatchError,
     InvalidArgumentError,
     MsfactorError,
     NonFiniteError,
@@ -344,6 +345,17 @@ class TestBlockReaderMatchesTheCellLoop:
         save_matrix_csv(tmp_path / "new.csv", matrix, headers)
         _reference_save_matrix_csv(tmp_path / "old.csv", matrix, headers)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "matrix", [np.ones(3), np.ones((3, 2))], ids=["vector", "two-columns"]
+    )
+    def test_writer_rejects_a_matrix_that_does_not_fit_its_headers(self, tmp_path, matrix):
+        # a vector used to raise a bare TypeError; two columns were written under one header
+        path = tmp_path / "out.csv"
+        message = f"need matrix (T, 1) for T >= 1; got matrix {matrix.shape}"
+        with pytest.raises(DimensionMismatchError, match=f"^{re.escape(message)}$"):
+            save_matrix_csv(path, matrix, ["a"])
+        assert not path.exists()
 
 
 class TestCliSimulate:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msfactor.em import EmConfig, m_step_loadings, m_step_variances
+from msfactor.em import EmConfig, init_params, m_step_loadings, m_step_variances, run_em
 from msfactor.exceptions import (
     DegenerateChainError,
     DimensionMismatchError,
@@ -27,7 +27,7 @@ from msfactor.metrics import (
 )
 from msfactor.montecarlo import run_montecarlo
 from msfactor.oracle import equivalence_suite
-from msfactor.pca import estimate_factor_space, select_num_factors_er
+from msfactor.pca import demean_panel, estimate_factor_space, select_num_factors_er
 from msfactor.simulate import SimConfig
 from msfactor.types import (
     VARIANCE_FLOOR_RATIO,
@@ -377,7 +377,7 @@ def test_integer_arguments(name, value):
 def _path(**bad):
     half = np.full((3, 2), 0.5)
     arrays = {"predicted": half, "filtered": half, "smoothed": half}
-    return ProbabilityPath(**{**arrays, "cross": np.full((3, 2, 2), 0.25), **bad}, loglik=0.0)
+    return ProbabilityPath(**{**arrays, "cross": np.full((3, 2, 2), 0.25), "loglik": 0.0, **bad})
 
 
 def _params(**bad):
@@ -411,6 +411,7 @@ _REJECTED = {
     "state-ragged": (lambda: StateProbabilities([1.0, [0.0]]), False),
     "state-strings": (lambda: StateProbabilities(["x", "y"]), False),
     "state-complex": (lambda: StateProbabilities([0.5 + 1j, 0.5]), False),
+    "state-column": (lambda: StateProbabilities(np.array([[1.0], [0.0]])), True),
     "path-length": (lambda: _path(filtered=np.full((4, 2), 0.5)), True),
     "path-width": (lambda: _path(cross=np.full((3, 2), 0.5)), True),
     "path-flat-cross": (lambda: _path(cross=np.full((3, 4), 0.25)), True),
@@ -426,6 +427,9 @@ _REJECTED = {
     "path-range": (lambda: _path(predicted=np.tile([1.5, -0.5], (3, 1))), False),
     "path-row-sum": (lambda: _path(cross=np.full((3, 2, 2), 0.3)), False),
     "path-marginal": (lambda: _path(cross=np.tile([[0.5, 0.3], [0.1, 0.1]], (3, 1, 1))), False),
+    "path-loglik-string": (lambda: _path(loglik="x"), False),
+    "path-loglik-vector": (lambda: _path(loglik=np.zeros(2)), True),
+    "path-loglik-nan": (lambda: _path(loglik=np.nan), False),
     "params-loadings-shape": (lambda: _params(b2=np.ones((3, 1))), True),
     "params-variance-shape": (lambda: _params(sigma_e1_diag=np.ones(4)), True),
     "params-nonfinite": (lambda: _params(b1=np.full((3, 2), np.nan)), False),
@@ -433,6 +437,16 @@ _REJECTED = {
     "params-variance-nan": (lambda: _params(sigma_e1_diag=[1.0, np.nan, 1.0]), False),
     "params-variance-inf": (lambda: _params(sigma_e2_diag=[1.0, 1.0, np.inf]), False),
     "params-plain-trans": (lambda: _params(trans=np.full((2, 2), 0.5)), False),
+    "params-variance-column": (lambda: _params(sigma_e1_diag=np.ones((3, 1))), True),
+    "params-variance-row": (lambda: _params(sigma_e2_diag=np.ones((1, 3))), True),
+    "params-no-series": (
+        lambda: _params(
+            b1=np.ones((0, 2)), b2=np.ones((0, 2)), sigma_e1_diag=np.ones(0),
+            sigma_e2_diag=np.ones(0),
+        ),
+        True,
+    ),
+    "params-no-factors": (lambda: _params(b1=np.ones((3, 0)), b2=np.ones((3, 0))), True),
     "space-factor-dim": (lambda: _space(g_hat=np.ones((5, 3))), True),
     "space-eigvals-length": (lambda: _space(eigvals=np.ones(3)), True),
     "space-eigvals-order": (lambda: _space(eigvals=np.array([1.0, 2.0])), False),
@@ -440,6 +454,11 @@ _REJECTED = {
     "space-nan-loadings": (lambda: _space(a_hat=np.full((4, 2), np.nan)), False),
     "space-inf-factors": (lambda: _space(g_hat=np.full((5, 2), np.inf)), False),
     "space-nan-eigvals": (lambda: _space(eigvals=np.array([2.0, np.nan])), False),
+    "space-eigvals-column": (lambda: _space(eigvals=np.array([[2.0], [1.0]])), True),
+    "space-no-factors": (
+        lambda: _space(a_hat=np.ones((4, 0)), g_hat=np.ones((5, 0)), eigvals=np.ones(0)), True
+    ),
+    "space-no-periods": (lambda: _space(g_hat=np.ones((0, 2))), True),
     "rng-negative-stream": (lambda: RngHandle(seed=0, stream=-1), False),
     "sim-no-factors": (lambda: SimConfig(r=0), False),
     "sim-one-series": (lambda: SimConfig(n=1), False),
@@ -463,10 +482,15 @@ _W = np.full((6, 2), 0.5)
 _CROSS = np.full((6, 2, 2), 0.25)
 _TRANS = TransitionMatrix(np.full((2, 2), 0.5))
 _PANEL_6X4 = validate_panel(_G @ _B.T + _RNG.standard_normal((6, 4)))
-_PARAMS_4X2 = ModelParams(_B, _B, np.ones(4), np.ones(4), _TRANS)
+_PARAMS_ARGS = {"b1": _B, "b2": _B, "sigma_e1_diag": np.ones(4), "sigma_e2_diag": np.ones(4),
+                "trans": _TRANS}
+_PARAMS_4X2 = ModelParams(**_PARAMS_ARGS)
+_SPACE_ARGS = {"a_hat": _B, "g_hat": _G, "eigvals": np.array([2.0, 1.0])}
+_PATH_ARGS = {"predicted": _W, "filtered": _W, "smoothed": _W, "cross": _CROSS, "loglik": 0.0}
 
-#: Each array-taking public function and constructor that keeps its array's
-#: axes: the call, good arguments by name, the argument made bad and a
+#: Each array-taking public function and constructor, with a second row
+#: for each constructor argument that used to be flattened and for
+#: ``loglik``: the call, good arguments by name, the argument made bad and a
 #: wrong size of it (one its other arguments or its own role contradict).
 _INTAKE = {
     "as_periods": (lambda x, y: as_periods(x, y), {"x": _W, "y": _W}, "y", _W[:-1]),
@@ -508,31 +532,23 @@ _INTAKE = {
     ),
     "validate_panel": (validate_panel, {"data": _PANEL_6X4.data}, "data", np.ones((1, 4))),
     "TransitionMatrix": (TransitionMatrix, {"p": _TRANS.p}, "p", np.full((2, 3), 1 / 3)),
-    "ModelParams": (
-        ModelParams,
-        {"b1": _B, "b2": _B, "sigma_e1_diag": np.ones(4), "sigma_e2_diag": np.ones(4),
-         "trans": _TRANS},
-        "b2",
-        _B[:-1],
+    "StateProbabilities": (
+        StateProbabilities, {"values": np.array([0.5, 0.5])}, "values", np.full(3, 1 / 3)
     ),
-    "FactorSpace": (
-        FactorSpace,
-        {"a_hat": _B, "g_hat": _G, "eigvals": np.array([2.0, 1.0])},
-        "g_hat",
-        _G[:, :1],
-    ),
-    "ProbabilityPath": (
-        ProbabilityPath,
-        {"predicted": _W, "filtered": _W, "smoothed": _W, "cross": _CROSS, "loglik": 0.0},
-        "smoothed",
-        _W[:-1],
-    ),
+    "ModelParams": (ModelParams, _PARAMS_ARGS, "b2", _B[:-1]),
+    "ModelParams.sigma_e1_diag": (ModelParams, _PARAMS_ARGS, "sigma_e1_diag", np.ones(3)),
+    "FactorSpace": (FactorSpace, _SPACE_ARGS, "g_hat", _G[:, :1]),
+    "FactorSpace.eigvals": (FactorSpace, _SPACE_ARGS, "eigvals", np.ones(3)),
+    "ProbabilityPath": (ProbabilityPath, _PATH_ARGS, "smoothed", _W[:-1]),
+    "ProbabilityPath.loglik": (ProbabilityPath, _PATH_ARGS, "loglik", np.zeros(2)),
 }
 
 
 def _ragged(arr: np.ndarray) -> list:
-    """``arr`` as nested lists whose last row is one entry short, or for a
-    1-D ``arr`` one entry long."""
+    """``arr`` as nested lists whose last row is one entry short, for a 1-D
+    ``arr`` one entry long, and for a scalar a list of it and a pair."""
+    if arr.ndim == 0:
+        return [arr.item(), [1.0, 1.0]]
     rows = arr.tolist()
     rows[-1] = [1.0, 1.0] if arr.ndim == 1 else np.asarray(rows[-1])[..., :-1].tolist()
     return rows
@@ -563,3 +579,65 @@ def test_bad_arrays_are_msfactor_errors(case, kind):
         error = TooSmallError if case == "validate_panel" else DimensionMismatchError
     with pytest.raises(error):
         call(**{**good, target: _BAD_ARRAYS[kind](np.asarray(good[target]), wrong)})
+
+
+def test_fixed_shapes_need_no_size_rule():
+    """A call that names no size letter says what it needs and what it got."""
+    message = "need values (2,); got values (2, 1)"
+    with pytest.raises(DimensionMismatchError, match=f"^{re.escape(message)}$"):
+        StateProbabilities(np.array([[0.5], [0.5]]))
+
+
+_SPACE_6X4 = FactorSpace(**_SPACE_ARGS)
+
+#: Each object argument of an entry point given the panel's data or None:
+#: the call and its message, where a bare AttributeError came out.
+_X = _PANEL_6X4.data
+_OBJECTS = {
+    "anchor_fit-panel": (lambda: anchor_fit(_X, _G), "panel must be a Panel, got ndarray"),
+    "regime_log_densities-panel": (
+        lambda: regime_log_densities(_X, _G, _PARAMS_4X2), "panel must be a Panel, got ndarray"
+    ),
+    "regime_log_densities-params": (
+        lambda: regime_log_densities(_PANEL_6X4, _G, _X),
+        "params must be a ModelParams, got ndarray",
+    ),
+    "m_step_loadings-panel": (
+        lambda: m_step_loadings(_X, _G, _W), "panel must be a Panel, got ndarray"
+    ),
+    "m_step_variances-panel": (
+        lambda: m_step_variances(_X, _G, _B, _B, _W), "panel must be a Panel, got ndarray"
+    ),
+    "init_params-panel": (
+        lambda: init_params(_X, _SPACE_6X4, EmConfig()), "panel must be a Panel, got ndarray"
+    ),
+    "init_params-fs": (
+        lambda: init_params(_PANEL_6X4, _G, EmConfig()), "fs must be a FactorSpace, got ndarray"
+    ),
+    "init_params-cfg": (
+        lambda: init_params(_PANEL_6X4, _SPACE_6X4, None), "cfg must be a EmConfig, got NoneType"
+    ),
+    "run_em-panel": (
+        lambda: run_em(_X, _SPACE_6X4, EmConfig()), "panel must be a Panel, got ndarray"
+    ),
+    "run_em-fs": (
+        lambda: run_em(_PANEL_6X4, _G, EmConfig()), "fs must be a FactorSpace, got ndarray"
+    ),
+    "run_em-cfg": (
+        lambda: run_em(_PANEL_6X4, _SPACE_6X4, None), "cfg must be a EmConfig, got NoneType"
+    ),
+    "estimate_factor_space-panel": (
+        lambda: estimate_factor_space(_X, 2), "panel must be a Panel, got ndarray"
+    ),
+    "select_num_factors_er-panel": (
+        lambda: select_num_factors_er(_X, 2), "panel must be a Panel, got ndarray"
+    ),
+    "demean_panel-panel": (lambda: demean_panel(_X), "panel must be a Panel, got ndarray"),
+}
+
+
+@pytest.mark.parametrize("case", list(_OBJECTS))
+def test_plain_values_for_objects_are_rejected(case):
+    call, message = _OBJECTS[case]
+    with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
+        call()
