@@ -31,7 +31,6 @@ from .types import (
     Panel,
     ProbabilityPath,
     TransitionMatrix,
-    as_cross,
     as_shaped,
     check_finite,
     check_gram,
@@ -195,8 +194,8 @@ def m_step_variances(
 
 
 def m_step_transition(cross: np.ndarray, smoothed: np.ndarray) -> TransitionMatrix:
-    """Transition probabilities from smoothed transition counts, for the
-    shapes :func:`~msfactor.types.as_cross` asks:
+    """Transition probabilities from smoothed transition counts, for a
+    T x 2 x 2 ``cross`` and a T x 2 ``smoothed`` with T >= 1:
 
         p_ij = sum_t cross[t, i, j] / (s0_i + sum_{t<T-1} smoothed[t, i]),
 
@@ -207,7 +206,7 @@ def m_step_transition(cross: np.ndarray, smoothed: np.ndarray) -> TransitionMatr
     exact maximiser of the expected complete-data log-likelihood, which is
     what guarantees the EM ascent property of the likelihood trace.
     """
-    cross, smoothed = as_cross(cross, smoothed)
+    cross, smoothed = as_shaped({}, cross=(cross, ("T", 2, 2)), smoothed=(smoothed, ("T", 2)))
     denom = cross[0].sum(axis=1) + smoothed[:-1].sum(axis=0)
     if denom.min() <= 0.0:
         empty = int(np.argmin(denom)) + 1
@@ -224,6 +223,7 @@ def relabel_states(params: ModelParams) -> ModelParams:
     otherwise a copy with loadings, variances and the transition matrix
     permuted together. Applying the function twice equals applying it once.
     """
+    check_instance("params", params, ModelParams)
     if params.trans.p11 >= params.trans.p22:
         return params
     return ModelParams(

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import CsvParseError, InvalidArgumentError, NonFiniteError
-from .types import Panel, as_shaped, validate_panel
+from .types import Panel, as_shaped, check_instance, validate_panel
 
 
 def _decode(raw: bytes) -> str:
@@ -164,6 +164,7 @@ def save_matrix_csv(path: str | Path, matrix: np.ndarray, headers: list[str]) ->
 
 def save_panel_csv(path: str | Path, panel: Panel) -> None:
     """Write a panel with series headers ``x1`` ... ``xN``."""
+    check_instance("panel", panel, Panel)
     save_matrix_csv(path, panel.data, [f"x{i + 1}" for i in range(panel.n_len)])
 
 

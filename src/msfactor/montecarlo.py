@@ -31,7 +31,7 @@ from .metrics import (
 )
 from .pca import estimate_factor_space
 from .simulate import simulate_panel
-from .types import RngHandle, SimConfig, as_integer, marginal_deviation, row_sum_deviation
+from .types import RngHandle, SimConfig, as_integer, check_instance
 
 #: The most replications one run takes. The report keeps every
 #: :class:`ReplicationResult`: ~0.75 kB each at Table 1's ~9 EM iterations
@@ -163,6 +163,8 @@ def run_replication(
     sim_cfg: SimConfig, em_cfg: EmConfig, seed: int, replication: int
 ) -> ReplicationResult:
     """Simulate, estimate and score one panel on stream id ``replication``."""
+    check_instance("sim_cfg", sim_cfg, SimConfig)
+    check_instance("em_cfg", em_cfg, EmConfig)
     rng = RngHandle(seed=seed, stream=replication)
     truth = simulate_panel(sim_cfg, rng)
     fs = estimate_factor_space(truth.panel, k=2 * sim_cfg.r)
@@ -173,11 +175,6 @@ def run_replication(
     target = blended_loadings(truth.b1, truth.b2, blend)
     chi_hat = fitted_common_component(
         result.params.b1, result.params.b2, fs.g_hat, smoothed
-    )
-    path = result.path
-    norm_dev = max(
-        row_sum_deviation(rows)
-        for rows in (path.predicted, path.filtered, path.smoothed, path.cross)
     )
     return ReplicationResult(
         replication=replication,
@@ -190,8 +187,8 @@ def run_replication(
         iterations=result.iterations,
         converged=result.converged,
         loglik_trace=result.loglik_trace,
-        norm_deviation=norm_dev,
-        marginal_deviation=marginal_deviation(path.cross, smoothed),
+        norm_deviation=result.path.norm_deviation,
+        marginal_deviation=result.path.marginal_deviation,
     )
 
 
@@ -249,7 +246,10 @@ def run_montecarlo(
         )
     if jobs < 1:
         raise InvalidArgumentError(f"jobs must be >= 1, got {jobs}")
-    RngHandle(seed=seed)  # a bad seed fails the run, not each replication
+    # a bad seed or config fails the run, not each replication
+    RngHandle(seed=seed)
+    check_instance("sim_cfg", sim_cfg, SimConfig)
+    check_instance("em_cfg", em_cfg, EmConfig)
     tasks = [(sim_cfg, em_cfg, seed, rep) for rep in range(replications)]
     workers = min(jobs, replications, _usable_cpus())
     with one_blas_thread():

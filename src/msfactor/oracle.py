@@ -57,8 +57,8 @@ def enumerate_posterior(
     DimensionMismatchError
         Unless ``log_eta`` is T x 2 with T >= 1.
     NonFiniteError
-        At the first row with a NaN or +inf entry, as the filter does; a
-        row of two -inf densities is an impossible period, not an error.
+        At the first row with no finite maximum (a NaN or +inf entry, or
+        two -inf ones), as the filter does.
     InvalidArgumentError
         Unless ``trans`` and ``xi0`` are chain types.
     TooLongError
@@ -67,7 +67,7 @@ def enumerate_posterior(
     (log_eta,) = as_periods(log_eta)
     check_instance("trans", trans, TransitionMatrix)
     check_instance("xi0", xi0, StateProbabilities)
-    bounded = (log_eta < np.inf).all(axis=1)
+    bounded = np.isfinite(np.maximum(log_eta[:, 0], log_eta[:, 1]))
     if not bounded.all():
         raise _unbounded_row(log_eta, int(np.argmin(bounded)))
     t_len = len(log_eta)
@@ -86,8 +86,8 @@ def enumerate_posterior(
     if t_len > 1:
         logw = logw + log_p[paths[:, :-1], paths[:, 1:]].sum(axis=1)
 
-    # max-shifted log-sum-exp; if every path is impossible (top = -inf) the
-    # shift is skipped and loglik is -inf
+    # max-shifted log-sum-exp; if the chain makes every path impossible
+    # (top = -inf) the shift is skipped and loglik is -inf
     top = logw.max()
     loglik = float(top)
     if np.isfinite(top):

@@ -42,12 +42,13 @@ from .types import (
     RngHandle,
     SimConfig,
     TransitionMatrix,
+    check_instance,
     unconditional_probs,
     validate_panel,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimTruth:
     """A simulated panel together with everything latent that produced it."""
 
@@ -289,6 +290,8 @@ def simulate_panel(cfg: SimConfig, rng: RngHandle) -> SimTruth:
     noise-to-signal ratio N^-1 sum_i (sum_t e_it^2 / sum_t chi_it^2)
     exactly to ``cfg.noise_to_signal``.
     """
+    check_instance("cfg", cfg, SimConfig)
+    check_instance("rng", rng, RngHandle)
     gen = rng.generator()
     states, xi = simulate_chain(cfg.p11, cfg.p22, cfg.t, gen)
     f = simulate_factors(cfg.t, cfg.r, cfg.rho_f, gen)

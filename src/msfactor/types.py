@@ -9,15 +9,18 @@ Conventions fixed here once for the whole package:
   matrix: cross[t, i, j] = P(s_{t-1} = i+1, s_t = j+1 | data) goes with
   p_ij = p[i, j], and swapping the labels reverses both state axes;
 * all containers are immutable after construction and safe to share
-  across workers.
+  across workers; those that hold arrays compare and hash by identity,
+  as an array comparison has no single truth value.
 
 Array intake goes through two functions: :func:`as_real`, the package's
 one float conversion, which rejects strings, ragged rows and complex
 values, and :func:`as_shaped`, in which each public function and
 constructor states the shapes of its array arguments, T x k factors as
-``("T", "k")`` say; nothing is flattened. :mod:`msfactor.blas` is exempt:
-``eigh_in_place`` must not copy the buffer it overwrites, and
-``tridiagonal_eigh``'s subdiagonal has n - 1 entries, a size no letter names.
+``("T", "k")`` say; nothing is flattened, and no helper shapes a pair
+(``cross`` and ``smoothed`` are stated by each function that takes them).
+:mod:`msfactor.blas` is exempt: ``eigh_in_place`` must not copy the buffer
+it overwrites, and ``tridiagonal_eigh``'s subdiagonal has n - 1 entries, a
+size no letter names.
 
 Every constructor copies its arrays read-only and validates them: a wrong
 shape raises :class:`DimensionMismatchError`, any other bad value
@@ -25,6 +28,8 @@ shape raises :class:`DimensionMismatchError`, any other bad value
 types lie in [0, 1] with rows summing to 1 within 1e-12; the four
 :class:`ProbabilityPath` arrays lie in [-1e-12, 1 + 1e-9] with rows summing
 to 1 within 1e-10, and its cross marginalises to smoothed within 1e-10.
+Each of these two facts is measured once, by the check, and the path keeps
+both measurements as ``norm_deviation`` and ``marginal_deviation``.
 """
 
 from __future__ import annotations
@@ -148,34 +153,21 @@ def check_settings(config) -> None:
             raise InvalidArgumentError(f"{f.name} must be a real number")
 
 
-def row_sum_deviation(rows: np.ndarray) -> float:
-    """max_t |sum rows[t] - 1| of a probability array whose first axis is
-    time: each period sums over all of its entries.
-    :class:`DimensionMismatchError` for an array with no periods,
-    :class:`NonFiniteError` at the first period with a non-finite entry
-    (its column counted over the period's flattened entries)."""
-    rows = as_real("rows", rows)
-    if rows.ndim == 0 or not len(rows):
-        raise DimensionMismatchError(f"need at least one period, got shape {rows.shape}")
-    flat = rows.reshape(len(rows), -1)
-    if not np.isfinite(flat).all():
-        t, col = map(int, np.argwhere(~np.isfinite(flat))[0])
-        raise NonFiniteError(t, col, f"non-finite probability in period {t}, entry {col}")
-    return float(np.abs(rows.sum(axis=tuple(range(1, rows.ndim))) - 1.0).max())
-
-
-def _check_probabilities(name, arr, low, high, tol) -> None:
-    """Reject ``arr`` unless it is finite, lies in [``low``, ``high``] and
-    each row (or, if 1-D, the whole array) sums to 1 within ``tol``."""
+def _check_probabilities(name, arr, low, high, tol) -> float:
+    """The largest deviation of a row sum of ``arr`` from 1 (its sum, if
+    1-D); reject ``arr`` unless it is finite, lies in [``low``, ``high``]
+    and that deviation is at most ``tol``."""
     if not np.isfinite(arr).all():
         raise InvalidArgumentError(f"{name} has non-finite entries")
     if arr.min() < low or arr.max() > high:
         raise InvalidArgumentError(f"{name} entries leave [0, 1]")
-    if row_sum_deviation(np.atleast_2d(arr)) > tol:
+    deviation = float(np.abs(arr.sum(axis=-1) - 1.0).max())
+    if deviation > tol:
         raise InvalidArgumentError(f"{name} rows must sum to 1 within {tol:g}")
+    return deviation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Panel:
     """T x N observation matrix, rows are time periods.
 
@@ -184,7 +176,7 @@ class Panel:
     """
 
     data: np.ndarray
-    _memo: dict[Hashable, Any] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: dict[Hashable, Any] = field(default_factory=dict, init=False, repr=False)
 
     @property
     def t_len(self) -> int:
@@ -242,7 +234,7 @@ def validate_panel(data) -> Panel:
     return _freeze(Panel(data=arr), data=arr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransitionMatrix:
     """2x2 row-stochastic matrix, p[i, j] = P(s_{t+1} = j+1 | s_t = i+1)."""
 
@@ -266,7 +258,7 @@ class TransitionMatrix:
         return TransitionMatrix(self.p[::-1, ::-1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateProbabilities:
     """Length-2 probability vector over the two regimes."""
 
@@ -306,7 +298,7 @@ def unconditional_probs(trans: TransitionMatrix) -> StateProbabilities:
     return StateProbabilities(np.array([leave2 / denom, leave1 / denom]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelParams:
     """Loadings, idiosyncratic variances and transition matrix.
 
@@ -342,7 +334,7 @@ class ModelParams:
         return self.b1.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FactorSpace:
     """PCA estimate of the equivalent linear factor model.
 
@@ -384,20 +376,7 @@ def as_periods(*arrays) -> list[np.ndarray]:
     return as_shaped({}, **{f"argument {i + 1}": (a, ("T", 2)) for i, a in enumerate(arrays)})
 
 
-def as_cross(cross: np.ndarray, smoothed: np.ndarray) -> list[np.ndarray]:
-    """``cross`` and ``smoothed`` through :func:`as_shaped`, T x 2 x 2 and
-    T x 2 for one T >= 1."""
-    return as_shaped({}, cross=(cross, ("T", 2, 2)), smoothed=(smoothed, ("T", 2)))
-
-
-def marginal_deviation(cross: np.ndarray, smoothed: np.ndarray) -> float:
-    """Largest gap between the cross probabilities summed over s_{t-1} and
-    the smoothed probabilities, shaped as :func:`as_cross` asks."""
-    cross, smoothed = as_cross(cross, smoothed)
-    return float(np.abs(cross[:, 0] + cross[:, 1] - smoothed).max())
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbabilityPath:
     """Per-period regime probabilities from one filter + smoother pass.
 
@@ -405,7 +384,10 @@ class ProbabilityPath:
     T x 2 x 2 with cross[t, i, j] the joint posterior of s_{t-1} = i+1 and
     s_t = j+1, where row 0 pairs s_1 with the filter prior state s_0.
     ``loglik`` is the accumulated log of the per-step normalisation
-    constants.
+    constants. The checks keep what they measured: ``norm_deviation`` is
+    the largest |period sum - 1| over the four arrays, and
+    ``marginal_deviation`` the largest gap between the cross summed over
+    s_{t-1} and the smoothed row.
     """
 
     predicted: np.ndarray
@@ -413,23 +395,29 @@ class ProbabilityPath:
     smoothed: np.ndarray
     cross: np.ndarray
     loglik: float
+    norm_deviation: float = field(init=False)
+    marginal_deviation: float = field(init=False)
 
     def __post_init__(self):
-        *rows, loglik = as_shaped(
+        predicted, filtered, smoothed, cross, loglik = as_shaped(
             {}, predicted=(self.predicted, ("T", 2)), filtered=(self.filtered, ("T", 2)),
             smoothed=(self.smoothed, ("T", 2)), cross=(self.cross, ("T", 2, 2)),
             loglik=(self.loglik, ()),
         )
-        probabilities = dict(zip(("predicted", "filtered", "smoothed", "cross"), rows))
-        for name, arr in probabilities.items():
-            _check_probabilities(name, arr, -1e-12, 1.0 + 1e-9, 1e-10)
-        _freeze(self, **probabilities)
+        # the cross's period sum is the sum of its C-ordered T x 4 rows
+        rows = {"predicted": predicted, "filtered": filtered, "smoothed": smoothed,
+                "cross": cross.reshape(len(cross), 4)}
+        norm = max(_check_probabilities(n, a, -1e-12, 1.0 + 1e-9, 1e-10) for n, a in rows.items())
         # summing the cross over s_{t-1} gives the smoothed row, t = 1 included
-        if marginal_deviation(self.cross, self.smoothed) > 1e-10:
+        gap = float(np.abs(cross[:, 0] + cross[:, 1] - smoothed).max())
+        if gap > 1e-10:
             raise InvalidArgumentError("cross probabilities do not marginalise to smoothed")
         if not np.isfinite(loglik):
             raise InvalidArgumentError(f"loglik must be finite, got {loglik}")
+        _freeze(self, predicted=predicted, filtered=filtered, smoothed=smoothed, cross=cross)
         object.__setattr__(self, "loglik", float(loglik))
+        object.__setattr__(self, "norm_deviation", norm)
+        object.__setattr__(self, "marginal_deviation", gap)
 
 
 @dataclass(frozen=True)

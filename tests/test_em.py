@@ -35,7 +35,6 @@ from msfactor.types import (
     ProbabilityPath,
     RngHandle,
     TransitionMatrix,
-    row_sum_deviation,
     unconditional_probs,
     validate_panel,
 )
@@ -273,10 +272,14 @@ class TestMStepTransition:
             (np.full((30, 2, 2), 0.25)[:, :1], np.full((30, 2), 0.5)),
             (np.full((30, 4), 0.25)[:, :3], np.full((30, 2), 0.5)),
             (np.full((30, 4), 0.25), np.full((30, 2), 0.5)),
+            (np.full((30, 2), 0.5), np.full((30, 2), 0.5)),
             (np.full((10, 2, 2), 0.25), np.full((30, 2), 0.5)),
             (np.empty((0, 2, 2)), np.empty((0, 2))),
         ],
-        ids=["one-previous-state", "three-columns", "flat-columns", "ten-rows", "no-rows"],
+        ids=[
+            "one-previous-state", "three-columns", "flat-columns", "two-columns", "ten-rows",
+            "no-rows",
+        ],
     )
     def test_other_shapes_rejected(self, cross, smoothed):
         message = (
@@ -464,8 +467,7 @@ class TestLabelsFixedOnce:
         assert labeled is result.params and (labeled is not loop_params) == swaps
         assert result.params.trans.p11 >= result.params.trans.p22
         assert result.path.loglik == result.loglik_trace[-1]
-        for name in ("predicted", "filtered", "smoothed", "cross"):
-            assert row_sum_deviation(getattr(result.path, name)) < 1e-10
+        assert result.path.norm_deviation < 1e-10
         # the returned path is the pass under the loop's own parameters,
         # with its labels swapped when the parameters' were
         log_eta = regime_log_densities(truth.panel, fs.g_hat, loop_params)
@@ -536,7 +538,7 @@ class TestRunEm:
         one, two = results
         assert one.converged and one.iterations == 4
         assert np.all(np.diff(one.loglik_trace) == 0.0)
-        assert row_sum_deviation(one.path.smoothed) < 1e-10
+        assert one.path.norm_deviation < 1e-10
         assert one.loglik_trace == two.loglik_trace
         for name in ("b1", "b2", "sigma_e1_diag", "sigma_e2_diag"):
             assert np.array_equal(getattr(one.params, name), getattr(two.params, name))
@@ -792,5 +794,4 @@ class TestDegeneratePanels:
         except MsfactorError:
             return
         assert (np.diff(result.loglik_trace) >= -1e-6).all()
-        for name in ("predicted", "filtered", "smoothed", "cross"):
-            assert row_sum_deviation(getattr(result.path, name)) < 1e-10
+        assert result.path.norm_deviation < 1e-10

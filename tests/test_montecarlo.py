@@ -150,6 +150,22 @@ class TestEstimatorsHoldTheCap:
             assert run_replication(TABLE1, EmConfig(), 0, rep) == report.results[rep]
 
 
+class TestRunReplication:
+    def test_deviations_are_the_paths(self, monkeypatch):
+        paths = []
+
+        def spy(*args):
+            result = run_em(*args)
+            paths.append(result.path)
+            return result
+
+        monkeypatch.setattr(montecarlo, "run_em", spy)
+        res = run_replication(SMALL, EmConfig(), 0, 1)
+        (path,) = paths
+        assert res.norm_deviation == path.norm_deviation
+        assert res.marginal_deviation == path.marginal_deviation
+
+
 class TestRunMontecarlo:
     def test_serial_equals_parallel_at_table1_shape(self):
         serial = run_montecarlo(TABLE1, EmConfig(), seed=0, replications=4, jobs=1)

@@ -51,17 +51,20 @@ class TestEnumeratePosterior:
         assert np.abs(cr_a - cr_b[:, ::-1, ::-1]).max() < 1e-12
 
     def test_all_paths_impossible_give_minus_infinite_loglik(self):
+        # the chain stays in state 1, where period 0 is impossible
+        log_eta = np.array([[-np.inf, 0.0], [0.0, 0.0]])
         with np.errstate(all="raise"):
-            loglik, _, _ = enumerate_posterior(np.full((3, 2), -np.inf), P_EXAMPLE, STATE_1)
+            loglik, _, _ = enumerate_posterior(log_eta, TransitionMatrix(np.eye(2)), STATE_1)
         assert loglik == -np.inf
 
     @pytest.mark.parametrize("t_len", [1, 2, 3, 5])
     @pytest.mark.parametrize(
-        "row", [[np.nan, np.nan], [np.inf, 0.0], [-np.inf, np.inf], [0.0, np.nan]],
-        ids=["nan", "plus-inf", "minus-and-plus-inf", "one-nan"],
+        "row",
+        [[np.nan, np.nan], [np.inf, 0.0], [-np.inf, np.inf], [0.0, np.nan], [-np.inf, -np.inf]],
+        ids=["nan", "plus-inf", "minus-and-plus-inf", "one-nan", "minus-inf"],
     )
     def test_rejects_the_rows_the_filter_rejects(self, t_len, row):
-        # these used to give a NaN or +inf log likelihood
+        # these used to give a NaN, +inf or -inf log likelihood
         log_eta = np.zeros((t_len, 2))
         log_eta[t_len - 1] = row
         with pytest.raises(NonFiniteError) as want:

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import json
+import os
 import re
 
 import numpy as np
@@ -7,7 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msfactor.em import EmConfig, init_params, m_step_loadings, m_step_variances, run_em
+from msfactor.em import (
+    EmConfig,
+    init_params,
+    m_step_loadings,
+    m_step_transition,
+    m_step_variances,
+    relabel_states,
+    run_em,
+)
 from msfactor.exceptions import (
     DegenerateChainError,
     DimensionMismatchError,
@@ -25,10 +35,11 @@ from msfactor.metrics import (
     regime_blend_matrix,
     trace_r2,
 )
-from msfactor.montecarlo import run_montecarlo
+from msfactor.io import save_panel_csv
+from msfactor.montecarlo import run_montecarlo, run_replication
 from msfactor.oracle import equivalence_suite
 from msfactor.pca import demean_panel, estimate_factor_space, select_num_factors_er
-from msfactor.simulate import SimConfig
+from msfactor.simulate import SimConfig, simulate_panel
 from msfactor.types import (
     VARIANCE_FLOOR_RATIO,
     FactorSpace,
@@ -38,11 +49,8 @@ from msfactor.types import (
     RngHandle,
     StateProbabilities,
     TransitionMatrix,
-    as_cross,
     as_periods,
     check_gram,
-    marginal_deviation,
-    row_sum_deviation,
     unconditional_probs,
     validate_panel,
 )
@@ -192,38 +200,53 @@ class TestRowSumDeviation:
         pred[1, 0] += predicted
         quarter = np.full((3, 2, 2), 0.25)
         quarter[2] += np.reshape(cross, (2, 2))
-        too_far = max(row_sum_deviation(pred), row_sum_deviation(quarter)) > 1e-10
+        deviation = max(
+            float(np.abs(pred.sum(axis=1) - 1.0).max()),
+            float(np.abs(quarter.sum(axis=(1, 2)) - 1.0).max()),
+        )
         try:
-            ProbabilityPath(predicted=pred, filtered=half, smoothed=half, cross=quarter, loglik=0.0)
+            path = ProbabilityPath(
+                predicted=pred, filtered=half, smoothed=half, cross=quarter, loglik=0.0
+            )
         except InvalidArgumentError as err:
-            assert ("must sum to 1" in str(err)) == too_far
+            assert ("must sum to 1" in str(err)) == (deviation > 1e-10)
         else:
-            assert not too_far
-
+            assert path.norm_deviation == deviation <= 1e-10
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 10_000), t_len=st.integers(1, 50))
     def test_period_sums_match_the_flat_rows_bitwise(self, seed, t_len):
-        # a T x 2 x 2 array sums each period's four entries as its T x 4 view does
-        cross = np.random.default_rng(seed).dirichlet(np.ones(4), t_len).reshape(t_len, 2, 2)
-        flat = float(np.abs(cross.reshape(t_len, 4).sum(axis=1) - 1.0).max())
-        assert row_sum_deviation(cross) == flat
+        # the path keeps the largest deviation of the period sums, a cross
+        # period summed as its C-ordered T x 4 row, a relabelled one too
+        drawn = np.random.default_rng(seed).dirichlet(np.ones(4), t_len).reshape(t_len, 2, 2)
+        half = np.full((t_len, 2), 0.5)
+        for cross in (drawn, drawn[:, ::-1, ::-1]):
+            smoothed = cross[:, 0] + cross[:, 1]
+            path = ProbabilityPath(half, half, smoothed, cross, 0.0)
+            flat = np.ascontiguousarray(cross).reshape(t_len, 4)
+            sums = np.concatenate([flat.sum(axis=1), smoothed.sum(axis=1), half.sum(axis=1)])
+            assert path.norm_deviation == float(np.abs(sums - 1.0).max())
 
     @pytest.mark.parametrize(
         "rows", [np.empty((0, 2)), np.empty((0, 2, 2)), np.float64(1.0)],
         ids=["no-periods", "no-cross-periods", "scalar"],
     )
     def test_no_periods_rejected(self, rows):
-        with pytest.raises(DimensionMismatchError, match="at least one period"):
-            row_sum_deviation(rows)
+        # the largest period deviation needs a period: the path asks T >= 1
+        half, quarter = np.full((3, 2), 0.5), np.full((3, 2, 2), 0.25)
+        args = {"predicted": half, "filtered": half, "smoothed": half, "cross": quarter}
+        args["cross" if rows.ndim == 3 else "predicted"] = rows
+        with pytest.raises(DimensionMismatchError, match="for T >= 1; got"):
+            ProbabilityPath(**args, loglik=0.0)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_reported(self, value):
+        # rejected before any period is summed
+        half = np.full((3, 2), 0.5)
         cross = np.full((3, 2, 2), 0.25)
         cross[1, 1, 0] = value
-        with pytest.raises(NonFiniteError) as err:
-            row_sum_deviation(cross)
-        assert (err.value.row, err.value.col) == (1, 2)
+        with pytest.raises(InvalidArgumentError, match="^cross has non-finite entries$"):
+            ProbabilityPath(predicted=half, filtered=half, smoothed=half, cross=cross, loglik=0.0)
 
 
 class TestCheckGram:
@@ -239,8 +262,9 @@ class TestCheckGram:
 class TestMarginalDeviation:
     def test_sums_over_the_previous_state(self):
         cross = np.array([[[0.1, 0.2], [0.3, 0.4]]])
-        smoothed = np.array([[0.4, 0.5]])
-        assert abs(marginal_deviation(cross, smoothed) - 0.1) < 1e-15
+        smoothed = np.array([[0.4 + 5e-11, 0.6 - 5e-11]])
+        path = ProbabilityPath(smoothed, smoothed, smoothed, cross, 0.0)
+        assert abs(path.marginal_deviation - 5e-11) < 1e-15
 
     @pytest.mark.parametrize(
         "cross",
@@ -248,13 +272,15 @@ class TestMarginalDeviation:
         ids=["ten-rows", "flat-columns", "two-columns"],
     )
     def test_other_shapes_rejected(self, cross):
-        smoothed = np.full((30, 2), 0.5)
+        # the path states cross beside smoothed before it measures their gap
+        half = np.full((30, 2), 0.5)
         message = (
-            "need cross (T, 2, 2), smoothed (T, 2) for T >= 1; "
-            f"got cross {cross.shape}, smoothed (30, 2)"
+            "need predicted (T, 2), filtered (T, 2), smoothed (T, 2), cross (T, 2, 2), "
+            "loglik () for T >= 1; got predicted (30, 2), filtered (30, 2), smoothed (30, 2), "
+            f"cross {cross.shape}, loglik ()"
         )
         with pytest.raises(DimensionMismatchError, match=f"^{re.escape(message)}$"):
-            marginal_deviation(cross, smoothed)
+            ProbabilityPath(half, half, half, cross, 0.0)
 
 
 class TestVarianceFloor:
@@ -494,7 +520,6 @@ _PATH_ARGS = {"predicted": _W, "filtered": _W, "smoothed": _W, "cross": _CROSS, 
 #: wrong size of it (one its other arguments or its own role contradict).
 _INTAKE = {
     "as_periods": (lambda x, y: as_periods(x, y), {"x": _W, "y": _W}, "y", _W[:-1]),
-    "as_cross": (as_cross, {"cross": _CROSS, "smoothed": _W}, "cross", _CROSS[:-1]),
     "anchor_fit": (anchor_fit, {"panel": _PANEL_6X4, "g_hat": _G}, "g_hat", _G[:-1]),
     "regime_log_densities": (
         regime_log_densities,
@@ -504,6 +529,9 @@ _INTAKE = {
     ),
     "m_step_loadings": (
         m_step_loadings, {"panel": _PANEL_6X4, "g_hat": _G, "smoothed": _W}, "smoothed", _W[:-1]
+    ),
+    "m_step_transition": (
+        m_step_transition, {"cross": _CROSS, "smoothed": _W}, "cross", _CROSS[:-1]
     ),
     "m_step_variances": (
         m_step_variances,
@@ -633,6 +661,34 @@ _OBJECTS = {
         lambda: select_num_factors_er(_X, 2), "panel must be a Panel, got ndarray"
     ),
     "demean_panel-panel": (lambda: demean_panel(_X), "panel must be a Panel, got ndarray"),
+    "relabel_states-params": (
+        lambda: relabel_states(_X), "params must be a ModelParams, got ndarray"
+    ),
+    "simulate_panel-cfg": (
+        lambda: simulate_panel(None, RngHandle(seed=0)), "cfg must be a SimConfig, got NoneType"
+    ),
+    "simulate_panel-rng": (
+        lambda: simulate_panel(SimConfig(), 0), "rng must be a RngHandle, got int"
+    ),
+    "run_replication-sim_cfg": (
+        lambda: run_replication(None, EmConfig(), 0, 0),
+        "sim_cfg must be a SimConfig, got NoneType",
+    ),
+    "run_replication-em_cfg": (
+        lambda: run_replication(SimConfig(), None, 0, 0),
+        "em_cfg must be a EmConfig, got NoneType",
+    ),
+    "run_montecarlo-sim_cfg": (
+        lambda: run_montecarlo(None, EmConfig(), 0, 2),
+        "sim_cfg must be a SimConfig, got NoneType",
+    ),
+    "run_montecarlo-em_cfg": (
+        lambda: run_montecarlo(SimConfig(), None, 0, 2),
+        "em_cfg must be a EmConfig, got NoneType",
+    ),
+    "save_panel_csv-panel": (
+        lambda: save_panel_csv(os.devnull, _X), "panel must be a Panel, got ndarray"
+    ),
 }
 
 
@@ -641,3 +697,24 @@ def test_plain_values_for_objects_are_rejected(case):
     call, message = _OBJECTS[case]
     with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
         call()
+
+
+#: Each frozen dataclass that holds an array, built twice from equal values.
+_HOLDERS = {
+    "Panel": lambda: validate_panel(_X),
+    "TransitionMatrix": lambda: TransitionMatrix(_TRANS.p),
+    "StateProbabilities": lambda: StateProbabilities(np.array([0.5, 0.5])),
+    "ModelParams": lambda: ModelParams(**_PARAMS_ARGS),
+    "FactorSpace": lambda: FactorSpace(**_SPACE_ARGS),
+    "ProbabilityPath": lambda: ProbabilityPath(**_PATH_ARGS),
+    "SimTruth": lambda: simulate_panel(SimConfig(n=4, t=6), RngHandle(seed=0)),
+}
+
+
+@pytest.mark.parametrize("case", list(_HOLDERS))
+def test_array_holders_compare_by_identity(case):
+    """``==`` on two of them raised numpy's bare ValueError about an
+    ambiguous truth value, and ``hash`` a TypeError."""
+    one = _HOLDERS[case]()
+    assert one == one and not one == _HOLDERS[case]() and not one == copy.copy(one)
+    assert hash(one) == hash(one)
