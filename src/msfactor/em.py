@@ -112,9 +112,8 @@ def init_params(panel: Panel, fs: FactorSpace, cfg: EmConfig) -> ModelParams:
     check_instance("panel", panel, Panel)
     check_instance("fs", fs, FactorSpace)
     check_instance("cfg", cfg, EmConfig)
-    floor = panel.variance_floor()  # before the fit: its T x N temporary is gone by then
     _, _, zz = anchor_fit(panel, fs.g_hat)
-    sigma = np.maximum(zz.mean(axis=0), floor)
+    sigma = np.maximum(zz.mean(axis=0), panel.variance_floor())
     w1, w2 = cfg.omega1, cfg.omega2
     trans = TransitionMatrix(np.array([[0.5 + w1, 0.5 - w1], [0.5 - w2, 0.5 + w2]]))
     return ModelParams(

@@ -39,7 +39,6 @@ from .types import (
     Panel,
     StateProbabilities,
     TransitionMatrix,
-    as_periods,
     as_shaped,
     check_finite,
     check_instance,
@@ -150,9 +149,7 @@ def regime_log_densities(
         q = _residual_sums(z, zz, (g, g), (params.b1 - a0, params.b2 - a0), inv_s2)
         log_dets = np.array([np.log(s2[0]).sum(), np.log(s2[1]).sum()])
         out = -0.5 * n * _LOG_2PI - 0.5 * log_dets - 0.5 * q
-    if not np.isfinite(out).all():
-        t, j = np.argwhere(~np.isfinite(out))[0]
-        raise NonFiniteError(int(t), int(j), "non-finite regime log density")
+    check_finite("regime", log_eta=out)
     return out
 
 
@@ -161,11 +158,22 @@ def _rows(flat: list[float]) -> np.ndarray:
     return np.array(flat, dtype=float).reshape(-1, 2)
 
 
-def _unbounded_row(log_eta: np.ndarray, t: int) -> NonFiniteError:
-    """The error for row t of the T x 2 ``log_eta``, which holds a NaN or
-    +inf entry or two -inf ones, at its NaN or +inf entry, else column 0."""
-    j = int(not log_eta[t, 1] < np.inf)
-    return NonFiniteError(t, j, f"log_eta row {t} has no finite maximum: {log_eta[t].tolist()}")
+def _log_eta_intake(log_eta, trans, xi0) -> tuple[np.ndarray, np.ndarray]:
+    """``log_eta`` as a T x 2 array (T >= 1) and its row maxima, with
+    ``trans`` and ``xi0`` checked to be chain types. Raises
+    :class:`NonFiniteError` at the first row with no finite maximum (a NaN
+    or +inf entry, or two -inf ones): at its NaN or +inf entry, else
+    column 0."""
+    (log_eta,) = as_shaped({}, log_eta=(log_eta, ("T", 2)))
+    check_instance("trans", trans, TransitionMatrix)
+    check_instance("xi0", xi0, StateProbabilities)
+    top = np.maximum(log_eta[:, 0], log_eta[:, 1])
+    bounded = np.isfinite(top)
+    if not bounded.all():
+        t = int(np.argmin(bounded))
+        j = int(not log_eta[t, 1] < np.inf)
+        raise NonFiniteError(t, j, f"log_eta row {t} has no finite maximum: {log_eta[t].tolist()}")
+    return log_eta, top
 
 
 def hamilton_filter(
@@ -190,12 +198,7 @@ def hamilton_filter(
     and :class:`DegeneratePredictionError` at the first t where a state's
     predicted probability is exactly 0 while its density dominates.
     """
-    (log_eta,) = as_periods(log_eta)
-    check_instance("trans", trans, TransitionMatrix)
-    check_instance("xi0", xi0, StateProbabilities)
-    top = np.maximum(log_eta[:, 0], log_eta[:, 1])
-    if not np.isfinite(top).all():
-        raise _unbounded_row(log_eta, int(np.argmin(np.isfinite(top))))
+    log_eta, top = _log_eta_intake(log_eta, trans, xi0)
     eta = np.exp(log_eta - top[:, None])
     # Python float arithmetic in the loop: IEEE addition is commutative, so
     # writing each two-term sum explicitly makes swapping the regime labels
@@ -240,18 +243,20 @@ def hamilton_filter(
     return predicted, filtered, float(loglik)
 
 
-def _check_rows(first_row: int, **rows: np.ndarray) -> None:
-    """Raise :class:`NonFiniteError` at the first non-finite entry (t, j)
-    of the T x 2 ``rows``, taken in order, and :class:`ZeroPredictedError`
+def _rows_intake(first_row: int, **rows) -> list[np.ndarray]:
+    """The ``rows``, ``predicted`` first, as T x 2 arrays for one T >= 1,
+    named by parameter. Raises :class:`NonFiniteError` at the first
+    non-finite entry (t, j), taken in order, and :class:`ZeroPredictedError`
     at the first t >= ``first_row`` whose predicted probabilities, which
     the smoother divides by, fall below 1e-300."""
-    check_finite("state", **rows)
-    predicted = rows["predicted"]
-    low = np.flatnonzero((predicted[first_row:] < _PRED_GUARD).any(axis=1))
+    arrays = as_shaped({}, **{name: (arr, ("T", 2)) for name, arr in rows.items()})
+    check_finite("state", **dict(zip(rows, arrays)))
+    low = np.flatnonzero((arrays[0][first_row:] < _PRED_GUARD).any(axis=1))
     if low.size:
         raise ZeroPredictedError(
             f"predicted probability below {_PRED_GUARD:g} at t={first_row + int(low[0])}"
         )
+    return arrays
 
 
 def kim_smoother(
@@ -267,9 +272,8 @@ def kim_smoother(
     :class:`ZeroPredictedError` when a predicted probability that must be
     divided by is below 1e-300.
     """
-    predicted, filtered = as_periods(predicted, filtered)
     check_instance("trans", trans, TransitionMatrix)
-    _check_rows(1, predicted=predicted, filtered=filtered)
+    predicted, filtered = _rows_intake(1, predicted=predicted, filtered=filtered)
     # Python float arithmetic for bitwise label symmetry, as in the filter
     p11, p12 = float(trans.p[0, 0]), float(trans.p[0, 1])
     p21, p22 = float(trans.p[1, 0]), float(trans.p[1, 1])
@@ -308,10 +312,11 @@ def smoothed_cross_probs(
     the smoothed probabilities at every t. Raises as
     :func:`kim_smoother` does.
     """
-    predicted, filtered, smoothed = as_periods(predicted, filtered, smoothed)
     check_instance("trans", trans, TransitionMatrix)
     check_instance("xi0", xi0, StateProbabilities)
-    _check_rows(0, predicted=predicted, filtered=filtered, smoothed=smoothed)
+    predicted, filtered, smoothed = _rows_intake(
+        0, predicted=predicted, filtered=filtered, smoothed=smoothed
+    )
     p = trans.p
     ratio = smoothed / predicted
     prev = np.concatenate([xi0.values[None], filtered[:-1]])

@@ -11,15 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import InvalidArgumentError, TooLongError
-from .filtering import _unbounded_row, filter_smoother_pass
-from .types import (
-    RngHandle,
-    StateProbabilities,
-    TransitionMatrix,
-    as_integer,
-    as_periods,
-    check_instance,
-)
+from .filtering import _log_eta_intake, filter_smoother_pass
+from .types import RngHandle, StateProbabilities, TransitionMatrix, as_integer
 
 MAX_ENUM_T = 16
 EQUIVALENCE_TOLERANCE = 1e-9
@@ -64,12 +57,7 @@ def enumerate_posterior(
     TooLongError
         If T exceeds 16 (2^T paths).
     """
-    (log_eta,) = as_periods(log_eta)
-    check_instance("trans", trans, TransitionMatrix)
-    check_instance("xi0", xi0, StateProbabilities)
-    bounded = np.isfinite(np.maximum(log_eta[:, 0], log_eta[:, 1]))
-    if not bounded.all():
-        raise _unbounded_row(log_eta, int(np.argmin(bounded)))
+    log_eta, _ = _log_eta_intake(log_eta, trans, xi0)
     t_len = len(log_eta)
     if t_len > MAX_ENUM_T:
         raise TooLongError(f"T={t_len} > {MAX_ENUM_T}: enumeration would need 2^T paths")

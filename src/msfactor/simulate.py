@@ -71,11 +71,6 @@ class SimTruth:
         """Regime-2 loadings on the stacked factor vector: [0  lambda2]."""
         return np.hstack([np.zeros_like(self.lambda1), self.lambda2])
 
-    @property
-    def g(self) -> np.ndarray:
-        """Stacked factors of the equivalent linear model: (xi_t (x) f_t)."""
-        return np.hstack([self.f * self.xi[:, [0]], self.f * self.xi[:, [1]]])
-
 
 def simulate_chain(
     p11: float, p22: float, t: int, rng: np.random.Generator

@@ -15,9 +15,12 @@ Conventions fixed here once for the whole package:
 Array intake goes through two functions: :func:`as_real`, the package's
 one float conversion, which rejects strings, ragged rows and complex
 values, and :func:`as_shaped`, in which each public function and
-constructor states the shapes of its array arguments, T x k factors as
-``("T", "k")`` say; nothing is flattened, and no helper shapes a pair
-(``cross`` and ``smoothed`` are stated by each function that takes them).
+constructor states the shapes of its array arguments under their
+parameter names, T x k factors as ``("T", "k")`` say; nothing is
+flattened, and no helper shapes a pair (``cross`` and ``smoothed`` are
+stated by each function that takes them). The E step's two intakes in
+:mod:`msfactor.filtering`, one for the log densities and one for the
+T x 2 probability rows, are built on it.
 :mod:`msfactor.blas` is exempt: ``eigh_in_place`` must not copy the buffer
 it overwrites, and ``tridiagonal_eigh``'s subdiagonal has n - 1 entries, a
 size no letter names.
@@ -160,7 +163,7 @@ def _check_probabilities(name, arr, low, high, tol) -> float:
     if not np.isfinite(arr).all():
         raise InvalidArgumentError(f"{name} has non-finite entries")
     if arr.min() < low or arr.max() > high:
-        raise InvalidArgumentError(f"{name} entries leave [0, 1]")
+        raise InvalidArgumentError(f"{name} entries leave [{low:.10g}, {high:.10g}]")
     deviation = float(np.abs(arr.sum(axis=-1) - 1.0).max())
     if deviation > tol:
         raise InvalidArgumentError(f"{name} rows must sum to 1 within {tol:g}")
@@ -200,10 +203,12 @@ class Panel:
             return value
 
     def variance_floor(self) -> float:
-        """Idiosyncratic variance floor for this panel, computed once."""
+        """Idiosyncratic variance floor for this panel, computed once; the
+        mean square is one reduction, with no T x N temporary."""
+        x = self.data
         return self.memo(
             "variance_floor",
-            lambda: VARIANCE_FLOOR_RATIO * float(np.mean(self.data * self.data)),
+            lambda: VARIANCE_FLOOR_RATIO * float(np.einsum("ij,ij->", x, x) / x.size),
         )
 
 
@@ -325,14 +330,6 @@ class ModelParams:
             raise InvalidArgumentError("idiosyncratic variances must be strictly positive")
         _freeze(self, b1=b1, b2=b2, sigma_e1_diag=s1, sigma_e2_diag=s2)
 
-    @property
-    def n_series(self) -> int:
-        return self.b1.shape[0]
-
-    @property
-    def n_factors(self) -> int:
-        return self.b1.shape[1]
-
 
 @dataclass(frozen=True, eq=False)
 class FactorSpace:
@@ -362,18 +359,17 @@ class FactorSpace:
 
 def check_gram(gram: np.ndarray, regime: int) -> None:
     """Raise :class:`SingularGramError` for ``regime`` when the condition
-    number of ``gram`` is not finite or exceeds 1e12 (NaN for a Gram with a
-    non-finite entry)."""
-    cond = np.linalg.cond(gram) if np.isfinite(gram).all() else math.nan
+    number of the symmetric ``gram`` is not finite or exceeds 1e12 (NaN for
+    a Gram with a non-finite entry). The condition number is max |l| /
+    min |l| over its eigenvalues l, which for a symmetric matrix are its
+    singular values up to sign, so no SVD is needed."""
+    cond = math.nan
+    if np.isfinite(gram).all():
+        magnitudes = np.abs(np.linalg.eigvalsh(gram))
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 is NaN, x / 0 is inf
+            cond = magnitudes.max() / magnitudes.min()
     if not np.isfinite(cond) or cond > _GRAM_COND_LIMIT:
         raise SingularGramError(regime=regime, cond=float(cond))
-
-
-def as_periods(*arrays) -> list[np.ndarray]:
-    """``arrays`` through :func:`as_shaped`, all T x 2 for one T >= 1,
-    named by position: "argument 1" first, as the recursions pass their
-    leading arguments."""
-    return as_shaped({}, **{f"argument {i + 1}": (a, ("T", 2)) for i, a in enumerate(arrays)})
 
 
 @dataclass(frozen=True, eq=False)

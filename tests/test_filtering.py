@@ -147,7 +147,7 @@ class TestRegimeLogDensities:
             sigma_e2_diag=np.ones(3),
             trans=P_EXAMPLE,
         )
-        with pytest.raises(NonFiniteError, match="non-finite regime log density") as err:
+        with pytest.raises(NonFiniteError, match="^log_eta at t=0, regime 1 is nan$") as err:
             regime_log_densities(panel, rng.standard_normal((5, 1)), params)
         assert (err.value.row, err.value.col) == (0, 0)
 
@@ -474,7 +474,8 @@ class TestInputChecks:
             "cross": lambda: smoothed_cross_probs(empty, empty, empty, P_EXAMPLE, STATE_1),
             "pass": lambda: filter_smoother_pass(empty, P_EXAMPLE, STATE_1),
         }
-        message = r"^need argument 1 \(T, 2\).* for T >= 1; got argument 1 \(0, 2\)"
+        first = "predicted" if stage in ("smoother", "cross") else "log_eta"
+        message = rf"^need {first} \(T, 2\).* for T >= 1; got {first} \(0, 2\)"
         with pytest.raises(DimensionMismatchError, match=message):
             calls[stage]()
 
@@ -524,8 +525,8 @@ class TestInputChecks:
     def test_smoother_rows_must_match(self):
         rows = np.full((3, 2), 0.5)
         message = (
-            r"^need argument 1 \(T, 2\), argument 2 \(T, 2\) for T >= 1; "
-            r"got argument 1 \(3, 2\), argument 2 \(2, 2\)$"
+            r"^need predicted \(T, 2\), filtered \(T, 2\) for T >= 1; "
+            r"got predicted \(3, 2\), filtered \(2, 2\)$"
         )
         with pytest.raises(DimensionMismatchError, match=message):
             kim_smoother(rows, rows[:2], P_EXAMPLE)
@@ -533,7 +534,8 @@ class TestInputChecks:
     @pytest.mark.parametrize("short", range(3), ids=["predicted", "filtered", "smoothed"])
     def test_cross_rows_must_match(self, short):
         rows = [np.full((2, 2) if k == short else (3, 2), 0.5) for k in range(3)]
-        shapes = ", ".join(f"argument {k + 1} {r.shape}" for k, r in enumerate(rows))
+        names = ("predicted", "filtered", "smoothed")
+        shapes = ", ".join(f"{name} {r.shape}" for name, r in zip(names, rows))
         message = re.escape(f"for T >= 1; got {shapes}") + "$"
         with pytest.raises(DimensionMismatchError, match=message):
             smoothed_cross_probs(*rows, P_EXAMPLE, STATE_1)
@@ -559,7 +561,7 @@ class TestInputChecks:
     @pytest.mark.parametrize("stage", ["smoother", "cross"])
     def test_one_dimensional_rows_rejected(self, stage):
         flat = np.full(4, 0.5)
-        message = r"got argument 1 \(4,\), argument 2 \(4,\)"
+        message = r"got predicted \(4,\), filtered \(4,\)"
         with pytest.raises(DimensionMismatchError, match=message):
             if stage == "smoother":
                 kim_smoother(flat, flat, P_EXAMPLE)

@@ -22,14 +22,16 @@ re-records the file with
 
     PYTHONPATH=src python tests/test_golden.py --record
 
-and says why in ``CHANGES.md``. A change meant to keep every EM result
-bitwise can also compare, before and after it,
+and says why in ``CHANGES.md``. The recorder also stores one SHA-256
+over the ``EmResult`` of every input of the benchmark's ``mc_table1`` and
+``mc_wide`` pools (224 runs, ~11 s on one BLAS thread), which a change
+meant to keep every EM result bitwise checks with
 
     PYTHONPATH=src python tests/test_golden.py --pool
 
-which prints one SHA-256 over the ``EmResult`` of every input of the
-benchmark's ``mc_table1`` and ``mc_wide`` pools (224 runs), on one BLAS
-thread. It records nothing.
+It exits 1 and prints both digests when they differ. Under another
+environment than the recorded one it prints the digest and compares
+nothing, so that two trees can still be compared by hand.
 """
 
 from __future__ import annotations
@@ -230,22 +232,52 @@ def test_unfound_config_string_fails_and_records_nothing(monkeypatch):
     assert GOLDEN.read_bytes() == before
 
 
+def check_pool(digest: str) -> int:
+    """Exit status of ``--pool`` for the pool digest ``digest``: 1, with both
+    digests printed, unless it equals the recorded one; 0, with the digest
+    printed and nothing compared, under another environment."""
+    golden, env = json.loads(GOLDEN.read_text()), environment()
+    if golden["environment"] != env:
+        print(f"{digest}\nnot compared: the pool digest was recorded under "
+              f"{golden['environment']}; this environment is {env}")
+        return 0
+    if digest != golden["pool"]:
+        print(f"pool digest changed: recorded {golden['pool']}, now {digest}")
+        return 1
+    print(f"{digest} matches the recorded pool digest")
+    return 0
+
+
+def test_pool_check_compares_with_the_recorded_digest(capsys):
+    recorded = _golden()["pool"]
+    assert check_pool(recorded) == 0
+    assert check_pool("0" * 64) == 1
+    assert capsys.readouterr().out.endswith(f"recorded {recorded}, now {'0' * 64}\n")
+
+
+def test_pool_check_compares_nothing_under_another_environment(monkeypatch, capsys):
+    monkeypatch.setitem(globals(), "environment", lambda: {"numpy": "0", "openblas": None})
+    assert check_pool("0" * 64) == 0
+    assert "not compared" in capsys.readouterr().out
+
+
 def record() -> None:
     env = environment()
     with tempfile.TemporaryDirectory() as tmp:
         digests = run_cases(Path(tmp))
     em_results = em_digests()
+    pool = pool_digest()
     GOLDEN.write_text(json.dumps(
-        {"environment": env, "digests": digests, "em_results": em_results}, indent=2
+        {"environment": env, "digests": digests, "em_results": em_results, "pool": pool},
+        indent=2,
     ) + "\n")
-    print(f"wrote {len(digests)} file digests and {len(em_results)} EmResult digests "
-          f"to {GOLDEN}")
+    print(f"wrote {len(digests)} file digests, {len(em_results)} EmResult digests "
+          f"and the pool digest to {GOLDEN}")
 
 
 if __name__ == "__main__":
     if sys.argv[1:] == ["--pool"]:
-        print(pool_digest())
-        sys.exit()
+        sys.exit(check_pool(pool_digest()))
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: python tests/test_golden.py --record | --pool")
     try:

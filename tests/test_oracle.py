@@ -78,7 +78,7 @@ class TestEnumeratePosterior:
             enumerate_posterior(np.zeros((17, 2)), P_EXAMPLE, STATE_1)
 
     def test_no_periods_rejected(self):
-        message = r"^need argument 1 \(T, 2\) for T >= 1; got argument 1 \(0, 2\)$"
+        message = r"^need log_eta \(T, 2\) for T >= 1; got log_eta \(0, 2\)$"
         with pytest.raises(DimensionMismatchError, match=message):
             enumerate_posterior(np.empty((0, 2)), P_EXAMPLE, STATE_1)
 

@@ -141,7 +141,7 @@ class TestEstimateFactorSpace:
         # regime factors xi_t (x) f_t of the generating model
         truth = simulate_panel(SimConfig(n=100, t=500, r=1), RngHandle(seed=21))
         fs = estimate_factor_space(truth.panel, k=2)
-        target = truth.g
+        target = np.hstack([truth.f * truth.xi[:, [0]], truth.f * truth.xi[:, [1]]])
         g = fs.g_hat
         coef = np.linalg.lstsq(g, target, rcond=None)[0]
         fitted = g @ coef

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,13 @@ from msfactor.exceptions import (
     SingularGramError,
     TooSmallError,
 )
-from msfactor.filtering import anchor_fit, regime_log_densities
+from msfactor.filtering import (
+    anchor_fit,
+    hamilton_filter,
+    kim_smoother,
+    regime_log_densities,
+    smoothed_cross_probs,
+)
 from msfactor.metrics import (
     blended_loadings,
     common_component_mse,
@@ -37,10 +44,11 @@ from msfactor.metrics import (
 )
 from msfactor.io import save_panel_csv
 from msfactor.montecarlo import run_montecarlo, run_replication
-from msfactor.oracle import equivalence_suite
+from msfactor.oracle import enumerate_posterior, equivalence_suite
 from msfactor.pca import demean_panel, estimate_factor_space, select_num_factors_er
 from msfactor.simulate import SimConfig, simulate_panel
 from msfactor.types import (
+    STATE_1,
     VARIANCE_FLOOR_RATIO,
     FactorSpace,
     ModelParams,
@@ -49,7 +57,6 @@ from msfactor.types import (
     RngHandle,
     StateProbabilities,
     TransitionMatrix,
-    as_periods,
     check_gram,
     unconditional_probs,
     validate_panel,
@@ -116,7 +123,8 @@ class TestTransitionMatrix:
             TransitionMatrix(np.array([[0.9, 0.2], [0.3, 0.7]]))
 
     def test_entries_must_be_probabilities(self):
-        with pytest.raises(InvalidArgumentError):
+        message = r"^transition matrix entries leave \[0, 1\]$"
+        with pytest.raises(InvalidArgumentError, match=message):
             TransitionMatrix(np.array([[1.2, -0.2], [0.3, 0.7]]))
 
     def test_relabeled_swaps_states(self):
@@ -178,6 +186,21 @@ class TestProbabilityPath:
         bad = np.full((3, 2, 2), 0.3)
         with pytest.raises(InvalidArgumentError):
             ProbabilityPath(predicted=half, filtered=half, smoothed=half, cross=bad, loglik=0.0)
+
+    @pytest.mark.parametrize("excess", [1e-13, 1e-11])
+    def test_range_message_states_the_applied_bounds(self, excess):
+        # a path is allowed rounding past [0, 1]: [-1e-12, 1 + 1e-9]
+        half = np.full((3, 2), 0.5)
+        predicted = half.copy()
+        predicted[1] = [-excess, 1.0 + excess]
+        args = {"predicted": predicted, "filtered": half, "smoothed": half,
+                "cross": np.full((3, 2, 2), 0.25), "loglik": 0.0}
+        if excess < 1e-12:
+            assert ProbabilityPath(**args).predicted[1, 0] == -excess
+            return
+        message = "predicted entries leave [-1e-12, 1.000000001]"
+        with pytest.raises(InvalidArgumentError, match=f"^{re.escape(message)}$"):
+            ProbabilityPath(**args)
 
     def test_marginalisation_violation(self):
         half = np.full((3, 2), 0.5)
@@ -258,6 +281,34 @@ class TestCheckGram:
             check_gram(gram, regime=2)
         assert err.value.regime == 2 and np.isnan(err.value.cond)
 
+    def test_zero_gram_is_singular(self):
+        with pytest.raises(SingularGramError) as err:
+            check_gram(np.zeros((2, 2)), regime=1)
+        assert np.isnan(err.value.cond)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        k=st.integers(1, 4),
+        log_cond=st.one_of(st.floats(0.0, 16.0), st.floats(11.95, 12.05)),  # and near the limit
+        log_scale=st.floats(-5.0, 5.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_decision_matches_the_svd_condition_number(self, k, log_cond, log_scale, seed):
+        # an SPD Gram with eigenvalues 10^log_scale down to 10^(log_scale -
+        # log_cond) in a random basis, symmetric only up to rounding as the
+        # M step's are; np.linalg.cond, from an SVD, is the reference
+        basis, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((k, k)))
+        gram = (basis * np.logspace(log_scale, log_scale - log_cond, k)) @ basis.T
+        reference = np.linalg.cond(gram)
+        try:
+            check_gram(gram, regime=1)
+            singular = False
+        except SingularGramError:
+            singular = True
+        # each estimate is off by ~k eps cond, ~1e-3 at the 1e12 limit
+        if not abs(reference / 1e12 - 1.0) < 1e-2:
+            assert singular == (not reference <= 1e12)
+
 
 class TestMarginalDeviation:
     def test_sums_over_the_previous_state(self):
@@ -288,11 +339,11 @@ class TestVarianceFloor:
         data = np.random.default_rng(2).standard_normal((30, 5))
         panel = validate_panel(data)
         calls = []
-        mean = np.mean
-        monkeypatch.setattr(np, "mean", lambda a: calls.append(1) or mean(a))
+        einsum = np.einsum
+        monkeypatch.setattr(np, "einsum", lambda *args: calls.append(1) or einsum(*args))
         first = panel.variance_floor()
         assert panel.variance_floor() == first
-        assert first == VARIANCE_FLOOR_RATIO * float(mean(data * data))
+        assert first == pytest.approx(VARIANCE_FLOOR_RATIO * np.mean(data * data), rel=1e-14)
         assert len(calls) == 1
         # a new panel over the same data computes its own
         validate_panel(data).variance_floor()
@@ -303,6 +354,18 @@ class TestVarianceFloor:
         # the sample variance of a constant panel is zero; its mean square is not
         panel = validate_panel(np.full((60, 3), value))
         assert panel.variance_floor() == VARIANCE_FLOOR_RATIO * value * value
+
+    def test_no_panel_sized_temporary(self):
+        # the mean square is one reduction: no T x N array of squares
+        t_len, n_len = 500, 100
+        panel = validate_panel(np.random.default_rng(4).standard_normal((t_len, n_len)))
+        tracemalloc.start()
+        try:
+            panel.variance_floor()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * t_len * n_len * 8
 
     def test_scales_with_the_square_of_the_units(self):
         data = np.random.default_rng(3).normal(5.0, 1.0, (40, 4))
@@ -519,7 +582,24 @@ _PATH_ARGS = {"predicted": _W, "filtered": _W, "smoothed": _W, "cross": _CROSS, 
 #: ``loglik``: the call, good arguments by name, the argument made bad and a
 #: wrong size of it (one its other arguments or its own role contradict).
 _INTAKE = {
-    "as_periods": (lambda x, y: as_periods(x, y), {"x": _W, "y": _W}, "y", _W[:-1]),
+    "hamilton_filter": (
+        hamilton_filter, {"log_eta": _W, "trans": _TRANS, "xi0": STATE_1}, "log_eta", _W[:, :1]
+    ),
+    "kim_smoother": (
+        kim_smoother, {"predicted": _W, "filtered": _W, "trans": _TRANS}, "filtered", _W[:-1]
+    ),
+    "smoothed_cross_probs": (
+        smoothed_cross_probs,
+        {"predicted": _W, "filtered": _W, "smoothed": _W, "trans": _TRANS, "xi0": STATE_1},
+        "smoothed",
+        _W[:-1],
+    ),
+    "enumerate_posterior": (
+        enumerate_posterior,
+        {"log_eta": _W, "trans": _TRANS, "xi0": STATE_1},
+        "log_eta",
+        np.zeros((6, 3)),
+    ),
     "anchor_fit": (anchor_fit, {"panel": _PANEL_6X4, "g_hat": _G}, "g_hat", _G[:-1]),
     "regime_log_densities": (
         regime_log_densities,
@@ -598,15 +678,19 @@ def test_bad_arrays_are_msfactor_errors(case, kind):
     """Every array argument comes in through one conversion and one shape
     check: a bad one raises an MsfactorError and no warning (the suite
     turns warnings into errors), where numpy's bare errors or a
-    ComplexWarning used to come through."""
+    ComplexWarning used to come through. The message names the bad array
+    by its parameter, and a shape error gives its shape."""
     call, good, target, wrong = _INTAKE[case]
     call(**good)
+    bad = _BAD_ARRAYS[kind](np.asarray(good[target]), wrong)
     if kind in ("strings", "complex", "ragged"):
-        error = InvalidArgumentError
+        error, named = InvalidArgumentError, target
     else:  # a panel has no size to share; its shape errors say it is too small
         error = TooSmallError if case == "validate_panel" else DimensionMismatchError
-    with pytest.raises(error):
-        call(**{**good, target: _BAD_ARRAYS[kind](np.asarray(good[target]), wrong)})
+        named = f"{target} {np.shape(bad)}"
+    with pytest.raises(error) as err:
+        call(**{**good, target: bad})
+    assert case == "validate_panel" or named in str(err.value)  # a panel's data is "panel"
 
 
 def test_fixed_shapes_need_no_size_rule():
